@@ -9,7 +9,8 @@ iteration stops at the first pass that adds nothing.
 
 Local decoding maps are memoized per component type and keyed by the known
 input pattern, which keeps the per-pass work to table lookups and lets
-passes run vectorized over all nodes of a type at once.
+passes run vectorized over all nodes of a type at once.  The maps themselves
+are filled by one vectorized GF(2) elimination over many keys at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
 from .ensemble import EnsembleSpec
 from .errors import ValidationError
 
@@ -138,83 +138,142 @@ def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> Sa
     )
 
 
+# Array tables cap at 2 x 8 MiB; wider types fall back to a dict memo.
+_ARRAY_MAX_WIDTH = 20
+# A block wider than this many incoming bits is filled in sub-blocks, which
+# bounds the scratch arrays of one fill.
+_FILL_MAX_LOW = 15
+# Missing dict keys filled per vectorized call, each with its q neighbours.
+_DICT_FILL_CHUNK = 2048
+
+
+def _uint_dtype(bits: int) -> type:
+    """Narrowest unsigned integer dtype that holds `bits` bits."""
+    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= np.iinfo(dt).bits)
+
+
+def _insert(slots: np.ndarray, v: np.ndarray) -> None:
+    """Insert v[r] into the echelon basis slots[:, r], in place.
+
+    slots[p, r] holds a basis vector whose top bit is p, or 0.  A zero or
+    dependent v[r] leaves row r unchanged.
+    """
+    v = v.copy()
+    for p in range(len(slots) - 1, -1, -1):
+        hit = (v & (1 << p)) != 0
+        s = np.where(hit & (slots[p] == 0), v, slots[p])
+        slots[p] = s
+        # a placed v clears itself, so it is placed once
+        v ^= s * hit
+
+
+def _extrinsic(det: np.ndarray, cleared_rows) -> np.ndarray:
+    """Out masks: bit j is read from the determined-column masks det at the
+    row of the key with incoming bit j cleared; cleared_rows yields those
+    rows for j = 0, 1, ..."""
+    out = 0
+    for j, rows in enumerate(cleared_rows):
+        out = out | ((det[rows] >> j) & 1) << j
+    return out
+
+
 class _LocalMaps:
-    """Memoized exact local erasure decoding for one component type.
+    """Exact local erasure decoding for one component type.
 
     Key layout: (channel-known mask << n_sockets) | incoming-known mask.
     Values: extrinsic outgoing-known mask and (non-extrinsic) recovered
-    information-bit mask.
+    information-bit mask.  Out bit j of key S is "column j lies in the span
+    of S without socket j", a lookup of the determined-column mask of S with
+    incoming bit j cleared; so the keys sharing one channel mask (a block)
+    are filled together, from that block alone.
     """
 
     def __init__(self, column_bits: list[int], n_rows: int, chan_positions: tuple[int, ...]):
-        self.cols = column_bits
         self.q = len(column_bits)
         self.kb = len(chan_positions)
         self.n_rows = n_rows
         self.chan_positions = chan_positions
+        self._dtype = _uint_dtype(n_rows)
+        self._cols = np.array(column_bits, dtype=self._dtype)
+        # functionals tested against every span: the socket columns, then the info bits
+        self._tests = np.array(list(column_bits) + [1 << i for i in range(n_rows)], dtype=self._dtype)
         width = self.q + self.kb
-        # array tables cap at 2 x 8 MiB; wider types fall back to a dict memo
-        self._array_backed = width <= 20
+        self._array_backed = width <= _ARRAY_MAX_WIDTH
         if self._array_backed:
-            self.out_table = np.full(1 << width, -1, dtype=np.int64)
-            self.info_table = np.full(1 << width, -1, dtype=np.int64)
+            self.out_table = np.empty(1 << width, dtype=np.int64)
+            self.info_table = np.empty(1 << width, dtype=np.int64)
+            self._filled = np.zeros(1 << self.kb, dtype=bool)
         else:
             self._dict: dict[int, tuple[int, int]] = {}
 
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._array_backed:
-            missing = np.unique(keys[self.out_table[keys] < 0])
-            for key in missing.tolist():
-                out, info = self._solve(int(key))
-                self.out_table[key] = out
-                self.info_table[key] = info
+            if not self._filled.all():
+                chans = np.unique(keys >> self.q)
+                for chan in chans[~self._filled[chans]].tolist():
+                    self._fill_block(chan)
             return self.out_table[keys], self.info_table[keys]
-        out = np.empty(len(keys), dtype=np.int64)
-        info = np.empty(len(keys), dtype=np.int64)
-        for i, key in enumerate(keys.tolist()):
-            pair = self._dict.get(key)
-            if pair is None:
-                pair = self._solve(int(key))
-                self._dict[key] = pair
-            out[i], info[i] = pair
-        return out, info
+        uniq, inv = np.unique(keys, return_inverse=True)
+        missing = [key for key in uniq.tolist() if key not in self._dict]
+        if missing:
+            self._fill_dict(np.array(missing, dtype=np.int64))
+        pairs = np.array([self._dict[key] for key in uniq.tolist()], dtype=np.int64)
+        return pairs[inv, 0], pairs[inv, 1]
 
-    def _known_funcs(self, chan: int) -> tuple[list[int], list[int]]:
-        pivots: list[int] = []
-        vecs: list[int] = []
+    def _fill_block(self, chan: int) -> None:
+        # Sub-blocks share the high incoming bits; each is one vectorized fill.
+        low = min(self.q, _FILL_MAX_LOW)
+        base = chan << self.q
+        parts = [self._span_masks(np.array([base | hi << low]), low) for hi in range(1 << (self.q - low))]
+        det = np.concatenate([d for d, _ in parts])
+        inc = np.arange(1 << self.q, dtype=np.int64)
+        block = slice(base, base + len(inc))
+        self.out_table[block] = _extrinsic(det, (inc & ~(1 << j) for j in range(self.q)))
+        self.info_table[block] = np.concatenate([i for _, i in parts])
+        self._filled[chan] = True
+
+    def _fill_dict(self, missing: np.ndarray) -> None:
+        bits = np.int64(1) << np.arange(self.q, dtype=np.int64)
+        for lo in range(0, len(missing), _DICT_FILL_CHUNK):
+            chunk = missing[lo : lo + _DICT_FILL_CHUNK]
+            cleared = chunk[:, None] & ~bits
+            keys = np.unique(np.concatenate([chunk, cleared.reshape(-1)]))
+            det, info = self._span_masks(keys, 0)
+            out = _extrinsic(det, np.searchsorted(keys, cleared).T)
+            own = info[np.searchsorted(keys, chunk)]
+            self._dict.update(zip(chunk.tolist(), zip(out.tolist(), own.tolist())))
+
+    def _span_masks(self, bases: np.ndarray, low: int) -> tuple[np.ndarray, np.ndarray]:
+        """Determined-column and recovered-info masks of every key b | s, for
+        each base key b (its low incoming bits clear) and each s < 2**low,
+        ordered base-major.
+
+        One GF(2) elimination serves all keys: a base starts from its
+        channel and incoming functionals, then the low columns come in by the
+        subset recurrence (the subsets with top bit c are the subsets below
+        2**c with column c inserted).  A functional is determined iff it
+        reduces to zero against the key's basis.
+        """
+        k, q, dt = self.n_rows, self.q, self._dtype
+        chan, inc = bases >> q, bases & ((1 << q) - 1)
+        slots = np.zeros((k, len(bases)), dtype=dt)
         for idx, pos in enumerate(self.chan_positions):
-            if (chan >> idx) & 1:
-                gf2.basis_insert(1 << pos, pivots, vecs)
-        return pivots, vecs
-
-    def _solve(self, key: int) -> tuple[int, int]:
-        inc = key & ((1 << self.q) - 1)
-        chan = key >> self.q
-        inc_list = [j for j in range(self.q) if (inc >> j) & 1]
-
-        pivots, vecs = self._known_funcs(chan)
-        for j in inc_list:
-            gf2.basis_insert(self.cols[j], pivots, vecs)
-
-        info = 0
-        for i in range(self.n_rows):
-            if gf2.reduce_vector(1 << i, pivots, vecs) == 0:
-                info |= 1 << i
-
-        out = 0
-        for j in range(self.q):
-            if (inc >> j) & 1:
-                # Extrinsic output: rebuild the span without this socket's input.
-                p2, v2 = self._known_funcs(chan)
-                for j2 in inc_list:
-                    if j2 != j:
-                        gf2.basis_insert(self.cols[j2], p2, v2)
-                determined = gf2.reduce_vector(self.cols[j], p2, v2) == 0
-            else:
-                determined = gf2.reduce_vector(self.cols[j], pivots, vecs) == 0
-            if determined:
-                out |= 1 << j
-        return out, info
+            slots[pos] = ((chan >> idx) & 1) << pos
+        for c in range(low, q):
+            _insert(slots, np.where((inc >> c) & 1, self._cols[c], dt(0)))
+        slots = slots[:, :, None]
+        for c in range(low):
+            grown = slots.copy()
+            _insert(grown.reshape(k, -1), np.full(grown[0].size, self._cols[c], dtype=dt))
+            slots = np.concatenate([slots, grown], axis=2)
+        slots = slots.reshape(k, -1)
+        det = np.zeros(slots.shape[1], dtype=np.int64)
+        for i, test in enumerate(self._tests.tolist()):
+            v = np.full(slots.shape[1], test, dtype=dt)
+            for p in range(k - 1, -1, -1):
+                v ^= slots[p] * ((v & (1 << p)) != 0)
+            det |= (v == 0).astype(np.int64) << i
+        return det & ((1 << q) - 1), det >> q
 
 
 _local_maps_cache: dict = {}
@@ -366,7 +425,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # At p_hat = 0 (or 1) the bound center -/+ half is exactly 0 (or 1) in closed form.
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def _run_trial(args):
@@ -421,27 +483,39 @@ def sweep(
     counter-based stream keyed by (seed, grid index, trial index), so results
     do not depend on scheduling or on the number of workers.
     """
+    eps_grid = [float(eps) for eps in eps_grid]
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
+    if max_iters is not None and max_iters < 0:
+        raise ValidationError("max_iters must be >= 0")
+    bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
+    if bad:
+        raise ValidationError(f"erasure probabilities must lie in [0, 1], got {bad[0]!r}")
     result = SweepResult(rows=[], seed=seed, stability_prediction=spec.stability_eligible)
     n_tx_per_scale = sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
     n_bits = n_tx_per_scale * scale
+    args = [
+        (spec, scale, seed, eps_index, t, eps, record_exit_iters, max_iters)
+        for eps_index, eps in enumerate(eps_grid)
+        for t in range(trials)
+    ]
+    if jobs > 1:
+        # One pool serves the whole grid; each worker fills its local maps
+        # once, on first use, and keeps them for every later grid point.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * jobs))))
+    else:
+        outcomes = [_run_trial(a) for a in args]
     for eps_index, eps in enumerate(eps_grid):
-        args = [
-            (spec, scale, seed, eps_index, t, float(eps), record_exit_iters, max_iters)
-            for t in range(trials)
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * jobs))))
-        else:
-            outcomes = [_run_trial(a) for a in args]
-        failures = sum(1 for ok, _, _ in outcomes if not ok)
-        residual_total = sum(r for _, r, _ in outcomes)
+        point = outcomes[eps_index * trials : (eps_index + 1) * trials]
+        failures = sum(1 for ok, _, _ in point if not ok)
+        residual_total = sum(r for _, r, _ in point)
         ci_lo, ci_hi = wilson_interval(failures, trials)
         result.rows.append(
             {
-                "eps": float(eps),
+                "eps": eps,
                 "ber": residual_total / (n_bits * trials),
                 "bler": failures / trials,
                 "ci_lo": ci_lo,
@@ -450,5 +524,5 @@ def sweep(
             }
         )
         if record_exit_iters > 0:
-            result.trajectories[float(eps)] = np.stack([t for _, _, t in outcomes])
+            result.trajectories[eps] = np.stack([t for _, _, t in point])
     return result

@@ -98,6 +98,23 @@ def fig1_doc() -> dict:
     }
 
 
+def dgldpc_spec() -> EnsembleSpec:
+    """The benchmark's D-GLDPC ensemble: Hamming(7,4) and rep3 VNs, and a
+    Hamming(15,11) CN given by its parity check (column c is c in binary)."""
+    from metdg import generator_from_parity
+
+    ham74 = GF2Matrix.from_rows(
+        [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+    )
+    vn1 = VnType("ham74", ham74, (1,) * 4, (1,) * 7, 30)
+    vn2 = VnType("rep3", rep_gen(3), (1,), (2, 2, 2), 35)
+    h = GF2Matrix.from_rows([[(c >> r) & 1 for c in range(1, 16)] for r in range(4)])
+    cn = CnType(
+        "ham15", generator_from_parity(h), (1,) * 10 + (2,) * 5, 21, given_form="parity_check"
+    )
+    return build_spec(2, [vn1, vn2], [cn])
+
+
 def irregular_ldpc_spec(lambda2: float) -> tuple[EnsembleSpec, float, float]:
     """Single-edge-type irregular LDPC with the requested degree-2 edge fraction.
 

@@ -254,3 +254,36 @@ def classic_peeling_history(code, erased):
         recovered = chan[i] | msg_cv[eids].any(axis=1)
         residual += int(np.sum(~chan[i] & ~recovered))
     return history, residual
+
+
+def naive_local_map(gen_rows, chan_positions, key):
+    """(out, info) masks of exact local erasure decoding, by codeword enumeration.
+
+    key = (channel-known mask << n_sockets) | incoming-known mask, where
+    channel bit idx reveals input bit chan_positions[idx].  A functional is
+    known iff every input word that is zero on all known functionals is zero
+    on it too; the output for socket j leaves socket j's own input out.
+    """
+    g = np.array(gen_rows, dtype=np.uint8)
+    k, q = g.shape
+    words = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint8)
+    cws = (words.astype(np.int64) @ g) % 2
+    chan = key >> q
+    known_inputs = [p for idx, p in enumerate(chan_positions) if (chan >> idx) & 1]
+    known_sockets = [j for j in range(q) if (key >> j) & 1]
+
+    def kernel(sockets):
+        zero = np.ones(len(words), dtype=bool)
+        for p in known_inputs:
+            zero &= words[:, p] == 0
+        for j in sockets:
+            zero &= cws[:, j] == 0
+        return zero
+
+    ker = kernel(known_sockets)
+    info = sum(1 << i for i in range(k) if not words[ker, i].any())
+    out = 0
+    for j in range(q):
+        if not cws[kernel([s for s in known_sockets if s != j]), j].any():
+            out |= 1 << j
+    return out, info

@@ -191,3 +191,12 @@ def test_json_reports_identical_modulo_duration(ex1_path, tmp_path):
 
 def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
     assert main(["validate", ex1_path, "--format", "csv"]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [["--jobs", "0"], ["--eps", "1.7"], ["--eps", "nan"], ["--eps", "-0.2"]]
+)
+def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):
+    args = ["simulate", ldpc_path, "--scale", "2", "--eps", "0.3", "--trials", "2", "--jobs", "1"]
+    assert main(args + bad) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from metdg import ExitEngine, ValidationError, decode, sample_code, sweep, wilson_interval
-from metdg.peeling import _trial_rng
+from metdg import GF2Matrix
+from metdg.peeling import _LocalMaps, _trial_rng
 
 from conftest import (
+    dgldpc_spec,
     example2_spec,
     fig1_spec,
     ldpc_spec,
+    random_component_code,
     random_eligible_spec,
     rep_gen,
     spc_gen,
 )
-from naive_oracles import classic_peeling_history
+from naive_oracles import classic_peeling_history, naive_local_map
 
 
 def test_sampling_is_deterministic():
@@ -162,6 +165,68 @@ def test_sweep_is_reproducible_and_jobs_invariant():
     assert a.rows == c.rows
 
 
+def test_sweep_jobs_invariant_on_dgldpc_grid():
+    # one pool serves every grid point; rows and trajectories stay grouped by
+    # grid index and equal the serial run's
+    spec = dgldpc_spec()
+    kwargs = dict(scale=1, eps_grid=[0.30, 0.38, 0.45], trials=6, seed=11, record_exit_iters=3)
+    # the pooled run goes first, so its workers start from cold maps
+    b = sweep(spec, jobs=2, **kwargs)
+    a = sweep(spec, jobs=1, **kwargs)
+    assert a.rows == b.rows
+    assert list(a.trajectories) == list(b.trajectories) == [0.30, 0.38, 0.45]
+    for eps, traj in a.trajectories.items():
+        assert traj.shape == (6, 4, spec.n_edge_types)
+        assert np.array_equal(traj, b.trajectories[eps])
+
+
+def test_sweep_rejects_negative_max_iters():
+    # the CLI tests cover jobs and the grid; max_iters is only reachable here
+    with pytest.raises(ValidationError):
+        sweep(ldpc_spec(3, 6), scale=2, eps_grid=[0.3], trials=2, seed=0, max_iters=-1)
+
+
+def _oracle_check(gen: GF2Matrix, chan_positions, keys):
+    maps = _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
+    out, info = maps.lookup_many(np.asarray(keys, dtype=np.int64))
+    rows = gen.to_rows()
+    for key, o, i in zip(keys, out.tolist(), info.tolist()):
+        assert (o, i) == naive_local_map(rows, chan_positions, key), (rows, chan_positions, key)
+    return maps
+
+
+def test_local_maps_match_codeword_oracle_on_every_key():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        gen = random_component_code(rng, max_sockets=7, max_k=4)
+        k = gen.n_rows
+        partial = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist())
+        # unpunctured VN, fully punctured VN or CN, partially punctured VN
+        for chan_positions in (list(range(k)), [], partial[:-1] or partial):
+            width = gen.n_cols + len(chan_positions)
+            _oracle_check(gen, chan_positions, list(range(1 << width)))
+
+
+@pytest.mark.parametrize(
+    "k, q, chan_positions, array_backed",
+    # 18 sockets plus 3 channel bits is past the array cutoff, so the dict memo
+    # serves the keys; 17 sockets fill each block in two sub-blocks
+    [(4, 18, [0, 2, 3], False), (2, 17, [], True)],
+)
+def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positions, array_backed):
+    rng = np.random.default_rng(29)
+    while True:
+        gen = GF2Matrix.from_rows(rng.integers(0, 2, size=(k, q)).tolist())
+        if gen.rank() == k and not gen.has_zero_column():
+            break
+    width = q + len(chan_positions)
+    keys = rng.integers(0, 1 << width, size=120).tolist()
+    maps = _oracle_check(gen, chan_positions, keys)
+    assert maps._array_backed == array_backed
+    # a second batch mixes memoized keys with new ones
+    _oracle_check(gen, chan_positions, keys[::3] + rng.integers(0, 1 << width, size=40).tolist())
+
+
 def test_sweep_waterfall_brackets_threshold(ldpc36):
     # coarse grid around the asymptotic threshold: clearly good below,
     # clearly bad above
@@ -174,7 +239,7 @@ def test_wilson_interval_sanity():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi < 0.05
     lo, hi = wilson_interval(100, 100)
-    assert hi >= 1.0 - 1e-12 and lo > 0.95
+    assert hi == 1.0 and lo > 0.95
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
 
