@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -184,20 +185,27 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 
 def _parse_eps_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError("eps range must look like a:b:step")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValidationError("eps step must be positive")
-        grid = []
-        v = a
-        while v <= b + 1e-12:
-            grid.append(round(v, 12))
-            v += step
-        return grid
-    return [float(p) for p in text.split(",")]
+    is_range = ":" in text
+    parts = text.split(":" if is_range else ",")
+    if is_range and len(parts) != 3:
+        raise ValidationError("eps range must look like a:b:step")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"eps must be numbers, got {text!r}") from None
+    if not is_range:
+        return values
+    a, b, step = values
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValidationError(f"eps range a:b:step needs finite a <= b, got {text!r}")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("eps step must be positive")
+    grid = []
+    v = a
+    while v <= b + 1e-12:
+        grid.append(round(v, 12))
+        v += step
+    return grid
 
 
 def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:

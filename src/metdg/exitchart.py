@@ -6,9 +6,9 @@ CN update followed by a VN update; the channel enters only the VN side.
 
 Every node type contributes through a precomputed coefficient array built
 from its information-function table.  Evaluating an extrinsic function is
-then a tensor contraction of that array against per-axis weight vectors, so
-a step costs a handful of small numpy contractions regardless of how often
-the threshold search calls it.
+then a contraction of that array against per-axis weight vectors, so a step
+costs a handful of small vector-matrix products regardless of how often the
+threshold search calls it.
 """
 
 from __future__ import annotations
@@ -18,11 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import CnType, EnsembleSpec, VnType
-from .errors import InternalError
+from .errors import InternalError, ValidationError
 from .infofuncs import cn_info_table, vn_info_table
 
 _BOUNDS_SLACK = 1e-9
 _STALL_TOL = 1e-15
+# Non-convergence certificate (see ExitEngine.run): first check after
+# _CERT_FIRST steps, then every max(_CERT_FIRST, steps // _CERT_SPACING) steps.
+# _CERT_SLACK bounds twice the rounding error of one computed step, and
+# _CERT_PAD lifts the extrapolated bound clear of that rounding.
+_CERT_FIRST = 8
+_CERT_SPACING = 16
+_CERT_SLACK = 1e-13
+_CERT_PAD = 1e-12
 
 
 @dataclass
@@ -58,27 +66,90 @@ def _exit_coefficients(table: np.ndarray, axis: int, n_axis: int) -> np.ndarray:
     return coeff.astype(np.float64)
 
 
-def _socket_weights(value: float, n: int) -> np.ndarray:
-    t = np.arange(n + 1)
-    return (1.0 - value) ** t * value ** (n - t)
+class _Mixture:
+    """The CN or the VN half of a step: per edge type, the edge-fraction
+    mixture of the extrinsic functions of the node types carrying it.
 
+    A part (one node type, one output edge type) is its coefficient array
+    contracted against one weight vector per axis: (1-x_l)^t x_l^(n-t),
+    t = 0..n, for an axis of n sockets of edge type l, and eps^z
+    (1-eps)^(b-z), z = 0..b, for the b transmitted bits of a VN.  Axes of
+    length one carry the weight 1 and are dropped when the part is built.
+    One evaluation computes every distinct weight vector in a single
+    vectorised power expression over exponents fixed at construction, then
+    contracts each part by a chain of 2-D vector-matrix products.
+    """
 
-def _channel_weights(epsilon: float, b: int) -> np.ndarray:
-    z = np.arange(b + 1)
-    return epsilon**z * (1.0 - epsilon) ** (b - z)
+    def __init__(self, n_edge_types: int, terms):
+        """terms: (info table, per-edge-type socket counts, transmitted bits
+        or None for a CN, output edge type e0, mixture weight) per part."""
+        self.n_edge_types = n_edge_types
+        self.parts: list[list] = [[] for _ in range(n_edge_types)]
+        # (value index, n) -> position in the list of weight vectors; value
+        # index n_edge_types stands for the channel.
+        keys: dict[tuple[int, int], int] = {}
+        for table, counts, n_transmitted, e0, weight in terms:
+            arr = _exit_coefficients(table, e0, counts[e0])
+            axes = [(l0, counts[l0] - (1 if l0 == e0 else 0)) for l0 in range(n_edge_types)]
+            if n_transmitted is not None:
+                axes.append((n_edge_types, n_transmitted))
+            kept = tuple(keys.setdefault(ax, len(keys)) for ax in axes if ax[1] > 0)
+            self.parts[e0].append((weight, counts[e0], arr.reshape(-1), kept))
+        order = sorted(keys, key=keys.get)
+        self._source = np.array([src for src, n in order for _ in range(n + 1)], dtype=np.intp)
+        self._up = np.array([t for _, n in order for t in range(n + 1)], dtype=np.int64)
+        self._down = np.array([n - t for _, n in order for t in range(n + 1)], dtype=np.int64)
+        ends = np.cumsum([n + 1 for _, n in order]).tolist()
+        self._slices = [slice(e - n - 1, e) for (_, n), e in zip(order, ends)]
 
-
-def _contract(arr: np.ndarray, vectors: list[np.ndarray]) -> float:
-    out = arr
-    for v in vectors:
-        out = np.tensordot(out, v, axes=(0, 0))
-    return float(out)
+    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+        up, down = 1.0 - x, x
+        if epsilon is not None:
+            up = np.append(up, epsilon)
+            down = np.append(down, 1.0 - epsilon)
+        flat = up[self._source] ** self._up * down[self._source] ** self._down
+        vectors = [flat[sl] for sl in self._slices]
+        out = np.empty(self.n_edge_types)
+        for e0, parts in enumerate(self.parts):
+            total = 0.0
+            for weight, n_sockets, arr, kept in parts:
+                acc = arr
+                for k in kept:
+                    v = vectors[k]
+                    acc = np.dot(v, acc.reshape(v.shape[0], -1))
+                total += weight * _checked(1.0 - acc.item() / n_sockets, "exit value")
+            out[e0] = total
+        return out
 
 
 def _checked(value: float, what: str) -> float:
     if value < -_BOUNDS_SLACK or value > 1.0 + _BOUNDS_SLACK:
         raise InternalError(f"{what} left [0,1] by more than {_BOUNDS_SLACK}: {value!r}")
     return min(1.0, max(0.0, value))
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject an erasure probability outside [0, 1], NaN included."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
+
+
+def check_tol_eps(tol_eps: float) -> None:
+    """Reject a bisection half-width the search cannot reach.
+
+    Below the double-precision epsilon the bracket can shrink to two
+    adjacent doubles, whose midpoint is one of them, and the search would
+    never end.
+    """
+    if not np.finfo(float).eps <= tol_eps < np.inf:
+        raise ValidationError(f"tol_eps must be a finite number >= 2**-52, got {tol_eps!r}")
+
+
+def _check_run_limits(max_iters: int, tol: float) -> None:
+    if max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"convergence tolerance must lie in (0, 1), got {tol!r}")
 
 
 def vn_exit(
@@ -93,33 +164,22 @@ def vn_exit(
     i_av holds the incoming per-edge-type known probabilities (0-indexed by
     edge type - 1); edge_type is 1-based and must label at least one socket.
     """
-    e0 = edge_type - 1
-    q_e = vn.sockets_of_type(edge_type)
-    if q_e < 1:
+    if vn.sockets_of_type(edge_type) < 1:
         raise ValueError(f"VN type {vn.name!r} has no sockets of edge type {edge_type}")
+    counts = [vn.sockets_of_type(l0 + 1) for l0 in range(n_edge_types)]
     table = vn_info_table(vn, n_edge_types)
-    arr = _exit_coefficients(table, e0, q_e)
-    vectors = []
-    for l0 in range(n_edge_types):
-        n = vn.sockets_of_type(l0 + 1) - (1 if l0 == e0 else 0)
-        vectors.append(_socket_weights(float(i_av[l0]), n))
-    vectors.append(_channel_weights(epsilon, vn.n_transmitted))
-    return _checked(1.0 - _contract(arr, vectors) / q_e, f"vn_exit({vn.name})")
+    mixture = _Mixture(n_edge_types, [(table, counts, vn.n_transmitted, edge_type - 1, 1.0)])
+    return float(mixture(np.asarray(i_av, dtype=float), epsilon)[edge_type - 1])
 
 
 def cn_exit(cn: CnType, n_edge_types: int, i_ac, edge_type: int) -> float:
     """Extrinsic known probability on a type-`edge_type` socket of one CN type."""
-    e0 = edge_type - 1
-    s_e = cn.sockets_of_type(edge_type)
-    if s_e < 1:
+    if cn.sockets_of_type(edge_type) < 1:
         raise ValueError(f"CN type {cn.name!r} has no sockets of edge type {edge_type}")
+    counts = [cn.sockets_of_type(l0 + 1) for l0 in range(n_edge_types)]
     table = cn_info_table(cn, n_edge_types)
-    arr = _exit_coefficients(table, e0, s_e)
-    vectors = []
-    for l0 in range(n_edge_types):
-        n = cn.sockets_of_type(l0 + 1) - (1 if l0 == e0 else 0)
-        vectors.append(_socket_weights(float(i_ac[l0]), n))
-    return _checked(1.0 - _contract(arr, vectors) / s_e, f"cn_exit({cn.name})")
+    mixture = _Mixture(n_edge_types, [(table, counts, None, edge_type - 1, 1.0)])
+    return float(mixture(np.asarray(i_ac, dtype=float))[edge_type - 1])
 
 
 def cn_exit_via_punctured_vn(cn: CnType, n_edge_types: int, i_ac, edge_type: int) -> float:
@@ -140,78 +200,28 @@ class ExitEngine:
 
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
-        self.n_edge_types = spec.n_edge_types
-        n_e = spec.n_edge_types
-        # Per edge type e0, lists of (mix weight, socket count, coeff array,
-        # per-axis vector descriptors).  A descriptor (l0, n) asks for the
-        # socket weight vector of value x[l0] and length n + 1; (-1, b) asks
-        # for the channel weight vector.
-        self.vn_parts: list[list] = [[] for _ in range(n_e)]
-        self.cn_parts: list[list] = [[] for _ in range(n_e)]
-        for vi, vn in enumerate(spec.vn_types):
-            table = vn_info_table(vn, n_e)
-            for e0 in range(n_e):
-                q_e = spec.vn_socket_counts[vi][e0]
-                if q_e == 0:
-                    continue
-                arr = _exit_coefficients(table, e0, q_e)
-                dims = [
-                    (l0, spec.vn_socket_counts[vi][l0] - (1 if l0 == e0 else 0))
-                    for l0 in range(n_e)
-                ]
-                dims.append((-1, vn.n_transmitted))
-                lam = float(spec.vn_edge_fractions[vi][e0])
-                self.vn_parts[e0].append((lam, q_e, arr, dims))
+        self.n_edge_types = n_e = spec.n_edge_types
+        cn_terms, vn_terms = [], []
         for ci, cn in enumerate(spec.cn_types):
-            table = cn_info_table(cn, n_e)
-            for e0 in range(n_e):
-                s_e = spec.cn_socket_counts[ci][e0]
-                if s_e == 0:
-                    continue
-                arr = _exit_coefficients(table, e0, s_e)
-                dims = [
-                    (l0, spec.cn_socket_counts[ci][l0] - (1 if l0 == e0 else 0))
-                    for l0 in range(n_e)
-                ]
-                rho = float(spec.cn_edge_fractions[ci][e0])
-                self.cn_parts[e0].append((rho, s_e, arr, dims))
-
-    def _mixture(self, parts, x: np.ndarray, epsilon=None) -> np.ndarray:
-        n_e = self.n_edge_types
-        out = np.zeros(n_e)
-        cache: dict = {}
-        for e0 in range(n_e):
-            total = 0.0
-            for weight, n_sockets, arr, dims in parts[e0]:
-                vectors = []
-                for l0, n in dims:
-                    key = (l0, n)
-                    v = cache.get(key)
-                    if v is None:
-                        if l0 < 0:
-                            v = _channel_weights(epsilon, n)
-                        else:
-                            v = _socket_weights(x[l0], n)
-                        cache[key] = v
-                    vectors.append(v)
-                val = _checked(1.0 - _contract(arr, vectors) / n_sockets, "exit value")
-                total += weight * val
-            out[e0] = total
-        return out
-
-    def cn_update(self, i_ac: np.ndarray) -> np.ndarray:
-        return self._mixture(self.cn_parts, np.asarray(i_ac, dtype=float))
-
-    def vn_update(self, i_av: np.ndarray, epsilon: float) -> np.ndarray:
-        return self._mixture(self.vn_parts, np.asarray(i_av, dtype=float), epsilon)
+            table, counts = cn_info_table(cn, n_e), spec.cn_socket_counts[ci]
+            cn_terms += [
+                (table, counts, None, e0, float(spec.cn_edge_fractions[ci][e0]))
+                for e0 in range(n_e)
+                if counts[e0] > 0
+            ]
+        for vi, vn in enumerate(spec.vn_types):
+            table, counts = vn_info_table(vn, n_e), spec.vn_socket_counts[vi]
+            vn_terms += [
+                (table, counts, vn.n_transmitted, e0, float(spec.vn_edge_fractions[vi][e0]))
+                for e0 in range(n_e)
+                if counts[e0] > 0
+            ]
+        self._cn = _Mixture(n_e, cn_terms)
+        self._vn = _Mixture(n_e, vn_terms)
 
     def step(self, i_ev, epsilon: float) -> np.ndarray:
         """One application of the recursion: CN pass, then VN pass."""
-        return self.vn_update(self.cn_update(i_ev), epsilon)
-
-    def initial_state(self, epsilon: float) -> ExitState:
-        x0 = self.step(np.zeros(self.n_edge_types), epsilon)
-        return ExitState(x0, 0, epsilon)
+        return self._vn(self._cn(np.asarray(i_ev, dtype=float)), epsilon)
 
     def run(
         self,
@@ -220,31 +230,66 @@ class ExitEngine:
         tol: float = 1e-10,
         record: bool = False,
     ) -> tuple[bool, list[ExitState], ExitState]:
-        """Iterate to the all-known fixed point or a stall.
+        """Iterate from the all-unknown prior to the all-known fixed point.
 
         Returns (converged, trajectory, final state); the trajectory is
         empty unless record is set.  Non-convergence is a result, not an
-        error.
+        error.  A run stops as converged once every component reaches
+        1 - tol, and as not converged when it stalls (no component moves by
+        _STALL_TOL in one step), when it has taken max_iters steps, or, on
+        runs that do not record, when a super-solution certifies that it
+        can never converge.
+
+        The certificate: every so often the run guesses a bound y on its
+        stuck point by geometric extrapolation of the last two increments,
+        y = min(1, x + 2 d / (1 - r) + _CERT_PAD), where x is the current
+        state, d the last increment and r the ratio of the largest
+        components of the last two increments.  The run stops if x <= y,
+        step(y) <= y - _CERT_SLACK componentwise, and min(y) < 1 - tol.
+        The step is nondecreasing in the state, so x <= y gives
+        step(x) <= step(y) <= y, and by induction every later iterate stays
+        at or below y, whose smallest component never meets the
+        convergence test.  _CERT_SLACK exceeds twice the rounding error of
+        a computed step, so the induction also holds for the computed
+        iterates.  The certificate therefore never changes whether a run
+        converges, only how soon a run that cannot converge returns.  It is
+        checked after _CERT_FIRST steps and then at gaps growing with the
+        step count, so a run that is never certified spends a few percent
+        of its steps on it.  Every evaluation goes through step.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        state = self.initial_state(epsilon)
-        trajectory = [state] if record else []
-        x = state.i_ev
+        check_epsilon(epsilon)
+        _check_run_limits(max_iters, tol)
+        x = self.step(np.zeros(self.n_edge_types), epsilon)
+        trajectory = [ExitState(x, 0, epsilon)] if record else []
         converged = bool(x.min() >= 1.0 - tol)
+        next_check = max_iters + 1 if record else _CERT_FIRST
+        rise = None
         it = 0
         while not converged and it < max_iters:
             x_next = self.step(x, epsilon)
             it += 1
-            state = ExitState(x_next, it, epsilon)
             if record:
-                trajectory.append(state)
+                trajectory.append(ExitState(x_next, it, epsilon))
             converged = bool(x_next.min() >= 1.0 - tol)
-            if not converged and np.max(np.abs(x_next - x)) < _STALL_TOL:
-                x = x_next
-                break
+            prev_rise, rise = rise, x_next - x
             x = x_next
-        return converged, trajectory, state
+            if converged or np.max(np.abs(rise)) < _STALL_TOL:
+                break
+            if it >= next_check:
+                next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
+                if self._never_converges(x, rise, prev_rise, epsilon, tol):
+                    break
+        return converged, trajectory, ExitState(x, it, epsilon)
+
+    def _never_converges(self, x, rise, prev_rise, epsilon: float, tol: float) -> bool:
+        """The super-solution test described in run."""
+        top, prev_top = rise.max(), prev_rise.max()
+        if not 0.0 < top < prev_top:
+            return False
+        y = np.minimum(1.0, x + 2.0 * rise / (1.0 - top / prev_top) + _CERT_PAD)
+        if y.min() >= 1.0 - tol or np.any(x > y):
+            return False
+        return bool(np.all(self.step(y, epsilon) <= y - _CERT_SLACK))
 
     def threshold(
         self,
@@ -252,7 +297,12 @@ class ExitEngine:
         max_iters: int = 20000,
         tol_fp: float = 1e-10,
     ) -> tuple[float, int]:
-        """Bisection for the largest erasure probability that still converges."""
+        """Bisection for the largest erasure probability that still converges.
+
+        Returns (midpoint of the final bracket, number of probes).
+        """
+        check_tol_eps(tol_eps)
+        _check_run_limits(max_iters, tol_fp)
         lo, hi = 0.0, 1.0
         probes = 0
         while hi - lo > 2.0 * tol_eps:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ensemble import EnsembleSpec
 from .errors import AssumptionError, InternalError
+from .exitchart import check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
 
 _MARGIN = 1e-12
@@ -55,6 +56,7 @@ class StabilityMatrices:
         return self.p_matrix(epsilon) @ self.c_matrix()
 
     def sigma(self, epsilon: float) -> float:
+        check_epsilon(epsilon)
         return spectral_radius(self.product(epsilon))
 
 
@@ -183,6 +185,7 @@ def stability_bound(
     interval.  Bisection is valid because every matrix entry, hence the
     spectral radius, is nondecreasing in the erasure probability.
     """
+    check_tol_eps(tol_eps)
     sm = build_matrices(spec)
     if sm.sigma(1.0) <= 1.0 + _MARGIN:
         return None

@@ -287,3 +287,77 @@ def naive_local_map(gen_rows, chan_positions, key):
         if not cws[kernel([s for s in known_sockets if s != j]), j].any():
             out |= 1 << j
     return out, info
+
+
+def tensordot_step(spec, x, eps):
+    """One EXIT DE step (CN pass, then VN pass) by the original evaluation:
+    each part's coefficient array contracted axis by axis with
+    np.tensordot, every weight vector built from its closed form, no axis
+    dropped."""
+    from metdg.exitchart import _exit_coefficients
+    from metdg.infofuncs import cn_info_table, vn_info_table
+
+    n_e = spec.n_edge_types
+
+    def socket_weights(value, n):
+        t = np.arange(n + 1)
+        return (1.0 - value) ** t * value ** (n - t)
+
+    def mixture(tables, counts, fractions, state, channel_bits):
+        out = np.zeros(n_e)
+        for i, table in enumerate(tables):
+            for e0 in range(n_e):
+                q = counts[i][e0]
+                if q == 0:
+                    continue
+                arr = _exit_coefficients(table, e0, q)
+                vectors = [
+                    socket_weights(state[l0], counts[i][l0] - (1 if l0 == e0 else 0))
+                    for l0 in range(n_e)
+                ]
+                if channel_bits is not None:
+                    z = np.arange(channel_bits[i] + 1)
+                    vectors.append(eps**z * (1.0 - eps) ** (channel_bits[i] - z))
+                for v in vectors:
+                    arr = np.tensordot(arr, v, axes=(0, 0))
+                out[e0] += float(fractions[i][e0]) * (1.0 - float(arr) / q)
+        return out
+
+    cn_tables = [cn_info_table(cn, n_e) for cn in spec.cn_types]
+    vn_tables = [vn_info_table(vn, n_e) for vn in spec.vn_types]
+    y = mixture(cn_tables, spec.cn_socket_counts, spec.cn_edge_fractions, np.asarray(x, float), None)
+    bits = [vn.n_transmitted for vn in spec.vn_types]
+    return mixture(vn_tables, spec.vn_socket_counts, spec.vn_edge_fractions, y, bits)
+
+
+def stall_only_run(step, n_edge_types, eps, max_iters=20000, tol=1e-10):
+    """DE run without any early-exit certificate: iterate step from the
+    all-unknown prior until every component reaches 1 - tol (converged), no
+    component moves by 1e-15 (stalled) or max_iters steps have been taken.
+    Returns (converged, iterations)."""
+    x = step(np.zeros(n_edge_types), eps)
+    if x.min() >= 1.0 - tol:
+        return True, 0
+    for it in range(1, max_iters + 1):
+        x_next = step(x, eps)
+        if x_next.min() >= 1.0 - tol:
+            return True, it
+        if np.max(np.abs(x_next - x)) < 1e-15:
+            return False, it
+        x = x_next
+    return False, max_iters
+
+
+def stall_only_threshold(step, n_edge_types, tol_eps=1e-6, max_iters=20000, tol=1e-10):
+    """Plain bisection over stall_only_run; returns (threshold, probes)."""
+    lo, hi = 0.0, 1.0
+    probes = 0
+    while hi - lo > 2 * tol_eps:
+        mid = 0.5 * (lo + hi)
+        converged, _ = stall_only_run(step, n_edge_types, mid, max_iters=max_iters, tol=tol)
+        probes += 1
+        if converged:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), probes

@@ -194,9 +194,34 @@ def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--jobs", "0"], ["--eps", "1.7"], ["--eps", "nan"], ["--eps", "-0.2"]]
+    "bad",
+    [
+        ["--jobs", "0"],
+        ["--eps", "1.7"],
+        ["--eps", "nan"],
+        ["--eps", "-0.2"],
+        ["--eps", "0.3,,0.4"],
+        ["--eps", "0.3,x"],
+        ["--eps", "0.5:0.1:0.1"],
+    ],
 )
 def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):
     args = ["simulate", ldpc_path, "--scale", "2", "--eps", "0.3", "--trials", "2", "--jobs", "1"]
     assert main(args + bad) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["threshold", "--tol-eps", "-1"],
+        ["threshold", "--tol-eps", "0"],
+        ["stability", "--bound", "--tol-eps", "0"],
+        ["exit-chart", "--epsilon", "nan"],
+        ["exit-chart", "--epsilon", "1.5"],
+        ["threshold", "--max-iters", "-5"],
+    ],
+)
+def test_analysis_rejects_bad_inputs(ex1_path, args, capsys):
+    assert main(args[:1] + [ex1_path] + args[1:]) == 1
     assert capsys.readouterr().err.startswith("error:")

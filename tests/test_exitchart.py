@@ -16,8 +16,10 @@ from metdg import (
 from metdg.stability import build_matrices
 
 from conftest import (
+    dgldpc_spec,
     example1_spec,
     example2_spec,
+    fig1_spec,
     irregular_ldpc_spec,
     ldpc_spec,
     pair_code_gen,
@@ -29,6 +31,9 @@ from naive_oracles import (
     scalar_de_converges,
     scalar_de_threshold,
     semantic_extrinsic_known_probability,
+    stall_only_run,
+    stall_only_threshold,
+    tensordot_step,
 )
 
 
@@ -323,3 +328,54 @@ def test_trajectory_indexing_and_initial_state():
     assert abs(traj[0].i_ev[0] - (1 - eps)) < 1e-15
     assert [st.iteration for st in traj] == list(range(len(traj)))
     assert last.iteration == traj[-1].iteration
+
+
+def test_step_matches_tensordot_oracle():
+    rng = np.random.default_rng(91)
+    specs = [random_eligible_spec(rng) for _ in range(8)] + [dgldpc_spec(), fig1_spec()]
+    for spec in specs:
+        engine = ExitEngine(spec)
+        for _ in range(6):
+            x = rng.random(spec.n_edge_types)
+            eps = float(rng.random())
+            got = engine.step(x, eps)
+            assert np.max(np.abs(got - tensordot_step(spec, x, eps))) <= 1e-13
+        for x in (np.zeros(spec.n_edge_types), np.ones(spec.n_edge_types)):
+            for eps in (0.0, 1.0):
+                assert np.max(np.abs(engine.step(x, eps) - tensordot_step(spec, x, eps))) <= 1e-13
+
+
+# ex1_spc3's threshold is stability-limited: probes just below it converge
+# too slowly for any cap, so it runs with a small one.
+_DE_SPECS = {
+    "ldpc36": (lambda: ldpc_spec(3, 6), 20000),
+    "ex1_spc3": (lambda: example1_spec(spc_gen(3), spc_gen(3)), 2000),
+    "ex2_rep3": (lambda: example2_spec(rep_gen(3)), 20000),
+    "dgldpc": (dgldpc_spec, 20000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DE_SPECS))
+def test_certificate_never_changes_a_probe_outcome(name):
+    make, max_iters = _DE_SPECS[name]
+    engine = ExitEngine(make())
+    n_e = engine.n_edge_types
+    th, probes = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
+    assert (th, probes) == stall_only_threshold(engine.step, n_e, tol_eps=1e-5, max_iters=max_iters)
+    grid = [float(e) for e in np.linspace(0.05, 0.95, 7)]
+    grid += [th + d for d in (-1e-5, -2e-6, 2e-6, 1e-5)]
+    for eps in grid:
+        converged, _, _ = engine.run(eps, max_iters=max_iters)
+        assert converged == stall_only_run(engine.step, n_e, eps, max_iters=max_iters)[0], eps
+
+
+def test_certificate_stops_a_stuck_dgldpc_run_early():
+    engine = ExitEngine(dgldpc_spec())
+    eps = engine.threshold()[0] + 1e-4
+    converged, _, state = engine.run(eps)
+    oracle_converged, oracle_iters = stall_only_run(engine.step, 2, eps)
+    assert not converged and not oracle_converged
+    assert state.iteration < oracle_iters
+    # a recorded run never takes the certificate's exit
+    _, trajectory, _ = engine.run(eps, record=True)
+    assert len(trajectory) == oracle_iters + 1
