@@ -10,7 +10,6 @@ from .ensemble import (  # noqa: F401
     EnsembleSpec,
     VnType,
     build_spec,
-    classify_types,
     load_spec,
     spec_from_dict,
     spec_from_json,
@@ -25,12 +24,6 @@ from .errors import (  # noqa: F401
 from .exitchart import (  # noqa: F401
     ExitEngine,
     ExitState,
-    cn_exit,
-    cn_exit_via_punctured_vn,
-    numerical_jacobian,
-    run_to_fixed_point,
-    threshold,
-    vn_exit,
 )
 from .gf2 import (  # noqa: F401
     GF2Matrix,
@@ -55,7 +48,6 @@ from .stability import (  # noqa: F401
     StabilityMatrices,
     build_matrices,
     disjoint_support_check,
-    is_stable,
     spectral_radius,
     stability_bound,
     stability_verdict,

@@ -128,14 +128,14 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 
 def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
-    converged, trajectory = exitchart.run_to_fixed_point(
-        spec, args.epsilon, max_iters=args.max_iters, tol=args.tol
+    converged, trajectory, _ = exitchart.ExitEngine(spec).run(
+        args.epsilon, max_iters=args.max_iters, tol=args.tol, record=True
     )
     params = {"epsilon": args.epsilon, "max_iters": args.max_iters, "tol": args.tol}
     if args.format == "json":
         results = {
             "converged": converged,
-            "trajectory": [[float(v) for v in st.i_ev] for st in trajectory],
+            "trajectory": trajectory.tolist(),
         }
         _emit_json(_report("exit-chart", digest, params, results, t0), args.out)
         return 0
@@ -144,8 +144,8 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         buf.write(line + "\n")
     cols = ",".join(f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1))
     buf.write(f"iter,{cols}\n")
-    for st in trajectory:
-        buf.write(",".join([str(st.iteration)] + [repr(float(v)) for v in st.i_ev]) + "\n")
+    for it, row in enumerate(trajectory.tolist()):
+        buf.write(",".join([str(it)] + [repr(v) for v in row]) + "\n")
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -153,18 +153,6 @@ class EnsembleSpec:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def classify_types(spec: EnsembleSpec) -> tuple[tuple[VnType, ...], tuple[CnType, ...], dict]:
-    """Distance-2 VN and CN types plus the flags the analyses gate on."""
-    v2 = tuple(spec.vn_types[i] for i in spec.vn_dist2_indices)
-    c2 = tuple(spec.cn_types[i] for i in spec.cn_dist2_indices)
-    flags = {
-        "min_distance_at_least_2": spec.min_distance_at_least_2,
-        "unpunctured": spec.unpunctured,
-        "stability_eligible": spec.stability_eligible,
-    }
-    return v2, c2, flags
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import CnType, EnsembleSpec, VnType
+from .ensemble import EnsembleSpec
 from .errors import InternalError, ValidationError
 from .infofuncs import cn_info_table, vn_info_table
 
@@ -77,7 +77,9 @@ class _Mixture:
     length one carry the weight 1 and are dropped when the part is built.
     One evaluation computes every distinct weight vector in a single
     vectorised power expression over exponents fixed at construction, then
-    contracts each part by a chain of 2-D vector-matrix products.
+    contracts each part by a chain of 2-D vector-matrix products.  The
+    Jacobian contracts the same parts once per state axis, with that axis's
+    weight vector replaced by its derivative in x_l.
     """
 
     def __init__(self, n_edge_types: int, terms):
@@ -96,30 +98,63 @@ class _Mixture:
             kept = tuple(keys.setdefault(ax, len(keys)) for ax in axes if ax[1] > 0)
             self.parts[e0].append((weight, counts[e0], arr.reshape(-1), kept))
         order = sorted(keys, key=keys.get)
+        self._axis_source = [src for src, _ in order]
         self._source = np.array([src for src, n in order for _ in range(n + 1)], dtype=np.intp)
         self._up = np.array([t for _, n in order for t in range(n + 1)], dtype=np.int64)
         self._down = np.array([n - t for _, n in order for t in range(n + 1)], dtype=np.int64)
         ends = np.cumsum([n + 1 for _, n in order]).tolist()
         self._slices = [slice(e - n - 1, e) for (_, n), e in zip(order, ends)]
 
-    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+    def _bases(self, x: np.ndarray, epsilon: float | None):
         up, down = 1.0 - x, x
         if epsilon is not None:
             up = np.append(up, epsilon)
             down = np.append(down, 1.0 - epsilon)
-        flat = up[self._source] ** self._up * down[self._source] ** self._down
-        vectors = [flat[sl] for sl in self._slices]
+        return up[self._source], down[self._source]
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[sl] for sl in self._slices]
+
+    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+        up, down = self._bases(x, epsilon)
+        vectors = self._split(up**self._up * down**self._down)
         out = np.empty(self.n_edge_types)
         for e0, parts in enumerate(self.parts):
             total = 0.0
             for weight, n_sockets, arr, kept in parts:
-                acc = arr
-                for k in kept:
-                    v = vectors[k]
-                    acc = np.dot(v, acc.reshape(v.shape[0], -1))
-                total += weight * _checked(1.0 - acc.item() / n_sockets, "exit value")
+                value = 1.0 - _contract(arr, kept, vectors) / n_sockets
+                total += weight * _checked(value, "exit value")
             out[e0] = total
         return out
+
+    def jacobian(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+        """d out[e0] / d x[m], exact.  The derivative of (1-x)^t x^(n-t) is
+        (n-t)(1-x)^t x^(n-t-1) - t(1-x)^(t-1) x^(n-t); exponents are clamped
+        at 0, where their coefficient vanishes, so x in {0, 1} stays finite."""
+        up, down = self._bases(x, epsilon)
+        vectors = self._split(up**self._up * down**self._down)
+        slopes = self._split(
+            self._down * up**self._up * down ** np.maximum(self._down - 1, 0)
+            - self._up * up ** np.maximum(self._up - 1, 0) * down**self._down
+        )
+        jac = np.zeros((self.n_edge_types, self.n_edge_types))
+        for e0, parts in enumerate(self.parts):
+            for weight, n_sockets, arr, kept in parts:
+                for k in kept:
+                    m = self._axis_source[k]
+                    if m == self.n_edge_types:
+                        continue
+                    swapped = vectors[:k] + [slopes[k]] + vectors[k + 1 :]
+                    jac[e0, m] -= weight * _contract(arr, kept, swapped) / n_sockets
+        return jac
+
+
+def _contract(arr: np.ndarray, kept, vectors) -> float:
+    acc = arr
+    for k in kept:
+        v = vectors[k]
+        acc = np.dot(v, acc.reshape(v.shape[0], -1))
+    return acc.item()
 
 
 def _checked(value: float, what: str) -> float:
@@ -150,49 +185,6 @@ def _check_run_limits(max_iters: int, tol: float) -> None:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"convergence tolerance must lie in (0, 1), got {tol!r}")
-
-
-def vn_exit(
-    vn: VnType,
-    n_edge_types: int,
-    i_av,
-    epsilon: float,
-    edge_type: int,
-) -> float:
-    """Extrinsic known probability on a type-`edge_type` socket of one VN type.
-
-    i_av holds the incoming per-edge-type known probabilities (0-indexed by
-    edge type - 1); edge_type is 1-based and must label at least one socket.
-    """
-    if vn.sockets_of_type(edge_type) < 1:
-        raise ValueError(f"VN type {vn.name!r} has no sockets of edge type {edge_type}")
-    counts = [vn.sockets_of_type(l0 + 1) for l0 in range(n_edge_types)]
-    table = vn_info_table(vn, n_edge_types)
-    mixture = _Mixture(n_edge_types, [(table, counts, vn.n_transmitted, edge_type - 1, 1.0)])
-    return float(mixture(np.asarray(i_av, dtype=float), epsilon)[edge_type - 1])
-
-
-def cn_exit(cn: CnType, n_edge_types: int, i_ac, edge_type: int) -> float:
-    """Extrinsic known probability on a type-`edge_type` socket of one CN type."""
-    if cn.sockets_of_type(edge_type) < 1:
-        raise ValueError(f"CN type {cn.name!r} has no sockets of edge type {edge_type}")
-    counts = [cn.sockets_of_type(l0 + 1) for l0 in range(n_edge_types)]
-    table = cn_info_table(cn, n_edge_types)
-    mixture = _Mixture(n_edge_types, [(table, counts, None, edge_type - 1, 1.0)])
-    return float(mixture(np.asarray(i_ac, dtype=float))[edge_type - 1])
-
-
-def cn_exit_via_punctured_vn(cn: CnType, n_edge_types: int, i_ac, edge_type: int) -> float:
-    """Same quantity through the VN formula: a CN behaves like a VN whose
-    information bits are all punctured, on a fully unreliable channel."""
-    pseudo = VnType(
-        name=f"{cn.name}:as-vn",
-        generator=cn.generator,
-        puncture=(0,) * cn.generator.n_rows,
-        socket_types=cn.socket_types,
-        count=1,
-    )
-    return vn_exit(pseudo, n_edge_types, i_ac, 1.0, edge_type)
 
 
 class ExitEngine:
@@ -229,11 +221,12 @@ class ExitEngine:
         max_iters: int = 20000,
         tol: float = 1e-10,
         record: bool = False,
-    ) -> tuple[bool, list[ExitState], ExitState]:
+    ) -> tuple[bool, np.ndarray, ExitState]:
         """Iterate from the all-unknown prior to the all-known fixed point.
 
-        Returns (converged, trajectory, final state); the trajectory is
-        empty unless record is set.  Non-convergence is a result, not an
+        Returns (converged, trajectory, final state); the trajectory is a
+        (T, n_e) array whose row i is the state after iteration i, with no
+        rows unless record is set.  Non-convergence is a result, not an
         error.  A run stops as converged once every component reaches
         1 - tol, and as not converged when it stalls (no component moves by
         _STALL_TOL in one step), when it has taken max_iters steps, or, on
@@ -260,7 +253,7 @@ class ExitEngine:
         check_epsilon(epsilon)
         _check_run_limits(max_iters, tol)
         x = self.step(np.zeros(self.n_edge_types), epsilon)
-        trajectory = [ExitState(x, 0, epsilon)] if record else []
+        trajectory = [x]
         converged = bool(x.min() >= 1.0 - tol)
         next_check = max_iters + 1 if record else _CERT_FIRST
         rise = None
@@ -269,7 +262,7 @@ class ExitEngine:
             x_next = self.step(x, epsilon)
             it += 1
             if record:
-                trajectory.append(ExitState(x_next, it, epsilon))
+                trajectory.append(x_next)
             converged = bool(x_next.min() >= 1.0 - tol)
             prev_rise, rise = rise, x_next - x
             x = x_next
@@ -279,7 +272,8 @@ class ExitEngine:
                 next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
                 if self._never_converges(x, rise, prev_rise, epsilon, tol):
                     break
-        return converged, trajectory, ExitState(x, it, epsilon)
+        rows = np.array(trajectory) if record else np.empty((0, self.n_edge_types))
+        return converged, rows, ExitState(x, it, epsilon)
 
     def _never_converges(self, x, rise, prev_rise, epsilon: float, tol: float) -> bool:
         """The super-solution test described in run."""
@@ -315,75 +309,8 @@ class ExitEngine:
                 hi = mid
         return 0.5 * (lo + hi), probes
 
-    def jacobian(self, at, epsilon: float, step_size: float = 1e-5) -> np.ndarray:
-        """Finite-difference Jacobian of the one-step map at a state.
-
-        Central differences inside [0,1]; second-order one-sided at the
-        boundaries so the state never leaves the valid box.
-        """
-        if step_size <= 0:
-            raise ValueError("step size must be positive")
-        h = step_size
-        n_e = self.n_edge_types
+    def jacobian(self, at, epsilon: float) -> np.ndarray:
+        """Exact Jacobian of the one-step map at a state: the VN half's
+        Jacobian at the CN output times the CN half's Jacobian."""
         x = np.asarray(at, dtype=float)
-        jac = np.empty((n_e, n_e))
-        for m in range(n_e):
-            if x[m] + h <= 1.0 and x[m] - h >= 0.0:
-                xp = x.copy()
-                xp[m] += h
-                xm = x.copy()
-                xm[m] -= h
-                col = (self.step(xp, epsilon) - self.step(xm, epsilon)) / (2.0 * h)
-            elif x[m] + h > 1.0:
-                x1 = x.copy()
-                x1[m] -= h
-                x2 = x.copy()
-                x2[m] -= 2.0 * h
-                col = (
-                    3.0 * self.step(x, epsilon)
-                    - 4.0 * self.step(x1, epsilon)
-                    + self.step(x2, epsilon)
-                ) / (2.0 * h)
-            else:
-                x1 = x.copy()
-                x1[m] += h
-                x2 = x.copy()
-                x2[m] += 2.0 * h
-                col = (
-                    -3.0 * self.step(x, epsilon)
-                    + 4.0 * self.step(x1, epsilon)
-                    - self.step(x2, epsilon)
-                ) / (2.0 * h)
-            jac[:, m] = col
-        return jac
-
-
-def run_to_fixed_point(
-    spec: EnsembleSpec,
-    epsilon: float,
-    max_iters: int = 20000,
-    tol: float = 1e-10,
-) -> tuple[bool, list[ExitState]]:
-    converged, trajectory, _ = ExitEngine(spec).run(
-        epsilon, max_iters=max_iters, tol=tol, record=True
-    )
-    return converged, trajectory
-
-
-def threshold(
-    spec: EnsembleSpec,
-    tol_eps: float = 1e-6,
-    max_iters: int = 20000,
-    tol_fp: float = 1e-10,
-) -> float:
-    value, _ = ExitEngine(spec).threshold(tol_eps=tol_eps, max_iters=max_iters, tol_fp=tol_fp)
-    return value
-
-
-def numerical_jacobian(
-    spec: EnsembleSpec,
-    at,
-    epsilon: float,
-    step_size: float = 1e-5,
-) -> np.ndarray:
-    return ExitEngine(spec).jacobian(at, epsilon, step_size=step_size)
+        return self._vn.jacobian(self._cn(x), epsilon) @ self._cn.jacobian(x)

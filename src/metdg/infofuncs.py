@@ -69,7 +69,7 @@ def _rank_table(columns: list[tuple[int, int]], shape: tuple[int, ...]) -> np.nd
     return arr
 
 
-def _typed_columns(matrix, socket_types, n_edge_types: int) -> list[tuple[int, int]]:
+def _typed_columns(matrix, socket_types) -> list[tuple[int, int]]:
     cols = matrix.column_bits()
     return [(bits, socket_types[j] - 1) for j, bits in enumerate(cols)]
 
@@ -86,7 +86,7 @@ def cn_info_table(cn: CnType, n_edge_types: int) -> np.ndarray:
     piv, rows = gf2.rref(cn.generator)
     canon = gf2.GF2Matrix(len(rows), cn.generator.n_cols, rows)
     groups = tuple(
-        tuple(sorted(bits for bits, ax in _typed_columns(canon, cn.socket_types, n_edge_types) if ax == l0))
+        tuple(sorted(bits for bits, ax in _typed_columns(canon, cn.socket_types) if ax == l0))
         for l0 in range(n_edge_types)
     )
     key = ("cn", n_edge_types, canon.row_bits, groups)
@@ -109,7 +109,7 @@ def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
     gf2.check_sockets(vn.n_sockets)
     gf2.check_input_bits(vn.n_info_bits)
     groups = tuple(
-        tuple(sorted(bits for bits, ax in _typed_columns(vn.generator, vn.socket_types, n_edge_types) if ax == l0))
+        tuple(sorted(bits for bits, ax in _typed_columns(vn.generator, vn.socket_types) if ax == l0))
         for l0 in range(n_edge_types)
     )
     key = ("vn", n_edge_types, vn.generator.row_bits, groups, vn.puncture)
@@ -121,8 +121,3 @@ def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
             columns += [(1 << i, u_axis) for i in vn.transmitted_positions]
             _cache[key] = _rank_table(columns, shape)
         return _cache[key]
-
-
-def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()

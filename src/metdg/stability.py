@@ -162,11 +162,6 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
     return sigma
 
 
-def is_stable(spec: EnsembleSpec, epsilon: float) -> bool:
-    """Strict stability check; values within the guard band of 1 count as not stable."""
-    return build_matrices(spec).sigma(epsilon) < 1.0 - _MARGIN
-
-
 def stability_verdict(spec: EnsembleSpec, epsilon: float) -> str:
     sigma = build_matrices(spec).sigma(epsilon)
     if sigma < 1.0 - _MARGIN:

@@ -319,7 +319,7 @@ def test_criterion_9_finite_length_consistency(announce, ldpc36):
         _, de_traj, _ = engine.run(eps, max_iters=iters, record=True)
         for it in range(iters + 1):
             for l0 in range(ldpc36.n_edge_types):
-                dev = abs(mean[it, l0] - float(de_traj[it].i_ev[l0]))
+                dev = abs(mean[it, l0] - float(de_traj[it, l0]))
                 worst_se_ratio = max(worst_se_ratio, dev / max(se[it, l0], 1e-15))
     elapsed = time.perf_counter() - t0
     ok = bler_040 < 0.01 and bler_046 > 0.5 and worst_se_ratio <= 3.0 and elapsed < 600

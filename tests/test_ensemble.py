@@ -11,7 +11,6 @@ from metdg import (
     ValidationError,
     VnType,
     build_spec,
-    classify_types,
     spec_from_dict,
     spec_from_json,
 )
@@ -112,25 +111,22 @@ def test_single_edge_type_fractions_match_classical_degree_accounting():
 
 def test_classify_types_example1():
     spec = example1_spec(spc_gen(3), spc_gen(3))
-    v2, c2, flags = classify_types(spec)
-    assert [c.name for c in c2] == ["bank1", "bank2"]
-    assert [v.name for v in v2] == ["bridge"]
-    assert flags["stability_eligible"]
+    assert [spec.cn_types[i].name for i in spec.cn_dist2_indices] == ["bank1", "bank2"]
+    assert [spec.vn_types[i].name for i in spec.vn_dist2_indices] == ["bridge"]
+    assert spec.stability_eligible
 
 
 def test_classify_types_repetition3_has_no_distance2_vns():
     vn = VnType("rep3", rep_gen(3), (1,), (1, 1, 1), 2)
     cn = CnType("spc3", spc_gen(3), (1, 1, 1), 2)
     spec = build_spec(1, [vn], [cn])
-    v2, _, _ = classify_types(spec)
-    assert v2 == ()
+    assert spec.vn_dist2_indices == ()
 
 
 def test_classify_types_fig1_not_stability_eligible():
     spec = fig1_spec()
-    _, _, flags = classify_types(spec)
-    assert not flags["unpunctured"]
-    assert not flags["stability_eligible"]
+    assert not spec.unpunctured
+    assert not spec.stability_eligible
     # distance-1 types present as well
     assert min(spec.vn_min_distance) == 1
 

@@ -1,18 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from metdg import (
-    CnType,
-    ExitEngine,
-    GF2Matrix,
-    VnType,
-    cn_exit,
-    cn_exit_via_punctured_vn,
-    numerical_jacobian,
-    run_to_fixed_point,
-    threshold,
-    vn_exit,
-)
+from metdg import CnType, ExitEngine, GF2Matrix, VnType, build_spec, stability_bound
 from metdg.stability import build_matrices
 
 from conftest import (
@@ -23,11 +14,13 @@ from conftest import (
     irregular_ldpc_spec,
     ldpc_spec,
     pair_code_gen,
+    random_component_code,
     random_eligible_spec,
     rep_gen,
     spc_gen,
 )
 from naive_oracles import (
+    central_difference_jacobian,
     scalar_de_converges,
     scalar_de_threshold,
     semantic_extrinsic_known_probability,
@@ -37,12 +30,48 @@ from naive_oracles import (
 )
 
 
+def _relabel(socket_types):
+    """The edge types a node uses, ascending, and its sockets relabelled 1..k."""
+    used = sorted(set(socket_types))
+    return np.array(used), tuple(used.index(t) + 1 for t in socket_types)
+
+
+def vn_probe(vn: VnType):
+    """An engine whose step(x, eps)[k] is vn's extrinsic function on its k-th
+    used edge type, and the used types.
+
+    Every CN type is a repetition-2 code on one edge type, so the CN half is
+    the identity.  A fully punctured vn gets a transmitted repetition-2
+    partner on one more edge type of its own, the engine's last."""
+    used, st = _relabel(vn.socket_types)
+    n_e = len(used)
+    vns = [VnType(vn.name, vn.generator, vn.puncture, st, 2)]
+    cns = [CnType(f"rep2-{k}", rep_gen(2), (k, k), st.count(k)) for k in range(1, n_e + 1)]
+    if vn.n_transmitted == 0:
+        n_e += 1
+        vns.append(VnType("partner", rep_gen(2), (1,), (n_e, n_e), 1))
+        cns.append(CnType(f"rep2-{n_e}", rep_gen(2), (n_e, n_e), 1))
+    return ExitEngine(build_spec(n_e, vns, cns)), used
+
+
+def cn_probe(cn: CnType):
+    """An engine whose step(x, 1.0)[k] is cn's extrinsic function on its k-th
+    used edge type, and the used types.
+
+    Every VN type is a repetition-2 code on one edge type, so on a fully
+    unreliable channel the VN half is the identity."""
+    used, st = _relabel(cn.socket_types)
+    vns = [VnType(f"rep2-{k}", rep_gen(2), (1,), (k, k), st.count(k)) for k in range(1, len(used) + 1)]
+    cns = [CnType(cn.name, cn.generator, st, 2)]
+    return ExitEngine(build_spec(len(used), vns, cns)), used
+
+
 def test_repetition_vn_closed_form():
     for q in (2, 3, 4):
-        vn = VnType("rep", rep_gen(q), (1,), (1,) * q, 1)
+        engine, _ = vn_probe(VnType("rep", rep_gen(q), (1,), (1,) * q, 1))
         for i_a in np.linspace(0, 1, 7):
             for eps in np.linspace(0, 1, 7):
-                got = vn_exit(vn, 1, [i_a], eps, 1)
+                got = engine.step([i_a], eps)[0]
                 want = 1 - eps * (1 - i_a) ** (q - 1)
                 assert abs(got - want) < 1e-13
 
@@ -51,90 +80,71 @@ def test_vn_exit_all_ones_input_gives_one():
     rng = np.random.default_rng(2)
     for _ in range(10):
         spec = random_eligible_spec(rng)
-        ones = np.ones(spec.n_edge_types)
-        for i, vn in enumerate(spec.vn_types):
-            for l0 in range(spec.n_edge_types):
-                if spec.vn_socket_counts[i][l0] == 0:
-                    continue
-                for eps in (0.1, 0.6, 0.95):
-                    assert vn_exit(vn, spec.n_edge_types, ones, eps, l0 + 1) == 1.0
+        for vn in spec.vn_types:
+            engine, used = vn_probe(vn)
+            for eps in (0.1, 0.6, 0.95):
+                assert np.all(engine.step(np.ones(len(used)), eps) == 1.0)
 
 
 def test_vn_exit_perfect_channel():
-    vn = VnType("rep2", rep_gen(2), (1,), (1, 1), 1)
-    assert vn_exit(vn, 1, [0.0], 0.0, 1) == 1.0
+    engine, _ = vn_probe(VnType("rep2", rep_gen(2), (1,), (1, 1), 1))
+    assert engine.step([0.0], 0.0)[0] == 1.0
 
 
 def test_spc_cn_closed_form():
     for s in (3, 4, 5, 6):
-        cn = CnType("spc", spc_gen(s), (1,) * s, 1)
+        engine, _ = cn_probe(CnType("spc", spc_gen(s), (1,) * s, 1))
         for i_a in np.linspace(0, 1, 9):
-            got = cn_exit(cn, 1, [i_a], 1)
+            got = engine.step([i_a], 1.0)[0]
             assert abs(got - i_a ** (s - 1)) < 1e-13
 
 
 def test_cn_exit_all_ones_gives_one():
-    cn = CnType("pair", pair_code_gen(), (1, 2, 2, 1), 1)
-    assert cn_exit(cn, 2, [1.0, 1.0], 1) == 1.0
-    assert cn_exit(cn, 2, [1.0, 1.0], 2) == 1.0
+    engine, _ = cn_probe(CnType("pair", pair_code_gen(), (1, 2, 2, 1), 1))
+    assert np.all(engine.step([1.0, 1.0], 1.0) == 1.0)
 
 
 def test_mixed_type_spc_closed_form():
-    cn = CnType("spc32", GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), (1, 2, 2), 1)
+    engine, _ = cn_probe(CnType("spc32", GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), (1, 2, 2), 1))
     for a in np.linspace(0, 1, 5):
         for b in np.linspace(0, 1, 5):
-            assert abs(cn_exit(cn, 2, [a, b], 1) - b * b) < 1e-14
-            assert abs(cn_exit(cn, 2, [a, b], 2) - a * b) < 1e-14
+            got = engine.step([a, b], 1.0)
+            assert abs(got[0] - b * b) < 1e-14
+            assert abs(got[1] - a * b) < 1e-14
 
 
 def test_vn_exit_matches_operational_definition():
     # probability-weighted subset scan with explicit rank tests: ties the
     # closed-form machinery to what the decoder actually measures
     rng = np.random.default_rng(71)
-    from conftest import random_component_code
-
     for _ in range(6):
         g = random_component_code(rng, max_sockets=5)
         st = tuple(int(t) for t in rng.integers(1, 3, size=g.n_cols))
         punct = tuple(int(b) for b in rng.integers(0, 2, size=g.n_rows))
-        vn = VnType("v", g, punct, st, 1)
         i_av = rng.random(2)
         eps = float(rng.random())
-        for e in sorted(set(st)):
-            got = vn_exit(vn, 2, i_av, eps, e)
+        engine, used = vn_probe(VnType("v", g, punct, st, 1))
+        x = np.ones(engine.n_edge_types)
+        x[: len(used)] = i_av[used - 1]
+        out = engine.step(x, eps)
+        for k, e in enumerate(used):
             want = semantic_extrinsic_known_probability(
                 g.to_rows(), list(st), i_av, e, eps=eps, puncture=list(punct)
             )
-            assert abs(got - want) < 1e-12
+            assert abs(out[k] - want) < 1e-12
 
 
 def test_cn_exit_matches_operational_definition():
     rng = np.random.default_rng(72)
-    from conftest import random_component_code
-
     for _ in range(6):
         g = random_component_code(rng, max_sockets=5)
         st = tuple(int(t) for t in rng.integers(1, 3, size=g.n_cols))
-        cn = CnType("c", g, st, 1)
         i_ac = rng.random(2)
-        for e in sorted(set(st)):
-            got = cn_exit(cn, 2, i_ac, e)
+        engine, used = cn_probe(CnType("c", g, st, 1))
+        out = engine.step(i_ac[used - 1], 1.0)
+        for k, e in enumerate(used):
             want = semantic_extrinsic_known_probability(g.to_rows(), list(st), i_ac, e)
-            assert abs(got - want) < 1e-12
-
-
-def test_cn_exit_both_paths_agree():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        spec = random_eligible_spec(rng)
-        i_ac = rng.random(spec.n_edge_types)
-        for i, cn in enumerate(spec.cn_types):
-            for l0 in range(spec.n_edge_types):
-                if spec.cn_socket_counts[i][l0] == 0:
-                    continue
-                direct = cn_exit(cn, spec.n_edge_types, i_ac, l0 + 1)
-                via_vn = cn_exit_via_punctured_vn(cn, spec.n_edge_types, i_ac, l0 + 1)
-                assert abs(direct - via_vn) < 1e-12
+            assert abs(out[k] - want) < 1e-12
 
 
 def test_coefficient_array_vanishes_at_full_selection_for_unpunctured_types():
@@ -181,10 +191,9 @@ def test_step_matches_scalar_recursion_for_regular_ldpc():
 
 
 def test_step_perfect_channel_converges_immediately():
-    spec = ldpc_spec(3, 6)
-    conv, traj = run_to_fixed_point(spec, 0.0)
+    conv, traj, _ = ExitEngine(ldpc_spec(3, 6)).run(0.0, record=True)
     assert conv
-    assert traj[0].i_ev[0] == 1.0
+    assert traj[0, 0] == 1.0
 
 
 def test_step_at_zero_epsilon_reaches_one_from_any_state():
@@ -221,20 +230,20 @@ def test_step_monotone_in_state_and_epsilon():
 
 
 def test_run_to_fixed_point_around_ldpc_threshold():
-    spec = ldpc_spec(3, 6)
-    conv_below, _ = run_to_fixed_point(spec, 0.30)
-    conv_above, traj = run_to_fixed_point(spec, 0.50)
+    engine = ExitEngine(ldpc_spec(3, 6))
+    conv_below, _, _ = engine.run(0.30, record=True)
+    conv_above, traj, _ = engine.run(0.50, record=True)
     assert conv_below
     assert not conv_above
     # the recorded trajectory climbs monotonically toward its stuck point
-    vals = [st.i_ev[0] for st in traj]
+    vals = traj[:, 0].tolist()
     assert len(vals) >= 2
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.9
 
 
 def test_threshold_matches_scalar_oracle(ldpc36):
-    got = threshold(ldpc36)
+    got, _ = ExitEngine(ldpc36).threshold()
     want = scalar_de_threshold(3, 6)
     assert abs(got - want) <= 1e-4
     assert abs(got - 0.4294) < 1e-3
@@ -244,8 +253,8 @@ def test_threshold_of_heavily_redundant_spec_is_near_one():
     # every VN bit is protected by many repetition sockets and tiny SPCs
     vn = VnType("rep6", rep_gen(6), (1,), (1,) * 6, 2)
     cn = CnType("spc3", spc_gen(3), (1, 1, 1), 4)
-    spec = __import__("metdg").build_spec(1, [vn], [cn])
-    assert threshold(spec, tol_eps=1e-4) > 0.9
+    spec = build_spec(1, [vn], [cn])
+    assert ExitEngine(spec).threshold(tol_eps=1e-4)[0] > 0.9
 
 
 def test_probe_convergence_matches_scalar_oracle_on_grid(ldpc36):
@@ -267,8 +276,9 @@ def test_jacobian_example1_closed_form():
 def test_jacobian_matches_stability_product_example2():
     spec = example2_spec(pair_code_gen())
     sm = build_matrices(spec)
+    engine = ExitEngine(spec)
     for eps in (0.2, 0.5, 0.9):
-        jac = numerical_jacobian(spec, np.ones(2), eps)
+        jac = engine.jacobian(np.ones(2), eps)
         assert np.abs(jac - sm.product(eps)).max() < 1e-6
 
 
@@ -283,7 +293,7 @@ def test_jacobian_scalar_irregular_ldpc():
 def test_jacobian_zero_column_when_no_weight2_paths():
     # bank1 CNs have distance 3, so no weight-2 path reacts to edge type 1
     spec = example1_spec(rep_gen(3), spc_gen(3))
-    jac = numerical_jacobian(spec, np.ones(2), 0.5)
+    jac = ExitEngine(spec).jacobian(np.ones(2), 0.5)
     assert np.abs(jac[:, 0]).max() < 1e-6
     assert jac[0, 1] > 0.1
 
@@ -295,25 +305,33 @@ def test_jacobian_interior_point_positive():
     assert jac[0, 0] > 0
 
 
-def test_jacobian_rejects_bad_step():
-    spec = ldpc_spec(3, 6)
-    with pytest.raises(ValueError):
-        numerical_jacobian(spec, np.ones(1), 0.3, step_size=0.0)
+def test_jacobian_matches_central_differences():
+    # interior points and every corner of the unit box, on the punctured
+    # fig1 ensemble, the D-GLDPC one and random eligible ones
+    rng = np.random.default_rng(93)
+    specs = [fig1_spec(), dgldpc_spec()] + [random_eligible_spec(rng) for _ in range(4)]
+    for spec in specs:
+        engine = ExitEngine(spec)
+        n_e = spec.n_edge_types
+        points = [rng.uniform(0.05, 0.95, n_e) for _ in range(4)]
+        points += [np.array(c, dtype=float) for c in itertools.product((0.0, 1.0), repeat=n_e)]
+        for x in points:
+            for eps in (0.0, float(rng.random()), 1.0):
+                want = central_difference_jacobian(engine.step, x, eps)
+                assert np.abs(engine.jacobian(x, eps) - want).max() <= 1e-6
 
 
 def test_threshold_never_exceeds_stability_bound():
-    from metdg import stability_bound
-
     # local stability is necessary for convergence, so the bound caps the
     # threshold; for the distance-3 outer code the bound is vacuous while
     # the threshold stays well inside (0, 1)
     spec = example2_spec(rep_gen(3))
-    th = threshold(spec, tol_eps=1e-3)
+    th, _ = ExitEngine(spec).threshold(tol_eps=1e-3)
     assert stability_bound(spec) is None
     assert 0.3 < th < 1.0
 
     for spec in (example2_spec(rep_gen(2)), example1_spec(spc_gen(3), spc_gen(3))):
-        th = threshold(spec, tol_eps=1e-3)
+        th, _ = ExitEngine(spec).threshold(tol_eps=1e-3)
         bound = stability_bound(spec)
         assert th <= bound + 2e-3
 
@@ -323,11 +341,13 @@ def test_trajectory_indexing_and_initial_state():
     engine = ExitEngine(spec)
     eps = 0.3
     conv, traj, last = engine.run(eps, record=True)
-    assert traj[0].iteration == 0
-    # initial state is the VN update applied to an all-unknown prior
-    assert abs(traj[0].i_ev[0] - (1 - eps)) < 1e-15
-    assert [st.iteration for st in traj] == list(range(len(traj)))
-    assert last.iteration == traj[-1].iteration
+    assert traj.shape == (last.iteration + 1, spec.n_edge_types)
+    # row 0 is the VN update applied to an all-unknown prior
+    assert abs(traj[0, 0] - (1 - eps)) < 1e-15
+    # row i is iteration i: each row is one step from the one before
+    for i in range(1, len(traj)):
+        assert np.array_equal(traj[i], engine.step(traj[i - 1], eps))
+    assert np.array_equal(traj[-1], last.i_ev)
 
 
 def test_step_matches_tensordot_oracle():

@@ -258,7 +258,7 @@ def test_empirical_exit_trajectory_matches_analysis():
     for it in range(iters + 1):
         for l0 in range(spec.n_edge_types):
             budget = 3 * max(se[it, l0], 1e-4)
-            assert abs(mean[it, l0] - de_traj[it].i_ev[l0]) <= budget
+            assert abs(mean[it, l0] - de_traj[it, l0]) <= budget
 
 
 def test_decode_handles_punctured_specs():

@@ -9,7 +9,6 @@ from metdg import (
     ExitEngine,
     build_matrices,
     disjoint_support_check,
-    is_stable,
     spectral_radius,
     stability_bound,
     stability_verdict,
@@ -103,8 +102,8 @@ def test_spectral_radius_matches_power_iteration_on_random_nonnegative():
 
 def test_is_stable_example1():
     spec = example1_spec(spc_gen(3), spc_gen(3))
-    assert is_stable(spec, 0.49)
-    assert not is_stable(spec, 0.51)
+    assert stability_verdict(spec, 0.49) == "stable"
+    assert stability_verdict(spec, 0.51) != "stable"
     assert stability_verdict(spec, 0.2) == "stable"
     assert stability_verdict(spec, 0.9) == "unstable"
 
@@ -112,14 +111,14 @@ def test_is_stable_example1():
 def test_is_stable_example2_q2():
     spec = example2_spec(rep_gen(2))
     # boundary at the root of 2 eps^2 + eps - 1, i.e. 1/2
-    assert is_stable(spec, 0.49)
-    assert not is_stable(spec, 0.51)
+    assert stability_verdict(spec, 0.49) == "stable"
+    assert stability_verdict(spec, 0.51) != "stable"
 
 
 def test_example2_q3_stable_everywhere():
     spec = example2_spec(rep_gen(3))
     for eps in np.linspace(0.05, 0.999, 12):
-        assert is_stable(spec, float(eps))
+        assert stability_verdict(spec, float(eps)) == "stable"
     assert stability_bound(spec) is None
 
 
@@ -229,7 +228,7 @@ def test_jacobian_identity_on_random_eligible_specs():
         ones = np.ones(spec.n_edge_types)
         for eps in (0.15, 0.55, 0.85):
             jac = engine.jacobian(ones, eps)
-            assert np.abs(jac - sm.product(eps)).max() <= 1e-6
+            assert np.abs(jac - sm.product(eps)).max() <= 1e-12
 
 
 def test_sigma_monotone_and_bound_is_unique_crossing():
