@@ -213,6 +213,7 @@ class ExitEngine:
 
     def step(self, i_ev, epsilon: float) -> np.ndarray:
         """One application of the recursion: CN pass, then VN pass."""
+        check_epsilon(epsilon)
         return self._vn(self._cn(np.asarray(i_ev, dtype=float)), epsilon)
 
     def run(
@@ -312,5 +313,8 @@ class ExitEngine:
     def jacobian(self, at, epsilon: float) -> np.ndarray:
         """Exact Jacobian of the one-step map at a state: the VN half's
         Jacobian at the CN output times the CN half's Jacobian."""
+        check_epsilon(epsilon)
         x = np.asarray(at, dtype=float)
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValidationError(f"state components must lie in [0, 1], got {x.tolist()!r}")
         return self._vn.jacobian(self._cn(x), epsilon) @ self._cn.jacobian(x)

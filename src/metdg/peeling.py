@@ -4,13 +4,21 @@ A code instance is one uniform interleaver per edge type matching VN sockets
 to CN sockets of the same type.  Decoding iterates exact local erasure
 decoding at every node: a quantity is recovered as soon as its coordinate
 functional lies in the span of the known ones, which is the decoder the
-asymptotic EXIT analysis models.  Message flags only ever turn on, so the
-iteration stops at the first pass that adds nothing.
+asymptotic EXIT analysis models.
+
+The schedule is flooding (a VN pass, then a CN pass and a VN pass per
+iteration) run as a frontier: message flags only ever turn on, and a node's
+outputs depend only on its packed key (channel-known mask << q |
+incoming-known mask), so a pass looks up only the nodes whose key grew since
+they were last evaluated.  Keys are kept as decoder state; a flag that turns
+on ORs its socket bit into the key of the node it enters, found through the
+per-edge owner maps the interleaver leaves behind.  The iteration stops at
+the first one that turns no flag on.
 
 Local decoding maps are memoized per component type and keyed by the known
-input pattern, which keeps the per-pass work to table lookups and lets
-passes run vectorized over all nodes of a type at once.  The maps themselves
-are filled by one vectorized GF(2) elimination over many keys at a time.
+input pattern, so a pass is a few table lookups vectorized over the due
+nodes of each type.  The maps themselves are filled by one vectorized GF(2)
+elimination over many keys at a time.
 """
 
 from __future__ import annotations
@@ -27,10 +35,14 @@ from .errors import ValidationError
 _RNG_NAME = "philox"
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
     # 128-bit key: the user seed in one word, a derived stream id in the other.
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _trial_rng(seed: int, eps_index: int, trial_index: int) -> np.random.Generator:
@@ -52,6 +64,10 @@ class SampledCode:
     vn_edges: list[np.ndarray]
     cn_edges: list[np.ndarray]
     n_transmitted: int
+    # Per edge, the node at each end: (node index << _socket_bits) | socket,
+    # nodes numbered across the types of a side (see _owners).
+    vn_owner: np.ndarray
+    cn_owner: np.ndarray
 
     @property
     def n_vn(self) -> int:
@@ -71,8 +87,19 @@ def _socket_blocks(counts_per_type, n_edge_types, socket_type_vectors):
     return blocks
 
 
+def _socket_bits(edges: list[np.ndarray]) -> int:
+    """Low bits of an owner code that hold the socket, on one side."""
+    return (max(e.shape[1] for e in edges) - 1).bit_length()
+
+
+def _index_dtype(n: int) -> type:
+    """Narrowest signed integer dtype that holds every value below n."""
+    return np.int32 if n <= 1 << 31 else np.int64
+
+
 def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     """Draw one code: deterministic in (spec, scale, seed)."""
+    _check_seed(seed)
     return _sample_code(spec, scale, _philox(seed, 0))
 
 
@@ -93,26 +120,27 @@ def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> Sa
         total += spec.edge_counts[l0] * scale
     n_edges = total
 
-    edge_type0 = np.empty(n_edges, dtype=np.int64)
+    idx_dtype = _index_dtype(n_edges)
+    edge_type0 = np.empty(n_edges, dtype=idx_dtype)
     for l0 in range(n_e):
         lo = edge_offsets[l0]
         hi = lo + spec.edge_counts[l0] * scale
         edge_type0[lo:hi] = l0
 
     vn_edges = [
-        np.empty((vn_counts[i], vn.n_sockets), dtype=np.int64)
+        np.empty((vn_counts[i], vn.n_sockets), dtype=idx_dtype)
         for i, vn in enumerate(spec.vn_types)
     ]
     cn_edges = [
-        np.empty((cn_counts[i], cn.n_sockets), dtype=np.int64)
+        np.empty((cn_counts[i], cn.n_sockets), dtype=idx_dtype)
         for i, cn in enumerate(spec.cn_types)
     ]
 
     for l0 in range(n_e):
         count_l = spec.edge_counts[l0] * scale
         perm = rng.permutation(count_l)
-        inv = np.empty(count_l, dtype=np.int64)
-        inv[perm] = np.arange(count_l)
+        inv = np.empty(count_l, dtype=idx_dtype)
+        inv[perm] = np.arange(count_l, dtype=idx_dtype)
         # VN slot k of this type carries edge (offset + k); CN slot j carries
         # the edge whose VN slot maps to it under the interleaver.
         base = 0
@@ -121,7 +149,7 @@ def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> Sa
             base += cnt
         base = 0
         for ti, pos, cnt in cn_blocks[l0]:
-            cn_edges[ti][:, pos] = edge_offsets[l0] + inv[base + np.arange(cnt)]
+            cn_edges[ti][:, pos] = edge_offsets[l0] + inv[base : base + cnt]
             base += cnt
 
     n_tx = sum(c * vn.n_transmitted for c, vn in zip(vn_counts, spec.vn_types))
@@ -135,7 +163,22 @@ def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> Sa
         vn_edges=vn_edges,
         cn_edges=cn_edges,
         n_transmitted=n_tx,
+        vn_owner=_owners(vn_edges, n_edges),
+        cn_owner=_owners(cn_edges, n_edges),
     )
+
+
+def _owners(edges: list[np.ndarray], n_edges: int) -> np.ndarray:
+    """Per edge, (node << socket bits) | socket of the node it enters on one
+    side, given that side's (node, socket) -> edge arrays per type."""
+    bits = _socket_bits(edges)
+    n_nodes = sum(len(e) for e in edges)
+    owner = np.empty(n_edges, dtype=_index_dtype(n_nodes << bits))
+    first = 0
+    for e in edges:
+        owner[e] = np.arange(first, first + len(e))[:, None] << bits | np.arange(e.shape[1])
+        first += len(e)
+    return owner
 
 
 # Array tables cap at 2 x 8 MiB; wider types fall back to a dict memo.
@@ -218,6 +261,7 @@ class _LocalMaps:
         if missing:
             self._fill_dict(np.array(missing, dtype=np.int64))
         pairs = np.array([self._dict[key] for key in uniq.tolist()], dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)  # keeps two columns for an empty batch
         return pairs[inv, 0], pairs[inv, 1]
 
     def _fill_block(self, chan: int) -> None:
@@ -308,6 +352,70 @@ class DecodeResult:
     vc_history: list[np.ndarray] | None = None
 
 
+def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
+    """(len(masks), width) bool matrix: row r, column j is bit j of masks[r]."""
+    as_bytes = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(as_bytes, axis=1, count=width, bitorder="little").view(bool)
+
+
+class _Side:
+    """Decoder state of the VNs or the CNs of one code, by node number
+    across the types of the side: each node's key, the out mask of its last
+    lookup, and whether its key grew since."""
+
+    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], owner: np.ndarray):
+        self.edges = edges
+        self.maps = maps
+        self.owner = owner
+        self.bits = _socket_bits(edges)
+        first = np.cumsum([0] + [len(e) for e in edges]).tolist()
+        self.spans = list(zip(first, first[1:]))
+        self.keys = np.zeros(first[-1], dtype=np.int64)
+        self.out = np.zeros(first[-1], dtype=np.int64)
+        self.due = np.zeros(first[-1], dtype=bool)
+
+    def send(self, other: "_Side", every_node: bool) -> list[np.ndarray]:
+        """Look up the due nodes (or every node) and pass the messages that
+        turned known on to the other side; returns their edges, per type."""
+        sent = []
+        for t in range(len(self.edges)):
+            flipped = self._evaluate(t, every_node)
+            if len(flipped):
+                other.receive(flipped)
+                sent.append(flipped)
+        return sent
+
+    def _evaluate(self, t: int, every_node: bool) -> np.ndarray:
+        """Look up the due nodes of type t; return the edges whose outgoing
+        flag turned on."""
+        (lo, hi), edges = self.spans[t], self.edges[t]
+        if every_node:
+            nodes = rows = slice(lo, hi)
+        else:
+            rows = np.flatnonzero(self.due[lo:hi])
+            if len(rows) == 0:
+                return np.zeros(0, dtype=edges.dtype)
+            nodes = rows + lo
+        self.due[nodes] = False
+        out = self.maps[t].lookup_many(self.keys[nodes])[0]
+        new = out & ~self.out[nodes]
+        self.out[nodes] = out
+        hit = np.flatnonzero(new)
+        senders = edges.take(hit if every_node else rows[hit], axis=0)
+        return senders[_bit_rows(new[hit], edges.shape[1])]
+
+    def receive(self, edges: np.ndarray) -> None:
+        """OR the socket bits of newly known incoming edges into the keys of
+        their nodes, and mark those nodes due."""
+        code = self.owner[edges]
+        node = code >> self.bits
+        code &= (1 << self.bits) - 1
+        # A node can gain several sockets at once, hence the unbuffered OR;
+        # the bits are int64 whatever the owner dtype, as sockets reach 63.
+        np.bitwise_or.at(self.keys, node, np.left_shift(1, code, dtype=np.int64))
+        self.due[node] = True
+
+
 def decode(
     code: SampledCode,
     erasure_pattern,
@@ -323,89 +431,67 @@ def decode(
     """
     spec = code.spec
     n_e = spec.n_edge_types
+    if max_iters is not None and max_iters < 0:
+        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
     erased = np.asarray(erasure_pattern, dtype=bool)
     if erased.shape != (code.n_transmitted,):
         raise ValidationError(
             f"erasure pattern has shape {erased.shape}, expected ({code.n_transmitted},)"
         )
 
-    # Per VN type: channel-known masks (bit j = j-th transmitted position).
-    chan_masks: list[np.ndarray] = []
+    vn = _Side(code.vn_edges, [_vn_maps(spec, i) for i in range(len(spec.vn_types))], code.vn_owner)
+    cn = _Side(code.cn_edges, [_cn_maps(spec, i) for i in range(len(spec.cn_types))], code.cn_owner)
+    # A VN key starts as its channel-known mask (bit j = j-th transmitted
+    # position) above its q incoming bits.
     chan_bits: list[np.ndarray] = []
     offset = 0
-    for i, vn in enumerate(spec.vn_types):
-        cnt, w = code.vn_counts[i], vn.n_transmitted
-        block = ~erased[offset : offset + cnt * w].reshape(cnt, w)
-        offset += cnt * w
+    for i, t in enumerate(spec.vn_types):
+        (lo, hi), w = vn.spans[i], t.n_transmitted
+        block = ~erased[offset : offset + (hi - lo) * w].reshape(hi - lo, w)
+        offset += (hi - lo) * w
         chan_bits.append(block)
-        chan_masks.append((block.astype(np.int64) << np.arange(w, dtype=np.int64)).sum(axis=1))
-
-    vn_maps = [_vn_maps(spec, i) for i in range(len(spec.vn_types))]
-    cn_maps = [_cn_maps(spec, i) for i in range(len(spec.cn_types))]
-
-    msg_vc = np.zeros(code.n_edges, dtype=bool)
-    msg_cv = np.zeros(code.n_edges, dtype=bool)
-    info_masks: list[np.ndarray] = [np.zeros(c, dtype=np.int64) for c in code.vn_counts]
+        chan = (block.astype(np.int64) << np.arange(w, dtype=np.int64)).sum(axis=1)
+        vn.keys[lo:hi] = chan << t.n_sockets
 
     edge_totals = np.bincount(code.edge_type0, minlength=n_e).astype(float)
-
-    def vn_pass() -> None:
-        for i, vn in enumerate(spec.vn_types):
-            if code.vn_counts[i] == 0:
-                continue
-            q = vn.n_sockets
-            eids = code.vn_edges[i]
-            shifts = np.arange(q, dtype=np.int64)
-            inc = (msg_cv[eids].astype(np.int64) << shifts).sum(axis=1)
-            keys = (chan_masks[i] << q) | inc
-            out, info = vn_maps[i].lookup_many(keys)
-            info_masks[i] = info
-            msg_vc[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
-
-    def cn_pass() -> None:
-        for i, cn in enumerate(spec.cn_types):
-            if code.cn_counts[i] == 0:
-                continue
-            s = cn.n_sockets
-            eids = code.cn_edges[i]
-            shifts = np.arange(s, dtype=np.int64)
-            inc = (msg_vc[eids].astype(np.int64) << shifts).sum(axis=1)
-            out, _ = cn_maps[i].lookup_many(inc)
-            msg_cv[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
-
-    def known_fractions() -> np.ndarray:
-        return np.bincount(code.edge_type0, weights=msg_vc, minlength=n_e) / edge_totals
-
+    known_vc = np.zeros(n_e, dtype=np.int64)
+    msg_vc = np.zeros(code.n_edges, dtype=bool) if keep_history else None
     trajectory = [] if record_trajectory else None
     history = [] if keep_history else None
 
-    vn_pass()
-    if record_trajectory:
-        trajectory.append(known_fractions())
-    if keep_history:
-        history.append(msg_vc.copy())
-
-    iterations = 0
-    prev = (int(msg_vc.sum()), int(msg_cv.sum()))
-    while max_iters is None or iterations < max_iters:
-        cn_pass()
-        vn_pass()
-        iterations += 1
+    def vn_pass(every_node: bool) -> int:
+        sent = vn.send(cn, every_node)
+        for flipped in sent:
+            if record_trajectory:
+                known_vc[:] += np.bincount(code.edge_type0[flipped], minlength=n_e)
+            if keep_history:
+                msg_vc[flipped] = True
         if record_trajectory:
-            trajectory.append(known_fractions())
+            trajectory.append(known_vc / edge_totals)
         if keep_history:
             history.append(msg_vc.copy())
-        cur = (int(msg_vc.sum()), int(msg_cv.sum()))
-        if cur == prev:
+        return sum(map(len, sent))
+
+    # Every node is due on its side's first pass; later passes look up only
+    # the nodes whose key grew.
+    vn_pass(every_node=True)
+    iterations = 0
+    while max_iters is None or iterations < max_iters:
+        flips = sum(map(len, cn.send(vn, every_node=iterations == 0)))
+        flips += vn_pass(every_node=False)
+        iterations += 1
+        if flips == 0:
             break
-        prev = cur
 
     residual = 0
-    for i, vn in enumerate(spec.vn_types):
-        if code.vn_counts[i] == 0 or vn.n_transmitted == 0:
+    for i, t in enumerate(spec.vn_types):
+        if t.n_transmitted == 0:
             continue
-        pos = np.array(vn.transmitted_positions, dtype=np.int64)
-        recovered = ((info_masks[i][:, None] >> pos) & 1).astype(bool)
+        # every VN was last looked up at its current key, so this is a hit
+        lo, hi = vn.spans[i]
+        _, info = vn.maps[i].lookup_many(vn.keys[lo:hi])
+        pos = np.array(t.transmitted_positions, dtype=np.int64)
+        recovered = ((info[:, None] >> pos) & 1).astype(bool)
         residual += int(np.sum(~chan_bits[i] & ~recovered))
 
     return DecodeResult(
@@ -490,6 +576,9 @@ def sweep(
         raise ValidationError("jobs must be >= 1")
     if max_iters is not None and max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
+    if record_exit_iters < 0:
+        raise ValidationError(f"record_exit_iters must be >= 0, got {record_exit_iters!r}")
+    _check_seed(seed)
     bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
     if bad:
         raise ValidationError(f"erasure probabilities must lie in [0, 1], got {bad[0]!r}")

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from metdg import peeling
+
 
 def rank_gf2_numpy(mat) -> int:
     """GF(2) rank by plain numpy row reduction."""
@@ -254,6 +256,107 @@ def classic_peeling_history(code, erased):
         recovered = chan[i] | msg_cv[eids].any(axis=1)
         residual += int(np.sum(~chan[i] & ~recovered))
     return history, residual
+
+
+def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=False, keep_history=False):
+    """The flooding schedule with full passes: every pass rebuilds every
+    node's key from the message flags and looks it up, and the loop stops at
+    the first iteration that leaves the flag counts unchanged.
+
+    Same arguments and result as `metdg.decode`, which must agree with it
+    exactly while touching only the nodes next to flipped edges.
+    """
+    spec = code.spec
+    n_e = spec.n_edge_types
+    erased = np.asarray(erasure_pattern, dtype=bool)
+    assert erased.shape == (code.n_transmitted,)
+
+    # Per VN type: channel-known masks (bit j = j-th transmitted position).
+    chan_masks = []
+    chan_bits = []
+    offset = 0
+    for i, vn in enumerate(spec.vn_types):
+        cnt, w = code.vn_counts[i], vn.n_transmitted
+        block = ~erased[offset : offset + cnt * w].reshape(cnt, w)
+        offset += cnt * w
+        chan_bits.append(block)
+        chan_masks.append((block.astype(np.int64) << np.arange(w, dtype=np.int64)).sum(axis=1))
+
+    vn_maps = [peeling._vn_maps(spec, i) for i in range(len(spec.vn_types))]
+    cn_maps = [peeling._cn_maps(spec, i) for i in range(len(spec.cn_types))]
+
+    msg_vc = np.zeros(code.n_edges, dtype=bool)
+    msg_cv = np.zeros(code.n_edges, dtype=bool)
+    info_masks = [np.zeros(c, dtype=np.int64) for c in code.vn_counts]
+
+    edge_totals = np.bincount(code.edge_type0, minlength=n_e).astype(float)
+
+    def vn_pass() -> None:
+        for i, vn in enumerate(spec.vn_types):
+            if code.vn_counts[i] == 0:
+                continue
+            q = vn.n_sockets
+            eids = code.vn_edges[i]
+            shifts = np.arange(q, dtype=np.int64)
+            inc = (msg_cv[eids].astype(np.int64) << shifts).sum(axis=1)
+            keys = (chan_masks[i] << q) | inc
+            out, info = vn_maps[i].lookup_many(keys)
+            info_masks[i] = info
+            msg_vc[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
+
+    def cn_pass() -> None:
+        for i, cn in enumerate(spec.cn_types):
+            if code.cn_counts[i] == 0:
+                continue
+            s = cn.n_sockets
+            eids = code.cn_edges[i]
+            shifts = np.arange(s, dtype=np.int64)
+            inc = (msg_vc[eids].astype(np.int64) << shifts).sum(axis=1)
+            out, _ = cn_maps[i].lookup_many(inc)
+            msg_cv[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
+
+    def known_fractions() -> np.ndarray:
+        return np.bincount(code.edge_type0, weights=msg_vc, minlength=n_e) / edge_totals
+
+    trajectory = [] if record_trajectory else None
+    history = [] if keep_history else None
+
+    vn_pass()
+    if record_trajectory:
+        trajectory.append(known_fractions())
+    if keep_history:
+        history.append(msg_vc.copy())
+
+    iterations = 0
+    prev = (int(msg_vc.sum()), int(msg_cv.sum()))
+    while max_iters is None or iterations < max_iters:
+        cn_pass()
+        vn_pass()
+        iterations += 1
+        if record_trajectory:
+            trajectory.append(known_fractions())
+        if keep_history:
+            history.append(msg_vc.copy())
+        cur = (int(msg_vc.sum()), int(msg_cv.sum()))
+        if cur == prev:
+            break
+        prev = cur
+
+    residual = 0
+    for i, vn in enumerate(spec.vn_types):
+        if code.vn_counts[i] == 0 or vn.n_transmitted == 0:
+            continue
+        pos = np.array(vn.transmitted_positions, dtype=np.int64)
+        recovered = ((info_masks[i][:, None] >> pos) & 1).astype(bool)
+        residual += int(np.sum(~chan_bits[i] & ~recovered))
+
+    return peeling.DecodeResult(
+        success=residual == 0,
+        residual_erasures=residual,
+        iterations=iterations,
+        trajectory=np.array(trajectory) if record_trajectory else None,
+        vc_history=history,
+    )
 
 
 def naive_local_map(gen_rows, chan_positions, key):

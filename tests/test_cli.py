@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,31 @@ def test_simulate_csv_and_determinism(ldpc_path, tmp_path):
     assert len(lines) == header_idx + 3
 
 
+# SHA-256 of the non-comment lines of `metdg simulate` CSV output, joined by
+# newlines, pinned before the frontier decoder replaced the full-pass one.
+_GOLDEN_SIMULATE = {
+    "ldpc36": (
+        ["--scale", "200", "--eps", "0.40:0.46:0.02", "--trials", "20", "--seed", "7"],
+        "6a93934694aba2da3f8bd682e73b6b0180fc065c31620083127d0524cdf27773",
+    ),
+    "dgldpc": (
+        ["--scale", "2", "--eps", "0.34:0.41:0.01", "--trials", "6", "--seed", "7"],
+        "57e5beae3deda78694b42c1d7a4ed716f3877f119b5827ae2c7c42b179f2a1bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(_GOLDEN_SIMULATE))
+def test_simulate_golden_digests(spec, jobs, tmp_path):
+    args, digest = _GOLDEN_SIMULATE[spec]
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", str(path), *args, "--jobs", jobs, "--out", str(out)]) == 0
+    body = "\n".join(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_json_reports_identical_modulo_duration(ex1_path, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -203,6 +230,8 @@ def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
         ["--eps", "0.3,,0.4"],
         ["--eps", "0.3,x"],
         ["--eps", "0.5:0.1:0.1"],
+        ["--seed", "-1"],
+        ["--seed", str(1 << 64)],
     ],
 )
 def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from metdg import CnType, ExitEngine, GF2Matrix, VnType, build_spec, stability_bound
+from metdg import CnType, ExitEngine, GF2Matrix, ValidationError, VnType, build_spec, stability_bound
 from metdg.stability import build_matrices
 
 from conftest import (
@@ -296,6 +296,26 @@ def test_jacobian_zero_column_when_no_weight2_paths():
     jac = ExitEngine(spec).jacobian(np.ones(2), 0.5)
     assert np.abs(jac[:, 0]).max() < 1e-6
     assert jac[0, 1] > 0.1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: e.step([1.0], float("nan")),
+        lambda e: e.step([1.0], 1.5),
+        lambda e: e.step([1.0], -0.1),
+        lambda e: e.jacobian([1.0], float("nan")),
+        lambda e: e.jacobian([1.0], 1.5),
+        lambda e: e.jacobian([1.5], 0.3),
+        lambda e: e.jacobian([-0.5], 0.3),
+        lambda e: e.jacobian([float("nan")], 0.3),
+    ],
+    ids=["step-nan", "step-high", "step-low", "jac-nan", "jac-high", "jac-state-high",
+         "jac-state-low", "jac-state-nan"],
+)
+def test_step_and_jacobian_reject_bad_inputs(call):
+    with pytest.raises(ValidationError):
+        call(ExitEngine(ldpc_spec(3, 6)))
 
 
 def test_jacobian_interior_point_positive():

@@ -15,7 +15,7 @@ from conftest import (
     rep_gen,
     spc_gen,
 )
-from naive_oracles import classic_peeling_history, naive_local_map
+from naive_oracles import classic_peeling_history, flooding_decode, naive_local_map
 
 
 def test_sampling_is_deterministic():
@@ -186,6 +186,76 @@ def test_sweep_rejects_negative_max_iters():
         sweep(ldpc_spec(3, 6), scale=2, eps_grid=[0.3], trials=2, seed=0, max_iters=-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8, dtype=bool), max_iters=-5),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=0, record_exit_iters=-3),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=-1),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=1 << 64),
+        lambda spec: sample_code(spec, 2, seed=-1),
+        lambda spec: sample_code(spec, 2, seed=1 << 64),
+        lambda spec: sample_code(spec, 2, seed=1.5),
+    ],
+    ids=["decode-max-iters", "record-exit-iters", "sweep-seed-neg", "sweep-seed-big",
+         "sample-seed-neg", "sample-seed-big", "sample-seed-float"],
+)
+def test_peeling_rejects_bad_inputs(call):
+    with pytest.raises(ValidationError):
+        call(ldpc_spec(3, 6))
+
+
+def test_largest_seed_is_accepted():
+    code = sample_code(ldpc_spec(3, 6), 2, seed=(1 << 64) - 1)
+    assert decode(code, np.zeros(code.n_transmitted, dtype=bool)).success
+
+
+def _assert_same_decoding(code, pattern, max_iters):
+    mine = decode(code, pattern, max_iters=max_iters, record_trajectory=True, keep_history=True)
+    theirs = flooding_decode(code, pattern, max_iters=max_iters, record_trajectory=True, keep_history=True)
+    assert mine.success == theirs.success
+    assert mine.residual_erasures == theirs.residual_erasures
+    assert mine.iterations == theirs.iterations
+    assert np.array_equal(mine.trajectory, theirs.trajectory)
+    assert len(mine.vc_history) == len(theirs.vc_history)
+    for a, b in zip(mine.vc_history, theirs.vc_history):
+        assert np.array_equal(a, b)
+
+
+def _parallel_edge_spec():
+    from metdg import CnType, VnType, build_spec
+
+    vn = VnType("rep4", rep_gen(4), (1,), (1,) * 4, 1)
+    cn = CnType("spc4", spc_gen(4), (1,) * 4, 1)
+    return build_spec(1, [vn], [cn])
+
+
+def _half_punctured_spec():
+    from metdg import CnType, VnType, build_spec
+
+    vn = VnType("half", GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), (1, 0), (1, 1, 1), 2)
+    cn = CnType("spc3", spc_gen(3), (1, 1, 1), 2)
+    return build_spec(1, [vn], [cn])
+
+
+@pytest.mark.parametrize("max_iters", [None, 0, 1, 3])
+def test_frontier_decode_matches_flooding_oracle(max_iters):
+    # the frontier decoder looks up only the nodes next to flipped edges; the
+    # oracle runs full passes; every output must agree exactly
+    rng = np.random.default_rng(41)
+    ldpc36 = ldpc_spec(3, 6)
+    for eps in (0.40, 0.42, 0.44, 0.46):
+        code = sample_code(ldpc36, 500, seed=int(eps * 100))
+        _assert_same_decoding(code, rng.random(code.n_transmitted) < eps, max_iters)
+    # spc21 is past the array cutoff, so its CN maps are a dict memo
+    specs = [dgldpc_spec(), fig1_spec(), _parallel_edge_spec(), _half_punctured_spec(), ldpc_spec(3, 21, 7)]
+    specs += [random_eligible_spec(rng) for _ in range(6)]
+    for k, spec in enumerate(specs):
+        code = sample_code(spec, 6, seed=k)
+        for eps in (0.1, 0.35, 0.6, 0.9):
+            _assert_same_decoding(code, rng.random(code.n_transmitted) < eps, max_iters)
+
+
 def _oracle_check(gen: GF2Matrix, chan_positions, keys):
     maps = _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
     out, info = maps.lookup_many(np.asarray(keys, dtype=np.int64))
@@ -225,6 +295,9 @@ def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positi
     assert maps._array_backed == array_backed
     # a second batch mixes memoized keys with new ones
     _oracle_check(gen, chan_positions, keys[::3] + rng.integers(0, 1 << width, size=40).tolist())
+    # an empty batch
+    out, info = maps.lookup_many(np.zeros(0, dtype=np.int64))
+    assert out.shape == info.shape == (0,)
 
 
 def test_sweep_waterfall_brackets_threshold(ldpc36):
@@ -273,12 +346,7 @@ def test_decode_handles_punctured_specs():
 
 def test_parallel_edges_are_legal_and_decode_sanely():
     # one rep-4 VN wired entirely to one SPC CN: every edge is parallel
-    from metdg import CnType, VnType, build_spec
-
-    vn = VnType("rep4", rep_gen(4), (1,), (1,) * 4, 1)
-    cn = CnType("spc4", spc_gen(4), (1,) * 4, 1)
-    spec = build_spec(1, [vn], [cn])
-    code = sample_code(spec, 1, seed=0)
+    code = sample_code(_parallel_edge_spec(), 1, seed=0)
     assert code.n_edges == 4
     assert decode(code, np.array([False])).success
     # with the only channel bit erased nothing is extrinsically recoverable
@@ -287,14 +355,7 @@ def test_parallel_edges_are_legal_and_decode_sanely():
 
 
 def test_decode_with_partially_punctured_vn_type():
-    from metdg import CnType, GF2Matrix, VnType, build_spec
-
-    vn = VnType(
-        "half", GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), (1, 0), (1, 1, 1), 2
-    )
-    cn = CnType("spc3", spc_gen(3), (1, 1, 1), 2)
-    spec = build_spec(1, [vn], [cn])
-    code = sample_code(spec, 6, seed=4)
+    code = sample_code(_half_punctured_spec(), 6, seed=4)
     assert code.n_transmitted == 12  # one transmitted bit per node
     assert decode(code, np.zeros(12, dtype=bool)).success
     rng = np.random.default_rng(10)
