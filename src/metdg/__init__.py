@@ -23,7 +23,7 @@ from .errors import (  # noqa: F401
 )
 from .exitchart import (  # noqa: F401
     ExitEngine,
-    ExitState,
+    ProbeOutcome,
 )
 from .gf2 import (  # noqa: F401
     GF2Matrix,

@@ -152,11 +152,18 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 def _cmd_threshold(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     engine = exitchart.ExitEngine(spec)
-    value, probes = engine.threshold(
+    (lo, hi), probes = engine.threshold(
         tol_eps=args.tol_eps, max_iters=args.max_iters, tol_fp=args.tol_fp
     )
     params = {"tol_eps": args.tol_eps, "max_iters": args.max_iters, "tol_fp": args.tol_fp}
-    results = {"threshold": value, "tol": args.tol_eps, "iterations": probes}
+    # tol bounds the error of the midpoint whenever no probe was undecided.
+    results = {
+        "threshold": 0.5 * (lo + hi),
+        "tol": args.tol_eps,
+        "iterations": sum(probes.values()),
+        "bracket": [lo, hi],
+        "undecided": probes["undecided"],
+    }
     _emit_json(_report("threshold", digest, params, results, t0), args.out)
     return 0
 
@@ -168,16 +175,16 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         "c_exact": [[_frac_str(v) for v in row] for row in sm.c],
         "p_coeffs": [[[float(v) for v in cell] for cell in row] for row in sm.p_coeffs],
         "p_coeffs_exact": [[[_frac_str(v) for v in cell] for cell in row] for row in sm.p_coeffs],
-        "always_stable_by_disjoint_supports": stability.disjoint_support_check(spec),
+        "always_stable_by_disjoint_supports": stability.disjoint_support_check(spec, matrices=sm),
     }
     params: dict = {}
     if args.epsilon is not None:
         params["epsilon"] = args.epsilon
         results["epsilon"] = args.epsilon
         results["sigma"] = sm.sigma(args.epsilon)
-        results["verdict"] = stability.stability_verdict(spec, args.epsilon)
+        results["verdict"] = stability.stability_verdict(spec, args.epsilon, matrices=sm)
     if args.bound:
-        bound = stability.stability_bound(spec, tol_eps=args.tol_eps)
+        bound = stability.stability_bound(spec, tol_eps=args.tol_eps, matrices=sm)
         params["tol_eps"] = args.tol_eps
         results["bound"] = "unbounded" if bound is None else bound
     _emit_json(_report("stability", digest, params, results, t0), args.out)

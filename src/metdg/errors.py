@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types and the parameter checks shared across the toolkit."""
+
+import numpy as np
 
 
 class MetdgError(Exception):
@@ -19,3 +21,20 @@ class AssumptionError(MetdgError):
 
 class InternalError(MetdgError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject an erasure probability outside [0, 1], NaN included."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
+
+
+def check_tol_eps(tol_eps: float) -> None:
+    """Reject a bisection half-width the search cannot reach.
+
+    Below the double-precision epsilon the bracket can shrink to two
+    adjacent doubles, whose midpoint is one of them, and the search would
+    never end.
+    """
+    if not np.finfo(float).eps <= tol_eps < np.inf:
+        raise ValidationError(f"tol_eps must be a finite number >= 2**-52, got {tol_eps!r}")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .ensemble import EnsembleSpec
-from .errors import AssumptionError, InternalError
-from .exitchart import check_epsilon, check_tol_eps
+from .errors import AssumptionError, InternalError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
 
 _MARGIN = 1e-12
@@ -58,6 +58,35 @@ class StabilityMatrices:
     def sigma(self, epsilon: float) -> float:
         check_epsilon(epsilon)
         return spectral_radius(self.product(epsilon))
+
+    def perron(self, epsilon: float, shift: float, tol: float) -> tuple[float, np.ndarray]:
+        """(rho, v) with (P(eps)C + shift J) v <= rho v componentwise, J the
+        all-ones matrix: rho bounds the Perron root from above, within tol
+        of it once the power iteration converges, and v > 0 approximates
+        the Perron vector, scaled to max 1.  shift > 0 makes the matrix
+        positive, so that v is positive even when P(eps)C is reducible."""
+        _, rho, v = _power_iteration(self.product(epsilon) + shift, tol)
+        return rho, v / v.max()
+
+    def verdict(self, epsilon: float) -> str:
+        """"stable", "marginal" or "unstable": sigma against 1 -/+ _MARGIN,
+        a band that covers the rounding error of the float sigma."""
+        sigma = self.sigma(epsilon)
+        if sigma < 1.0 - _MARGIN:
+            return "stable"
+        if sigma <= 1.0 + _MARGIN:
+            return "marginal"
+        return "unstable"
+
+    def vanishes(self) -> bool:
+        """Whether P(eps)C is the zero matrix at every eps.  Every term of
+        an entry is a nonnegative coefficient times a power of eps, so this
+        holds exactly when no nonzero P coefficient meets a nonzero C entry."""
+        n = self.n_edge_types
+        return not any(
+            any(self.p_coeffs[l0][e0]) and self.c[e0][m0]
+            for l0, e0, m0 in product(range(n), repeat=3)
+        )
 
 
 def _require_eligible(spec: EnsembleSpec, what: str) -> None:
@@ -126,7 +155,10 @@ def _is_irreducible(a: np.ndarray) -> bool:
     return True
 
 
-def _power_radius(a: np.ndarray, tol: float) -> float:
+def _power_iteration(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray]:
+    """Collatz-Wielandt bounds lo <= rho(a) <= hi and the positive vector x
+    they were read from, with a x <= hi x componentwise, once hi - lo < tol
+    or after 100000 steps.  a is irreducible and nonnegative."""
     # Shift by the identity: irreducible nonnegative + positive diagonal is
     # primitive, so Collatz-Wielandt ratios converge from any positive start.
     n = a.shape[0]
@@ -140,7 +172,7 @@ def _power_radius(a: np.ndarray, tol: float) -> float:
         if hi - lo < tol:
             break
         x = y / y.max()
-    return 0.5 * (hi + lo) - 1.0
+    return lo - 1.0, hi - 1.0, x
 
 
 def spectral_radius(matrix, tol: float = 1e-10) -> float:
@@ -154,7 +186,8 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
         return 0.0
     sigma = float(np.max(np.abs(np.linalg.eigvals(a))))
     if _is_irreducible(a):
-        check = _power_radius(a, tol)
+        lo, hi, _ = _power_iteration(a, tol)
+        check = 0.5 * (lo + hi)
         if abs(check - sigma) > max(1e-8, 1e-8 * sigma):
             raise InternalError(
                 f"eigenvalue and power-iteration radii disagree: {sigma} vs {check}"
@@ -162,26 +195,29 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
     return sigma
 
 
-def stability_verdict(spec: EnsembleSpec, epsilon: float) -> str:
-    sigma = build_matrices(spec).sigma(epsilon)
-    if sigma < 1.0 - _MARGIN:
-        return "stable"
-    if sigma <= 1.0 + _MARGIN:
-        return "marginal"
-    return "unstable"
+def _matrices(spec: EnsembleSpec, matrices: StabilityMatrices | None) -> StabilityMatrices:
+    return build_matrices(spec) if matrices is None else matrices
+
+
+def stability_verdict(
+    spec: EnsembleSpec, epsilon: float, matrices: StabilityMatrices | None = None
+) -> str:
+    """StabilityMatrices.verdict; matrices, when given, are spec's, already built."""
+    return _matrices(spec, matrices).verdict(epsilon)
 
 
 def stability_bound(
-    spec: EnsembleSpec, tol_eps: float = 1e-6
+    spec: EnsembleSpec, tol_eps: float = 1e-6, matrices: StabilityMatrices | None = None
 ) -> float | None:
     """Largest erasure probability with spectral radius below one.
 
     Returns None when the condition holds across the whole open unit
     interval.  Bisection is valid because every matrix entry, hence the
     spectral radius, is nondecreasing in the erasure probability.
+    matrices, when given, are spec's, already built.
     """
     check_tol_eps(tol_eps)
-    sm = build_matrices(spec)
+    sm = _matrices(spec, matrices)
     if sm.sigma(1.0) <= 1.0 + _MARGIN:
         return None
     lo, hi = 0.0, 1.0
@@ -194,9 +230,10 @@ def stability_bound(
     return 0.5 * (lo + hi)
 
 
-def disjoint_support_check(spec: EnsembleSpec) -> bool:
+def disjoint_support_check(spec: EnsembleSpec, matrices: StabilityMatrices | None = None) -> bool:
     """Sufficient condition: weight-2 supports on the VN and CN sides touch
-    disjoint edge-type sets, which forces the product matrix to vanish."""
+    disjoint edge-type sets, which forces the product matrix to vanish.
+    matrices, when given, are spec's, already built."""
     _require_eligible(spec, "the stability analysis")
     vn_touched: set[int] = set()
     for vi in spec.vn_dist2_indices:
@@ -211,15 +248,6 @@ def disjoint_support_check(spec: EnsembleSpec) -> bool:
         for (l, m) in enumerate_weight2_pairs(cn.generator, cn.socket_types):
             cn_touched.update((l, m))
     disjoint = not (vn_touched & cn_touched)
-    if disjoint:
-        sm = build_matrices(spec)
-        n_e = spec.n_edge_types
-        p_at_1 = [
-            [sum(sm.p_coeffs[l0][m0], Fraction(0)) for m0 in range(n_e)] for l0 in range(n_e)
-        ]
-        for l0 in range(n_e):
-            for m0 in range(n_e):
-                entry = sum(p_at_1[l0][e0] * sm.c[e0][m0] for e0 in range(n_e))
-                if entry != 0:
-                    raise InternalError("disjoint weight-2 supports but nonzero product matrix")
+    if disjoint and not _matrices(spec, matrices).vanishes():
+        raise InternalError("disjoint weight-2 supports but nonzero product matrix")
     return disjoint

@@ -113,9 +113,23 @@ def test_threshold_json_schema(ldpc_path, tmp_path):
     out = tmp_path / "th.json"
     assert main(["threshold", ldpc_path, "--tol-eps", "1e-4", "--out", str(out)]) == 0
     res = _read_json(out)["results"]
-    assert set(res) == {"threshold", "tol", "iterations"}
+    assert set(res) == {"threshold", "tol", "iterations", "bracket", "undecided"}
     assert abs(res["threshold"] - 0.4294) < 5e-3
     assert res["tol"] == 1e-4
+
+
+def test_stability_limited_threshold_at_the_defaults(ex1_path, tmp_path):
+    # ex1_spc3's threshold is its stability bound, 1/2
+    out = tmp_path / "th.json"
+    assert main(["threshold", ex1_path, "--out", str(out)]) == 0
+    doc = _read_json(out)
+    res = doc["results"]
+    lo, hi = res["bracket"]
+    assert lo < 0.5 < hi and hi - lo <= 2e-6
+    assert res["undecided"] == 0
+    assert abs(res["threshold"] - 0.5) <= res["tol"]
+    assert doc["parameters"]["max_iters"] == 20000
+    assert doc["duration_s"] < 1.0
 
 
 def test_exit_chart_csv(ldpc_path, tmp_path):

@@ -1,9 +1,19 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from metdg import CnType, ExitEngine, GF2Matrix, ValidationError, VnType, build_spec, stability_bound
+from metdg import (
+    CnType,
+    ExitEngine,
+    GF2Matrix,
+    ProbeOutcome,
+    ValidationError,
+    VnType,
+    build_spec,
+    stability_bound,
+)
 from metdg.stability import build_matrices
 
 from conftest import (
@@ -243,7 +253,8 @@ def test_run_to_fixed_point_around_ldpc_threshold():
 
 
 def test_threshold_matches_scalar_oracle(ldpc36):
-    got, _ = ExitEngine(ldpc36).threshold()
+    (lo, hi), _ = ExitEngine(ldpc36).threshold()
+    got = 0.5 * (lo + hi)
     want = scalar_de_threshold(3, 6)
     assert abs(got - want) <= 1e-4
     assert abs(got - 0.4294) < 1e-3
@@ -254,7 +265,8 @@ def test_threshold_of_heavily_redundant_spec_is_near_one():
     vn = VnType("rep6", rep_gen(6), (1,), (1,) * 6, 2)
     cn = CnType("spc3", spc_gen(3), (1, 1, 1), 4)
     spec = build_spec(1, [vn], [cn])
-    assert ExitEngine(spec).threshold(tol_eps=1e-4)[0] > 0.9
+    (lo, hi), _ = ExitEngine(spec).threshold(tol_eps=1e-4)
+    assert 0.5 * (lo + hi) > 0.9
 
 
 def test_probe_convergence_matches_scalar_oracle_on_grid(ldpc36):
@@ -309,9 +321,15 @@ def test_jacobian_zero_column_when_no_weight2_paths():
         lambda e: e.jacobian([1.5], 0.3),
         lambda e: e.jacobian([-0.5], 0.3),
         lambda e: e.jacobian([float("nan")], 0.3),
+        lambda e: e.step([2.0], 0.3),
+        lambda e: e.step([float("nan")], 0.3),
+        lambda e: e.step([0.5, 0.5], 0.3),
+        lambda e: e.jacobian([0.5, 0.5], 0.3),
+        lambda e: e.step(["x"], 0.3),
     ],
     ids=["step-nan", "step-high", "step-low", "jac-nan", "jac-high", "jac-state-high",
-         "jac-state-low", "jac-state-nan"],
+         "jac-state-low", "jac-state-nan", "step-state-high", "step-state-nan",
+         "step-state-shape", "jac-state-shape", "step-state-text"],
 )
 def test_step_and_jacobian_reject_bad_inputs(call):
     with pytest.raises(ValidationError):
@@ -346,14 +364,15 @@ def test_threshold_never_exceeds_stability_bound():
     # threshold; for the distance-3 outer code the bound is vacuous while
     # the threshold stays well inside (0, 1)
     spec = example2_spec(rep_gen(3))
-    th, _ = ExitEngine(spec).threshold(tol_eps=1e-3)
+    (lo, hi), _ = ExitEngine(spec).threshold(tol_eps=1e-3)
     assert stability_bound(spec) is None
-    assert 0.3 < th < 1.0
+    assert 0.3 < 0.5 * (lo + hi) < 1.0
 
+    # each result is within its own tol_eps of its true value
     for spec in (example2_spec(rep_gen(2)), example1_spec(spc_gen(3), spc_gen(3))):
-        th, _ = ExitEngine(spec).threshold(tol_eps=1e-3)
-        bound = stability_bound(spec)
-        assert th <= bound + 2e-3
+        (lo, hi), _ = ExitEngine(spec).threshold(tol_eps=1e-3)
+        bound = stability_bound(spec, tol_eps=1e-6)
+        assert 0.5 * (lo + hi) <= bound + 1e-3 + 1e-6
 
 
 def test_trajectory_indexing_and_initial_state():
@@ -361,13 +380,15 @@ def test_trajectory_indexing_and_initial_state():
     engine = ExitEngine(spec)
     eps = 0.3
     conv, traj, last = engine.run(eps, record=True)
+    assert last == ProbeOutcome(eps, "tol", len(traj) - 1)
     assert traj.shape == (last.iteration + 1, spec.n_edge_types)
     # row 0 is the VN update applied to an all-unknown prior
     assert abs(traj[0, 0] - (1 - eps)) < 1e-15
     # row i is iteration i: each row is one step from the one before
     for i in range(1, len(traj)):
         assert np.array_equal(traj[i], engine.step(traj[i - 1], eps))
-    assert np.array_equal(traj[-1], last.i_ev)
+    # the last row is the first to meet the convergence test
+    assert traj[-1].min() >= 1.0 - 1e-10 > traj[-2].min()
 
 
 def test_step_matches_tensordot_oracle():
@@ -385,11 +406,9 @@ def test_step_matches_tensordot_oracle():
                 assert np.max(np.abs(engine.step(x, eps) - tensordot_step(spec, x, eps))) <= 1e-13
 
 
-# ex1_spc3's threshold is stability-limited: probes just below it converge
-# too slowly for any cap, so it runs with a small one.
 _DE_SPECS = {
     "ldpc36": (lambda: ldpc_spec(3, 6), 20000),
-    "ex1_spc3": (lambda: example1_spec(spc_gen(3), spc_gen(3)), 2000),
+    "ex1_spc3": (lambda: example1_spec(spc_gen(3), spc_gen(3)), 20000),
     "ex2_rep3": (lambda: example2_spec(rep_gen(3)), 20000),
     "dgldpc": (dgldpc_spec, 20000),
 }
@@ -400,8 +419,14 @@ def test_certificate_never_changes_a_probe_outcome(name):
     make, max_iters = _DE_SPECS[name]
     engine = ExitEngine(make())
     n_e = engine.n_edge_types
-    th, probes = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
-    assert (th, probes) == stall_only_threshold(engine.step, n_e, tol_eps=1e-5, max_iters=max_iters)
+    if name == "ex1_spc3":
+        _check_stability_limited_search(engine, max_iters)
+        return
+    (lo, hi), probes = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
+    th = 0.5 * (lo + hi)
+    assert (th, sum(probes.values())) == stall_only_threshold(
+        engine.step, n_e, tol_eps=1e-5, max_iters=max_iters
+    )
     grid = [float(e) for e in np.linspace(0.05, 0.95, 7)]
     grid += [th + d for d in (-1e-5, -2e-6, 2e-6, 1e-5)]
     for eps in grid:
@@ -409,13 +434,134 @@ def test_certificate_never_changes_a_probe_outcome(name):
         assert converged == stall_only_run(engine.step, n_e, eps, max_iters=max_iters)[0], eps
 
 
+def _check_stability_limited_search(engine, max_iters):
+    """ex1_spc3's threshold is 1/2, its stability bound.  Within 1e-3 of it
+    the stall-only oracle decides nothing at any practical cap, so there the
+    bracket pins the basin certificate and the stability cap; every probe
+    and grid point further away must agree with the oracle, which decides
+    each of them within max_iters."""
+    probes = []
+    run = engine.run
+
+    def recording_run(eps, **kwargs):
+        result = run(eps, **kwargs)
+        probes.append((eps, result[2]))
+        return result
+
+    engine.run = recording_run
+    (lo, hi), counts = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
+    assert lo < 0.5 < hi and hi - lo <= 2e-5
+    assert counts["undecided"] == 0 and sum(counts.values()) == len(probes)
+    grid = [float(e) for e in np.linspace(0.05, 0.95, 7)] + [0.499, 0.501]
+    probes += [(eps, run(eps, max_iters=max_iters)[2]) for eps in grid]
+    far = [(eps, outcome) for eps, outcome in probes if abs(eps - 0.5) >= 1e-3]
+    assert {outcome.reason for _, outcome in far} >= {"basin", "unstable"}
+    for eps, outcome in far:
+        converged, iters = stall_only_run(engine.step, engine.n_edge_types, eps, max_iters=max_iters)
+        assert iters < max_iters, eps
+        assert (outcome.outcome == "converged") == converged, eps
+
+
+def test_basin_and_cap_agree_with_deciding_oracle_on_random_specs():
+    # random eligible specs whose P(eps)C does not vanish, at grid points the
+    # stall-only oracle decides within its cap
+    rng = np.random.default_rng(131)
+    specs = [random_eligible_spec(rng) for _ in range(16)]
+    specs = [spec for spec in specs if not build_matrices(spec).vanishes()]
+    assert len(specs) >= 8
+    checked = set()
+    for spec in specs:
+        engine = ExitEngine(spec)
+        for eps in np.linspace(0.05, 0.95, 10):
+            _, _, outcome = engine.run(float(eps), max_iters=5000)
+            converged, iters = stall_only_run(engine.step, spec.n_edge_types, float(eps), max_iters=5000)
+            if iters < 5000:
+                assert (outcome.outcome == "converged") == converged, (spec, eps)
+                checked.add(outcome.reason)
+    assert checked >= {"basin", "unstable", "super-solution"}
+
+
+def test_every_state_in_a_certified_basin_converges():
+    # the basin is {1 - x <= bound}; by monotonicity of the step its corner
+    # x = 1 - bound is the hardest state in it, so the iteration from the
+    # corner must reach the all-known state.  Specs where local stability
+    # does not limit the threshold put a stuck fixed point close to 0 just
+    # below their stability bound, where an oversized basin would hold it.
+    rng = np.random.default_rng(17)
+    specs = [irregular_ldpc_spec(0.5)[0], example2_spec(pair_code_gen()), example2_spec(rep_gen(2))]
+    specs += [spec for spec in (random_eligible_spec(rng) for _ in range(12))
+              if not build_matrices(spec).vanishes()]
+    built = 0
+    for spec in specs:
+        engine = ExitEngine(spec)
+        sm = build_matrices(spec)
+        for eps in np.linspace(0.05, 0.95, 37):
+            if sm.sigma(float(eps)) > 0.99:
+                continue
+            basin = engine._basin(sm, float(eps))
+            if basin is None:
+                continue
+            built += 1
+            x = np.array([1.0 - float(b) for b in basin._bound])
+            for _ in range(5000):
+                x = engine.step(x, float(eps))
+                if x.min() >= 1.0 - 1e-10:
+                    break
+            assert x.min() >= 1.0 - 1e-10, (spec, eps)
+    assert built >= 50
+
+
+def test_recorded_runs_take_no_early_exit():
+    engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
+    assert engine.run(0.75)[2].reason == "unstable"
+    _, trajectory, outcome = engine.run(0.75, record=True)
+    assert outcome.reason == "stall" and len(trajectory) == outcome.iteration + 1
+    assert engine.run(0.499, max_iters=100)[2].reason == "basin"
+    _, trajectory, outcome = engine.run(0.499, max_iters=100, record=True)
+    assert outcome == ProbeOutcome(0.499, "max_iters", 100)
+    assert len(trajectory) == 101
+
+
+def test_marginal_point_is_left_to_the_run():
+    # at the bound itself neither early decision applies
+    engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
+    assert engine.run(0.5, max_iters=50)[2] == ProbeOutcome(0.5, "max_iters", 50)
+
+
+@pytest.mark.parametrize(
+    "coeffs, root",
+    [
+        ([Fraction(1, 4), Fraction(-1)], 0.25),  # 1/4 - c
+        ([Fraction(1, 100), Fraction(-3, 5), Fraction(1)], 0.3 - 0.08**0.5),  # c^2 - 0.6c + 0.01
+        ([Fraction(1, 10), Fraction(-3, 5), Fraction(1)], None),  # (c - 0.3)^2 + 0.01
+        ([Fraction(-1, 10), Fraction(1)], 0.0),  # negative at 0
+    ],
+)
+def test_bernstein_share_is_a_nonnegative_prefix(coeffs, root):
+    from metdg.exitchart import _bernstein, _nonnegative_share
+
+    depth = 30
+    got = _nonnegative_share(_bernstein(coeffs, Fraction(1)), depth)
+    if root is None:
+        assert got == 1
+    else:
+        # the share stops at or short of the first root, by at most the
+        # resolution of the halvings
+        assert root - 2.0**-depth <= got <= root
+    for k in range(201 if got else 0):
+        c = got * Fraction(k, 200)
+        assert sum(a * c**j for j, a in enumerate(coeffs)) >= 0
+
+
 def test_certificate_stops_a_stuck_dgldpc_run_early():
     engine = ExitEngine(dgldpc_spec())
-    eps = engine.threshold()[0] + 1e-4
-    converged, _, state = engine.run(eps)
+    (lo, hi), _ = engine.threshold()
+    eps = 0.5 * (lo + hi) + 1e-4
+    converged, _, outcome = engine.run(eps)
     oracle_converged, oracle_iters = stall_only_run(engine.step, 2, eps)
     assert not converged and not oracle_converged
-    assert state.iteration < oracle_iters
+    assert outcome.reason == "super-solution"
+    assert outcome.iteration < oracle_iters
     # a recorded run never takes the certificate's exit
     _, trajectory, _ = engine.run(eps, record=True)
     assert len(trajectory) == oracle_iters + 1

@@ -20,5 +20,5 @@ def test_readme_python_api_block_runs(tmp_path):
     namespace: dict = {}
     exec(compile(code.replace('"spec.json"', repr(str(spec_file))), "README.md", "exec"), namespace)
     assert 0.0 < namespace["eps_star"] < 1.0
-    assert namespace["trajectory"].shape == (namespace["final"].iteration + 1, 1)
+    assert namespace["trajectory"].shape == (namespace["outcome"].iteration + 1, 1)
     assert np.abs(namespace["jac"] - namespace["sm"].product(0.4)).max() <= 1e-12
