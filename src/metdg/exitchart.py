@@ -364,7 +364,7 @@ class ExitEngine:
         basin = None
         sm = None if record else self._stability
         if sm is not None:
-            verdict = sm.verdict(epsilon)
+            verdict = stability.stability_verdict(self.spec, epsilon, matrices=sm)
             if verdict == "unstable":
                 return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
@@ -504,7 +504,8 @@ class ExitEngine:
         if bound is None:
             return 1.0
         start = min(1.0, bound + tol_eps)
-        return start if sm.verdict(start) == "unstable" else 1.0
+        unstable = stability.stability_verdict(self.spec, start, matrices=sm) == "unstable"
+        return start if unstable else 1.0
 
     def jacobian(self, at, epsilon: float) -> np.ndarray:
         """Exact Jacobian of the one-step map at a state: the VN half's

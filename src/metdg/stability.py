@@ -68,16 +68,6 @@ class StabilityMatrices:
         _, rho, v = _power_iteration(self.product(epsilon) + shift, tol)
         return rho, v / v.max()
 
-    def verdict(self, epsilon: float) -> str:
-        """"stable", "marginal" or "unstable": sigma against 1 -/+ _MARGIN,
-        a band that covers the rounding error of the float sigma."""
-        sigma = self.sigma(epsilon)
-        if sigma < 1.0 - _MARGIN:
-            return "stable"
-        if sigma <= 1.0 + _MARGIN:
-            return "marginal"
-        return "unstable"
-
     def vanishes(self) -> bool:
         """Whether P(eps)C is the zero matrix at every eps.  Every term of
         an entry is a nonnegative coefficient times a power of eps, so this
@@ -202,8 +192,15 @@ def _matrices(spec: EnsembleSpec, matrices: StabilityMatrices | None) -> Stabili
 def stability_verdict(
     spec: EnsembleSpec, epsilon: float, matrices: StabilityMatrices | None = None
 ) -> str:
-    """StabilityMatrices.verdict; matrices, when given, are spec's, already built."""
-    return _matrices(spec, matrices).verdict(epsilon)
+    """"stable", "marginal" or "unstable": sigma against 1 -/+ _MARGIN, a
+    band that covers the rounding error of the float sigma.  matrices, when
+    given, are spec's, already built."""
+    sigma = _matrices(spec, matrices).sigma(epsilon)
+    if sigma < 1.0 - _MARGIN:
+        return "stable"
+    if sigma <= 1.0 + _MARGIN:
+        return "marginal"
+    return "unstable"
 
 
 def stability_bound(
