@@ -26,14 +26,11 @@ from .exitchart import (  # noqa: F401
     ProbeOutcome,
 )
 from .gf2 import (  # noqa: F401
+    WALK_BUDGET,
     GF2Matrix,
-    K_MAX,
-    S_MAX,
     enumerate_weight2_pairs,
     generator_from_parity,
     min_distance,
-    weight_enumerator,
-    weight_pair_enumerator,
 )
 from .infofuncs import cn_info_table, vn_info_table  # noqa: F401
 from .peeling import (  # noqa: F401

@@ -200,8 +200,8 @@ def build_spec(
         g = vn.generator
         _require(vn.count >= 1, f"{what}: count must be >= 1")
         _require(g.n_rows >= 1 and g.n_cols >= 1, f"{what}: empty generator")
-        gf2.check_sockets(g.n_cols)
-        gf2.check_input_bits(g.n_rows)
+        gf2.check_walk(g.n_cols, f"{what} sockets")
+        gf2.check_walk(g.n_rows, f"{what} input bits")
         _require(g.rank() == g.n_rows, f"{what}: rank-deficient generator")
         _require(not g.has_zero_column(), f"{what}: idle bit (all-zero generator column)")
         _require(len(vn.puncture) == g.n_rows,
@@ -213,9 +213,9 @@ def build_spec(
         g = cn.generator
         _require(cn.count >= 1, f"{what}: count must be >= 1")
         _require(g.n_cols >= 1, f"{what}: empty code")
-        gf2.check_sockets(g.n_cols)
+        gf2.check_walk(g.n_cols, f"{what} sockets")
         _require(g.n_rows >= 1, f"{what}: trivial code (dimension 0)")
-        gf2.check_input_bits(g.n_rows)
+        gf2.check_walk(g.n_rows, f"{what} input bits")
         _require(g.rank() == g.n_rows, f"{what}: rank-deficient generator")
         _require(not g.has_zero_column(), f"{what}: idle bit (all-zero generator column)")
 

@@ -264,17 +264,19 @@ class ExitEngine:
         self.spec = spec
         self.n_edge_types = n_e = spec.n_edge_types
         cn_terms, vn_terms = [], []
-        for ci, cn in enumerate(spec.cn_types):
-            table, counts = cn_info_table(cn, n_e), spec.cn_socket_counts[ci]
-            cn_terms += [
-                (table, counts, None, e0, spec.cn_edge_fractions[ci][e0])
-                for e0 in range(n_e)
-                if counts[e0] > 0
-            ]
+        # VN tables first: only a VN walk can exceed the walk budget on a
+        # valid spec, and it then fails before any table is built.
         for vi, vn in enumerate(spec.vn_types):
             table, counts = vn_info_table(vn, n_e), spec.vn_socket_counts[vi]
             vn_terms += [
                 (table, counts, vn.n_transmitted, e0, spec.vn_edge_fractions[vi][e0])
+                for e0 in range(n_e)
+                if counts[e0] > 0
+            ]
+        for ci, cn in enumerate(spec.cn_types):
+            table, counts = cn_info_table(cn, n_e), spec.cn_socket_counts[ci]
+            cn_terms += [
+                (table, counts, None, e0, spec.cn_edge_fractions[ci][e0])
                 for e0 in range(n_e)
                 if counts[e0] > 0
             ]

@@ -1,36 +1,37 @@
-"""Dense GF(2) linear algebra on bit-packed rows.
+"""Dense GF(2) linear algebra on bit-packed rows, and the subset walk.
 
 Rows live in Python ints (bit j = column j), so a row operation is a single
-XOR and the only dependency is the stdlib.  Matrices are immutable; every
-operation allocates private scratch, which keeps them safe to share between
-concurrent workers.
+XOR.  Matrices are immutable; every operation allocates private scratch,
+which keeps them safe to share between concurrent workers.
+
+The subset walk (`subset_slots`) eliminates every subset of a column list at
+once in numpy, for the information tables and the local decoding maps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# Enumeration limits.  Every exhaustive walk in the toolkit is exponential in
-# the number of input bits or sockets of one component code, so both are
-# capped and checked wherever an enumeration starts.
-K_MAX = 24
-S_MAX = 24
+# The one enumeration limit: every exhaustive walk in the toolkit (the
+# subsets of an information table's columns, the inputs of a codeword walk)
+# is exponential in its width, which is checked against this budget before
+# the walk starts.
+WALK_BUDGET = 24
+# A walk runs the subset recurrence over at most this many low key bits at a
+# time, which bounds its scratch arrays to 2**_FILL_MAX_LOW keys.
+_FILL_MAX_LOW = 14
 
 
-def check_input_bits(k: int) -> None:
-    if k > K_MAX:
+def check_walk(width: int, what: str) -> None:
+    if width > WALK_BUDGET:
         raise CapacityError(
-            f"component code has {k} input bits; the enumeration limit is K_MAX={K_MAX}"
-        )
-
-
-def check_sockets(n: int) -> None:
-    if n > S_MAX:
-        raise CapacityError(
-            f"component code has {n} sockets; the enumeration limit is S_MAX={S_MAX}"
+            f"{what}: a walk over {width} columns exceeds the enumeration limit,"
+            f" the walk budget WALK_BUDGET={WALK_BUDGET}"
         )
 
 
@@ -213,10 +214,10 @@ def generator_from_parity(h: GF2Matrix) -> GF2Matrix:
 def codewords(g: GF2Matrix) -> Iterator[tuple[int, int]]:
     """Yield (input_mask, codeword_bits) over all 2^k inputs, Gray ordered.
 
-    The all-zero input comes first.  Requires k <= K_MAX.
+    The all-zero input comes first.  Requires k <= WALK_BUDGET.
     """
     k = g.n_rows
-    check_input_bits(k)
+    check_walk(k, f"codewords of a code with {k} input bits")
     rows = g.row_bits
     cw = 0
     yield 0, 0
@@ -239,24 +240,6 @@ def min_distance(g: GF2Matrix) -> int:
     if best is None:
         raise ValidationError("code has no nonzero codeword")
     return best
-
-
-def weight_pair_enumerator(g: GF2Matrix) -> dict[tuple[int, int], int]:
-    """Counts of (input weight, output weight) over all 2^k input words."""
-    counts: dict[tuple[int, int], int] = {}
-    for mask, cw in codewords(g):
-        key = (mask.bit_count(), cw.bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def weight_enumerator(g: GF2Matrix) -> dict[int, int]:
-    """Codeword-weight multiplicities over all 2^k input words."""
-    counts: dict[int, int] = {}
-    for _, cw in codewords(g):
-        w = cw.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 def enumerate_weight2_pairs(
@@ -290,3 +273,58 @@ def enumerate_weight2_pairs(
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def _uint_dtype(bits: int) -> type:
+    """Narrowest unsigned integer dtype that holds `bits` bits."""
+    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= np.iinfo(dt).bits)
+
+
+def _insert(slots: np.ndarray, v: np.ndarray) -> None:
+    """Insert v[r] into the echelon basis slots[:, r], in place; v is consumed.
+
+    slots[p, r] holds a basis vector whose top bit is p, or 0.  A zero or
+    dependent v[r] leaves basis r unchanged.  Any trailing shape works.
+    """
+    # reducing never raises a top bit, so rows above the largest v stay put
+    for p in range(int(v.max(initial=0)).bit_length() - 1, -1, -1):
+        s = slots[p]
+        hit = (v & (1 << p)) != 0
+        np.copyto(s, v, where=hit & (s == 0))
+        # a placed v clears itself, so it is placed once
+        v ^= s * hit
+
+
+def subset_slots(
+    columns: Sequence[int], n_rows: int, bases, free: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Echelon bases of the keys b | s, for each base key b (its `free` low
+    bits clear) and each s < 2**free, as (keys, slots) blocks in base-major
+    key order.
+
+    Key bit c selects columns[c], an n_rows-bit vector; slots[p, r] is the
+    basis vector with top bit p of the span of key r's columns, or 0, so
+    the rank of key r is its count of nonzero slots.  A base starts from
+    its own columns; its low columns come in by the subset recurrence (the
+    subsets with top bit c are the subsets below 2**c with column c
+    inserted).  A block holds at most 2**_FILL_MAX_LOW keys.
+    """
+    dt = _uint_dtype(n_rows)
+    cols = np.array(columns, dtype=dt)
+    low = min(free, _FILL_MAX_LOW)
+    bases = np.asarray(bases, dtype=np.int64)[:, None] | np.arange(1 << free - low, dtype=np.int64) << low
+    bases = bases.reshape(-1)
+    # every base's own columns, for all bases at once
+    heads = np.zeros((n_rows, len(bases)), dtype=dt)
+    for c in range(low, len(cols)):
+        _insert(heads, np.where((bases >> c) & 1, cols[c], dt(0)))
+    per = 1 << _FILL_MAX_LOW - low
+    for first in range(0, len(bases), per):
+        block = bases[first : first + per]
+        slots = np.zeros((n_rows, len(block), 1 << low), dtype=dt)
+        slots[:, :, 0] = heads[:, first : first + per]
+        for c in range(low):
+            grown = slots[:, :, 1 << c : 2 << c]
+            grown[...] = slots[:, :, : 1 << c]
+            _insert(grown, np.full(grown.shape[1:], cols[c], dtype=dt))
+        yield (block[:, None] | np.arange(1 << low, dtype=np.int64)).reshape(-1), slots.reshape(n_rows, -1)

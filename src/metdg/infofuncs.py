@@ -4,74 +4,69 @@ For a code whose sockets are grouped by edge type, the table entry at a
 tuple (g_1, ..., g_ne) is the sum of GF(2) ranks over every way of picking
 g_l generator columns from each type-l group.  Variable nodes get one extra
 axis: the split table also picks u identity columns among the transmitted
-information bits, so the last axis of a VN table runs over u.
+information bits, so the last axis of a VN table runs over u, and a VN table
+walks the same key space (sockets, then channel bits) as its local decoding
+map in `peeling`.
 
 Tables hold exact integers.  They are the one place the toolkit is
-exponential in code size, so construction walks the column subsets
-depth-first and reuses the elimination state along the walk: extending a
-selection by one column costs a single reduce against the current basis.
+exponential in code size: `gf2.subset_slots` eliminates every column subset
+in blocks, each subset's rank is its count of nonzero echelon slots, and
+`np.bincount` sums the ranks into the cell of the subset's per-axis counts.
+The walk is n_sockets wide for a CN and n_sockets + n_transmitted wide for a
+VN, and is checked against `gf2.WALK_BUDGET` before it starts.
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left
+import math
 
 import numpy as np
 
 from . import gf2
 from .ensemble import CnType, VnType
-from .errors import InternalError
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
-def _rank_table(columns: list[tuple[int, int]], shape: tuple[int, ...]) -> np.ndarray:
-    """Sum of ranks over all column subsets, bucketed by per-axis counts.
-
-    columns: (bit_vector, axis) pairs; shape: per-axis bucket counts
-    (axis dimension = group size + 1).
-    """
-    strides = [0] * len(shape)
-    acc = 1
-    for a in range(len(shape) - 1, -1, -1):
-        strides[a] = acc
-        acc *= shape[a]
-    table = [0] * acc
-    cols = [(bits, strides[axis]) for bits, axis in columns]
-    n = len(cols)
-    pivots: list[int] = []
-    vecs: list[int] = []
-
-    def visit(i: int, offset: int) -> None:
-        if i == n:
-            table[offset] += len(pivots)
-            return
-        visit(i + 1, offset)
-        v, stride = cols[i]
-        v = gf2.reduce_vector(v, pivots, vecs)
-        if v:
-            p = v & -v
-            j = bisect_left(pivots, p)
-            pivots.insert(j, p)
-            vecs.insert(j, v)
-            visit(i + 1, offset + stride)
-            pivots.pop(j)
-            vecs.pop(j)
-        else:
-            visit(i + 1, offset + stride)
-
-    visit(0, 0)
-    arr = np.array(table, dtype=np.int64).reshape(shape)
-    if arr.min() < 0:
-        raise InternalError("rank table overflowed int64")
-    return arr
+def _subset_sums(steps: list[int]) -> np.ndarray:
+    """Entry s is the sum of steps[c] over the set bits c of s."""
+    sums = np.zeros(1, dtype=np.int64)
+    for step in steps:
+        sums = np.concatenate([sums, sums + step])
+    return sums
 
 
-def _typed_columns(matrix, socket_types) -> list[tuple[int, int]]:
+def _walk_table(columns: list[int], axes: list[int], shape: tuple[int, ...], n_rows: int) -> np.ndarray:
+    """Sum of ranks over all subsets of columns, bucketed by the number of
+    columns picked on each axis (axes[c] is the axis of columns[c])."""
+    steps = [math.prod(shape[a + 1 :]) for a in axes]
+    # a key's cell is the sum of the steps of its set bits, 12 bits at a time
+    parts = [(i, _subset_sums(steps[i : i + 12])) for i in range(0, len(steps), 12)]
+    table = np.zeros(math.prod(shape), dtype=np.int64)
+    for keys, slots in gf2.subset_slots(columns, n_rows, [0], len(columns)):
+        cell = sum(sums[(keys >> i) & 4095] for i, sums in parts)
+        ranks = np.count_nonzero(slots, axis=0)
+        table += np.bincount(cell, weights=ranks, minlength=table.size).astype(np.int64)
+    return table.reshape(shape)
+
+
+def _groups(matrix, socket_types, n_edge_types) -> tuple[tuple[int, ...], ...]:
+    """Generator columns per edge type, each group sorted."""
     cols = matrix.column_bits()
-    return [(bits, socket_types[j] - 1) for j, bits in enumerate(cols)]
+    return tuple(
+        tuple(sorted(bits for bits, t in zip(cols, socket_types) if t == l0 + 1))
+        for l0 in range(n_edge_types)
+    )
+
+
+def _cached(key, groups, identity: list[int], shape: tuple[int, ...], n_rows: int) -> np.ndarray:
+    """The memoized table of the per-type column groups, plus a VN's
+    identity columns on the axis after them."""
+    if key not in _cache:
+        columns = [bits for g in groups for bits in g] + identity
+        axes = [l0 for l0, g in enumerate(groups) for _ in g] + [len(groups)] * len(identity)
+        _cache[key] = _walk_table(columns, axes, shape, n_rows)
+    return _cache[key]
 
 
 def cn_info_table(cn: CnType, n_edge_types: int) -> np.ndarray:
@@ -82,20 +77,12 @@ def cn_info_table(cn: CnType, n_edge_types: int) -> np.ndarray:
     type does not change the table either, so per-type column multisets are
     canonicalized as well.
     """
-    gf2.check_sockets(cn.n_sockets)
-    piv, rows = gf2.rref(cn.generator)
+    gf2.check_walk(cn.n_sockets, f"information table of CN type {cn.name!r}")
+    _, rows = gf2.rref(cn.generator)
     canon = gf2.GF2Matrix(len(rows), cn.generator.n_cols, rows)
-    groups = tuple(
-        tuple(sorted(bits for bits, ax in _typed_columns(canon, cn.socket_types) if ax == l0))
-        for l0 in range(n_edge_types)
-    )
+    groups = _groups(canon, cn.socket_types, n_edge_types)
     key = ("cn", n_edge_types, canon.row_bits, groups)
-    with _cache_lock:
-        if key not in _cache:
-            shape = tuple(len(g) + 1 for g in groups)
-            columns = [(bits, l0) for l0, g in enumerate(groups) for bits in g]
-            _cache[key] = _rank_table(columns, shape)
-        return _cache[key]
+    return _cached(key, groups, [], tuple(len(g) + 1 for g in groups), len(rows))
 
 
 def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
@@ -106,18 +93,9 @@ def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
     columns are selected.  The generator is the encoder and enters the key
     as-is; only within-type column order is canonicalized.
     """
-    gf2.check_sockets(vn.n_sockets)
-    gf2.check_input_bits(vn.n_info_bits)
-    groups = tuple(
-        tuple(sorted(bits for bits, ax in _typed_columns(vn.generator, vn.socket_types) if ax == l0))
-        for l0 in range(n_edge_types)
-    )
+    gf2.check_walk(vn.n_sockets + vn.n_transmitted, f"information table of VN type {vn.name!r}")
+    groups = _groups(vn.generator, vn.socket_types, n_edge_types)
     key = ("vn", n_edge_types, vn.generator.row_bits, groups, vn.puncture)
-    with _cache_lock:
-        if key not in _cache:
-            u_axis = n_edge_types
-            shape = tuple(len(g) + 1 for g in groups) + (vn.n_transmitted + 1,)
-            columns = [(bits, l0) for l0, g in enumerate(groups) for bits in g]
-            columns += [(1 << i, u_axis) for i in vn.transmitted_positions]
-            _cache[key] = _rank_table(columns, shape)
-        return _cache[key]
+    shape = tuple(len(g) + 1 for g in groups) + (vn.n_transmitted + 1,)
+    identity = [1 << i for i in vn.transmitted_positions]
+    return _cached(key, groups, identity, shape, vn.n_info_bits)

@@ -17,18 +17,19 @@ the first one that turns no flag on.
 
 Local decoding maps are memoized per component type and keyed by the known
 input pattern, so a pass is a few table lookups vectorized over the due
-nodes of each type.  The maps themselves are filled by one vectorized GF(2)
-elimination over many keys at a time.
+nodes of each type.  The maps are filled from the echelon bases of many
+keys at a time, which the subset walk shared with the information tables
+(`gf2.subset_slots`) provides.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
 from .ensemble import EnsembleSpec
 from .errors import ValidationError
 
@@ -183,31 +184,8 @@ def _owners(edges: list[np.ndarray], n_edges: int) -> np.ndarray:
 
 # Array tables cap at 2 x 8 MiB; wider types fall back to a dict memo.
 _ARRAY_MAX_WIDTH = 20
-# A block wider than this many incoming bits is filled in sub-blocks, which
-# bounds the scratch arrays of one fill.
-_FILL_MAX_LOW = 15
 # Missing dict keys filled per vectorized call, each with its q neighbours.
 _DICT_FILL_CHUNK = 2048
-
-
-def _uint_dtype(bits: int) -> type:
-    """Narrowest unsigned integer dtype that holds `bits` bits."""
-    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= np.iinfo(dt).bits)
-
-
-def _insert(slots: np.ndarray, v: np.ndarray) -> None:
-    """Insert v[r] into the echelon basis slots[:, r], in place.
-
-    slots[p, r] holds a basis vector whose top bit is p, or 0.  A zero or
-    dependent v[r] leaves row r unchanged.
-    """
-    v = v.copy()
-    for p in range(len(slots) - 1, -1, -1):
-        hit = (v & (1 << p)) != 0
-        s = np.where(hit & (slots[p] == 0), v, slots[p])
-        slots[p] = s
-        # a placed v clears itself, so it is placed once
-        v ^= s * hit
 
 
 def _extrinsic(det: np.ndarray, cleared_rows) -> np.ndarray:
@@ -235,11 +213,11 @@ class _LocalMaps:
         self.q = len(column_bits)
         self.kb = len(chan_positions)
         self.n_rows = n_rows
-        self.chan_positions = chan_positions
-        self._dtype = _uint_dtype(n_rows)
-        self._cols = np.array(column_bits, dtype=self._dtype)
+        # key bit j selects one of these: the socket columns, then the
+        # channel-known info bits
+        self._columns = list(column_bits) + [1 << pos for pos in chan_positions]
         # functionals tested against every span: the socket columns, then the info bits
-        self._tests = np.array(list(column_bits) + [1 << i for i in range(n_rows)], dtype=self._dtype)
+        self._tests = list(column_bits) + [1 << i for i in range(n_rows)]
         width = self.q + self.kb
         self._array_backed = width <= _ARRAY_MAX_WIDTH
         if self._array_backed:
@@ -252,8 +230,9 @@ class _LocalMaps:
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._array_backed:
             if not self._filled.all():
-                chans = np.unique(keys >> self.q)
-                for chan in chans[~self._filled[chans]].tolist():
+                due = np.zeros_like(self._filled)
+                due[keys >> self.q] = True
+                for chan in np.flatnonzero(due & ~self._filled).tolist():
                     self._fill_block(chan)
             return self.out_table[keys], self.info_table[keys]
         uniq, inv = np.unique(keys, return_inverse=True)
@@ -265,15 +244,12 @@ class _LocalMaps:
         return pairs[inv, 0], pairs[inv, 1]
 
     def _fill_block(self, chan: int) -> None:
-        # Sub-blocks share the high incoming bits; each is one vectorized fill.
-        low = min(self.q, _FILL_MAX_LOW)
         base = chan << self.q
-        parts = [self._span_masks(np.array([base | hi << low]), low) for hi in range(1 << (self.q - low))]
-        det = np.concatenate([d for d, _ in parts])
+        det, info = self._span_masks(np.array([base]), self.q)
         inc = np.arange(1 << self.q, dtype=np.int64)
         block = slice(base, base + len(inc))
         self.out_table[block] = _extrinsic(det, (inc & ~(1 << j) for j in range(self.q)))
-        self.info_table[block] = np.concatenate([i for _, i in parts])
+        self.info_table[block] = info
         self._filled[chan] = True
 
     def _fill_dict(self, missing: np.ndarray) -> None:
@@ -287,37 +263,25 @@ class _LocalMaps:
             own = info[np.searchsorted(keys, chunk)]
             self._dict.update(zip(chunk.tolist(), zip(out.tolist(), own.tolist())))
 
-    def _span_masks(self, bases: np.ndarray, low: int) -> tuple[np.ndarray, np.ndarray]:
+    def _span_masks(self, bases: np.ndarray, free: int) -> tuple[np.ndarray, np.ndarray]:
         """Determined-column and recovered-info masks of every key b | s, for
-        each base key b (its low incoming bits clear) and each s < 2**low,
+        each base key b (its `free` low bits clear) and each s < 2**free,
         ordered base-major.
 
-        One GF(2) elimination serves all keys: a base starts from its
-        channel and incoming functionals, then the low columns come in by the
-        subset recurrence (the subsets with top bit c are the subsets below
-        2**c with column c inserted).  A functional is determined iff it
-        reduces to zero against the key's basis.
+        A functional is determined iff it reduces to zero against the key's
+        echelon basis from the subset walk.
         """
-        k, q, dt = self.n_rows, self.q, self._dtype
-        chan, inc = bases >> q, bases & ((1 << q) - 1)
-        slots = np.zeros((k, len(bases)), dtype=dt)
-        for idx, pos in enumerate(self.chan_positions):
-            slots[pos] = ((chan >> idx) & 1) << pos
-        for c in range(low, q):
-            _insert(slots, np.where((inc >> c) & 1, self._cols[c], dt(0)))
-        slots = slots[:, :, None]
-        for c in range(low):
-            grown = slots.copy()
-            _insert(grown.reshape(k, -1), np.full(grown[0].size, self._cols[c], dtype=dt))
-            slots = np.concatenate([slots, grown], axis=2)
-        slots = slots.reshape(k, -1)
-        det = np.zeros(slots.shape[1], dtype=np.int64)
-        for i, test in enumerate(self._tests.tolist()):
-            v = np.full(slots.shape[1], test, dtype=dt)
-            for p in range(k - 1, -1, -1):
-                v ^= slots[p] * ((v & (1 << p)) != 0)
-            det |= (v == 0).astype(np.int64) << i
-        return det & ((1 << q) - 1), det >> q
+        blocks = []
+        for _, slots in gf2.subset_slots(self._columns, self.n_rows, bases, free):
+            det = np.zeros(slots.shape[1], dtype=np.int64)
+            for i, test in enumerate(self._tests):
+                v = np.full(slots.shape[1], test, dtype=slots.dtype)
+                for p in range(test.bit_length() - 1, -1, -1):
+                    v ^= slots[p] * ((v & (1 << p)) != 0)
+                det |= (v == 0).astype(np.int64) << i
+            blocks.append(det)
+        det = np.concatenate(blocks)
+        return det & ((1 << self.q) - 1), det >> self.q
 
 
 _local_maps_cache: dict = {}
@@ -593,6 +557,9 @@ def sweep(
     if jobs > 1:
         # One pool serves the whole grid; each worker fills its local maps
         # once, on first use, and keeps them for every later grid point.
+        # Imported here: set-up and single-process runs never pay for it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * jobs))))
     else:

@@ -6,10 +6,11 @@ with the package is a meaningful check rather than a tautology.
 """
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 
-from metdg import peeling
+from metdg import gf2, peeling
 
 
 def rank_gf2_numpy(mat) -> int:
@@ -118,6 +119,65 @@ def naive_info_table(gen_rows, socket_types, n_edge_types, puncture=None):
             idx = gtuple + ((u,) if u is not None else ())
             table[idx] = total
     return table
+
+
+def rank_table_recursion(columns, shape):
+    """Sum of ranks over all column subsets, bucketed by per-axis counts, by
+    a depth-first walk that extends one Python-int echelon basis a column at
+    a time.
+
+    columns: (bit_vector, axis) pairs; shape: per-axis bucket counts
+    (axis dimension = group size + 1).
+    """
+    strides = [0] * len(shape)
+    acc = 1
+    for a in range(len(shape) - 1, -1, -1):
+        strides[a] = acc
+        acc *= shape[a]
+    table = [0] * acc
+    cols = [(bits, strides[axis]) for bits, axis in columns]
+    n = len(cols)
+    pivots: list[int] = []
+    vecs: list[int] = []
+
+    def visit(i: int, offset: int) -> None:
+        if i == n:
+            table[offset] += len(pivots)
+            return
+        visit(i + 1, offset)
+        v, stride = cols[i]
+        v = gf2.reduce_vector(v, pivots, vecs)
+        if v:
+            p = v & -v
+            j = bisect_left(pivots, p)
+            pivots.insert(j, p)
+            vecs.insert(j, v)
+            visit(i + 1, offset + stride)
+            pivots.pop(j)
+            vecs.pop(j)
+        else:
+            visit(i + 1, offset + stride)
+
+    visit(0, 0)
+    return np.array(table, dtype=np.int64).reshape(shape)
+
+
+def weight_pair_enumerator(g):
+    """Counts of (input weight, output weight) over all 2^k input words."""
+    counts = {}
+    for mask, cw in gf2.codewords(g):
+        key = (mask.bit_count(), cw.bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def weight_enumerator(g):
+    """Codeword-weight multiplicities over all 2^k input words."""
+    counts = {}
+    for _, cw in gf2.codewords(g):
+        w = cw.bit_count()
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def semantic_extrinsic_known_probability(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,35 @@ def test_capacity_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert "limit" in capsys.readouterr().err
+
+
+def test_walk_over_the_budget_exits_2_before_walking(tmp_path, capsys):
+    # a (24,12) VN with every bit transmitted: its table walks 36 columns, yet
+    # sockets and input bits are each within the budget, so the spec is valid
+    doc = {
+        "edge_types": 1,
+        "vn_types": [
+            {
+                "name": "wide",
+                "generator": [[int(j % 12 == i) for j in range(24)] for i in range(12)],
+                "socket_types": [1] * 24,
+                "count": 1,
+            }
+        ],
+        "cn_types": [
+            {"name": "c", "generator": spc_gen(4).to_rows(), "socket_types": [1] * 4, "count": 6}
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    for args in (["inffunc", str(path), "--type", "wide"], ["threshold", str(path)]):
+        t0 = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "WALK_BUDGET=24" in err and "36 columns" in err
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

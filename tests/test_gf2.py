@@ -8,12 +8,10 @@ from metdg import (
     enumerate_weight2_pairs,
     generator_from_parity,
     min_distance,
-    weight_enumerator,
-    weight_pair_enumerator,
 )
-from metdg.gf2 import K_MAX
+from metdg.gf2 import _FILL_MAX_LOW, WALK_BUDGET, subset_slots
 
-from naive_oracles import rank_gf2_numpy, row_span_size
+from naive_oracles import rank_gf2_numpy, row_span_size, weight_enumerator, weight_pair_enumerator
 
 
 def test_rank_empty_matrix():
@@ -116,8 +114,30 @@ def test_min_distance():
 
 def test_min_distance_capacity():
     with pytest.raises(CapacityError) as exc:
-        min_distance(GF2Matrix.from_rows([[1] * (K_MAX + 1)] * (K_MAX + 1)))
-    assert str(K_MAX) in str(exc.value)
+        min_distance(GF2Matrix.from_rows([[1] * (WALK_BUDGET + 1)] * (WALK_BUDGET + 1)))
+    assert str(WALK_BUDGET) in str(exc.value)
+
+
+@pytest.mark.parametrize("free", [0, 3, 16])
+def test_subset_slots_ranks_every_key_in_order(free):
+    # 18 columns over 6 rows; free = 16 runs the recurrence in several blocks
+    rng = np.random.default_rng(40 + free)
+    cols = [int(c) for c in rng.integers(1, 1 << 6, size=18)]
+    bases = sorted({int(b) << free for b in rng.integers(0, 1 << (18 - free), size=3)})
+    blocks = list(subset_slots(cols, 6, bases, free))
+    assert all(len(keys) <= 1 << _FILL_MAX_LOW for keys, _ in blocks)
+    assert len(blocks) == max(1, len(bases) << free >> _FILL_MAX_LOW)
+    keys = np.concatenate([keys for keys, _ in blocks])
+    want = [b | s for b in bases for s in range(1 << free)]
+    assert keys.tolist() == want
+    slots = np.concatenate([s for _, s in blocks], axis=1)
+    for r in rng.integers(0, len(want), size=60).tolist():
+        picked = [c for j, c in enumerate(cols) if (want[r] >> j) & 1]
+        # slot p is zero or has top bit p, and the nonzero slots span the pick
+        col = slots[:, r].tolist()
+        assert all(v == 0 or v.bit_length() == p + 1 for p, v in enumerate(col))
+        assert sum(v != 0 for v in col) == rank_gf2_numpy([[(c >> i) & 1 for i in range(6)] for c in picked])
+        assert GF2Matrix(len(col) + len(picked), 6, col + picked).rank() == sum(v != 0 for v in col)
 
 
 def test_weight_pair_enumerator_invariants():

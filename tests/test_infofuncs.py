@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from metdg import CnType, GF2Matrix, VnType, cn_info_table, vn_info_table
+from metdg import CapacityError, CnType, GF2Matrix, VnType, cn_info_table, vn_info_table
+from metdg.gf2 import WALK_BUDGET
 
-from conftest import random_component_code, rep_gen
-from naive_oracles import naive_info_table
+from conftest import random_component_code, rep_gen, spc_gen
+from naive_oracles import naive_info_table, rank_table_recursion
 
 
 def _random_socket_types(rng, n_cols, n_edge_types):
@@ -165,3 +166,56 @@ def test_vn_tables_match_naive_enumeration(punctured):
         table = vn_info_table(vn, 2)
         oracle = naive_info_table(g.to_rows(), st, 2, puncture=list(punct))
         assert np.array_equal(table, oracle)
+
+
+def _recursion_table(g, socket_types, n_edge_types, puncture=None):
+    """The depth-first oracle on the package's column and axis layout."""
+    cols = g.column_bits()
+    columns = [(bits, t - 1) for bits, t in zip(cols, socket_types)]
+    shape = tuple(list(socket_types).count(l) + 1 for l in range(1, n_edge_types + 1))
+    if puncture is not None:
+        tx = [i for i, b in enumerate(puncture) if b]
+        columns += [(1 << i, n_edge_types) for i in tx]
+        shape += (len(tx) + 1,)
+    return rank_table_recursion(columns, shape)
+
+
+def test_subset_walk_tables_match_recursion_and_naive_enumeration():
+    # seeded sweep over 1-3 edge types, CNs and VNs with random puncture
+    rng = np.random.default_rng(707)
+    for trial in range(24):
+        n_e = 1 + trial % 3
+        g = random_component_code(rng, max_sockets=6, max_k=4)
+        st = _random_socket_types(rng, g.n_cols, n_e)
+        cn = cn_info_table(CnType("c", g, tuple(st), 1), n_e)
+        assert np.array_equal(cn, _recursion_table(g, st, n_e))
+        assert np.array_equal(cn, naive_info_table(g.to_rows(), st, n_e))
+        punct = tuple(int(b) for b in rng.integers(0, 2, size=g.n_rows))
+        vn = vn_info_table(VnType("v", g, punct, tuple(st), 1), n_e)
+        assert np.array_equal(vn, _recursion_table(g, st, n_e, punct))
+        assert np.array_equal(vn, naive_info_table(g.to_rows(), st, n_e, puncture=list(punct)))
+
+
+def test_walk_wider_than_a_block_matches_recursion():
+    # 12 sockets plus 5 transmitted bits: 2**17 subsets, walked in 8 blocks
+    rng = np.random.default_rng(12)
+    while True:
+        g = GF2Matrix.from_rows(rng.integers(0, 2, size=(5, 12)).tolist())
+        if g.rank() == 5 and not g.has_zero_column():
+            break
+    st = [int(t) for t in rng.integers(1, 3, size=12)]
+    table = vn_info_table(VnType("wide", g, (1,) * 5, tuple(st), 1), 2)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, _recursion_table(g, st, 2, (1,) * 5))
+
+
+def test_walk_over_the_budget_raises_before_walking():
+    # (24,12) VN with every bit transmitted walks 36 columns
+    g = GF2Matrix(12, 24, [(1 << i) | (1 << (i + 12)) for i in range(12)])
+    vn = VnType("wide", g, (1,) * 12, (1,) * 24, 1)
+    with pytest.raises(CapacityError, match="WALK_BUDGET") as exc:
+        vn_info_table(vn, 1)
+    assert "36 columns" in str(exc.value)
+    cn = CnType("spc", spc_gen(WALK_BUDGET + 1), (1,) * (WALK_BUDGET + 1), 1)
+    with pytest.raises(CapacityError, match="WALK_BUDGET"):
+        cn_info_table(cn, 1)

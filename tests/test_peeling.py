@@ -280,7 +280,7 @@ def test_local_maps_match_codeword_oracle_on_every_key():
 @pytest.mark.parametrize(
     "k, q, chan_positions, array_backed",
     # 18 sockets plus 3 channel bits is past the array cutoff, so the dict memo
-    # serves the keys; 17 sockets fill each block in two sub-blocks
+    # serves the keys; 17 sockets fill each block in 8 sub-blocks
     [(4, 18, [0, 2, 3], False), (2, 17, [], True)],
 )
 def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positions, array_backed):

@@ -12,7 +12,6 @@ from metdg import (
     spectral_radius,
     stability_bound,
     stability_verdict,
-    weight_enumerator,
 )
 from metdg.gf2 import enumerate_weight2_pairs
 
@@ -27,6 +26,7 @@ from conftest import (
     rep_gen,
     spc_gen,
 )
+from naive_oracles import weight_enumerator
 
 
 def test_example1_matrices():
