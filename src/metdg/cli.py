@@ -209,7 +209,9 @@ def _parse_eps_grid(text: str) -> list[float]:
         raise ValidationError("eps step must be positive")
     grid = []
     v = a
-    while v <= b + 1e-12:
+    # One point past the limit is enough for sweep to reject the grid; the
+    # cap also ends ranges whose step is too small to move v.
+    while v <= b + 1e-12 and len(grid) <= peeling.MAX_GRID_POINTS:
         grid.append(round(v, 12))
         v += step
     return grid

@@ -25,8 +25,6 @@ import numpy as np
 from . import gf2
 from .ensemble import CnType, VnType
 
-_cache: dict = {}
-
 
 def _subset_sums(steps: list[int]) -> np.ndarray:
     """Entry s is the sum of steps[c] over the set bits c of s."""
@@ -50,39 +48,32 @@ def _walk_table(columns: list[int], axes: list[int], shape: tuple[int, ...], n_r
     return table.reshape(shape)
 
 
-def _groups(matrix, socket_types, n_edge_types) -> tuple[tuple[int, ...], ...]:
-    """Generator columns per edge type, each group sorted."""
-    cols = matrix.column_bits()
-    return tuple(
-        tuple(sorted(bits for bits, t in zip(cols, socket_types) if t == l0 + 1))
-        for l0 in range(n_edge_types)
-    )
-
-
-def _cached(key, groups, identity: list[int], shape: tuple[int, ...], n_rows: int) -> np.ndarray:
-    """The memoized table of the per-type column groups, plus a VN's
-    identity columns on the axis after them."""
-    if key not in _cache:
-        columns = [bits for g in groups for bits in g] + identity
-        axes = [l0 for l0, g in enumerate(groups) for _ in g] + [len(groups)] * len(identity)
-        _cache[key] = _walk_table(columns, axes, shape, n_rows)
-    return _cache[key]
+def _table(node: CnType | VnType, n_edge_types: int, identity: list[int] | None) -> np.ndarray:
+    """The table of a node's generator columns grouped by edge type, plus,
+    for a VN, its identity columns on one more axis."""
+    cols = node.generator.column_bits()
+    groups = [
+        [bits for bits, t in zip(cols, node.socket_types) if t == l0 + 1] for l0 in range(n_edge_types)
+    ]
+    shape = tuple(len(g) + 1 for g in groups)
+    columns = [bits for g in groups for bits in g]
+    axes = [l0 for l0, g in enumerate(groups) for _ in g]
+    if identity is not None:
+        shape += (len(identity) + 1,)
+        columns += identity
+        axes += [n_edge_types] * len(identity)
+    return _walk_table(columns, axes, shape, node.generator.n_rows)
 
 
 def cn_info_table(cn: CnType, n_edge_types: int) -> np.ndarray:
     """Information-function table of a CN type, shape (s_1+1, ..., s_ne+1).
 
-    The table only depends on the row space of the generator, so the cache
-    key uses the reduced row echelon form; permuting columns within one edge
-    type does not change the table either, so per-type column multisets are
-    canonicalized as well.
+    The table depends only on the code: a basis change of the generator's
+    rows, or a permutation of the columns within one edge type, leaves it
+    unchanged.
     """
     gf2.check_walk(cn.n_sockets, f"information table of CN type {cn.name!r}")
-    _, rows = gf2.rref(cn.generator)
-    canon = gf2.GF2Matrix(len(rows), cn.generator.n_cols, rows)
-    groups = _groups(canon, cn.socket_types, n_edge_types)
-    key = ("cn", n_edge_types, canon.row_bits, groups)
-    return _cached(key, groups, [], tuple(len(g) + 1 for g in groups), len(rows))
+    return _table(cn, n_edge_types, None)
 
 
 def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
@@ -90,12 +81,9 @@ def vn_info_table(vn: VnType, n_edge_types: int) -> np.ndarray:
 
     Shape is (q_1+1, ..., q_ne+1, w+1) where w is the number of transmitted
     information bits; the last axis indexes how many of their identity
-    columns are selected.  The generator is the encoder and enters the key
-    as-is; only within-type column order is canonicalized.
+    columns are selected.  The generator is the encoder, so the table
+    depends on its rows as given, not only on their span.
     """
     gf2.check_walk(vn.n_sockets + vn.n_transmitted, f"information table of VN type {vn.name!r}")
-    groups = _groups(vn.generator, vn.socket_types, n_edge_types)
-    key = ("vn", n_edge_types, vn.generator.row_bits, groups, vn.puncture)
-    shape = tuple(len(g) + 1 for g in groups) + (vn.n_transmitted + 1,)
     identity = [1 << i for i in vn.transmitted_positions]
-    return _cached(key, groups, identity, shape, vn.n_info_bits)
+    return _table(vn, n_edge_types, identity)

@@ -15,11 +15,12 @@ on ORs its socket bit into the key of the node it enters, found through the
 per-edge owner maps the interleaver leaves behind.  The iteration stops at
 the first one that turns no flag on.
 
-Local decoding maps are memoized per component type and keyed by the known
-input pattern, so a pass is a few table lookups vectorized over the due
-nodes of each type.  The maps are filled from the echelon bases of many
-keys at a time, which the subset walk shared with the information tables
-(`gf2.subset_slots`) provides.
+A sampled code carries one local decoding map per component type, keyed by
+the known input pattern, so a pass is a few table lookups vectorized over
+the due nodes of each type.  A map is filled on first use from the echelon
+bases of many keys at a time, which the subset walk shared with the
+information tables (`gf2.subset_slots`) provides; the codes of one trial
+loop share one set of maps, so each key is filled once per loop.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .ensemble import EnsembleSpec
 from .errors import ValidationError
 
 _RNG_NAME = "philox"
+# Stream derivation packs the grid index into 16 bits and the trial index
+# into 32 (see _trial_rng).
+MAX_GRID_POINTS = 1 << 16
+MAX_TRIALS = 1 << 32
 
 
 def _check_seed(seed) -> None:
@@ -47,7 +52,7 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 
 def _trial_rng(seed: int, eps_index: int, trial_index: int) -> np.random.Generator:
-    if not 0 <= trial_index < 1 << 32 or not 0 <= eps_index < 1 << 16:
+    if not 0 <= trial_index < MAX_TRIALS or not 0 <= eps_index < MAX_GRID_POINTS:
         raise ValidationError("trial or grid index out of range for stream derivation")
     return _philox(seed, (1 << 63) | (eps_index << 32) | trial_index)
 
@@ -69,6 +74,9 @@ class SampledCode:
     # nodes numbered across the types of a side (see _owners).
     vn_owner: np.ndarray
     cn_owner: np.ndarray
+    # Local maps of the VN types and of the CN types, which decode fills and
+    # reads; codes sampled by one trial loop share them.
+    maps: tuple[list[_LocalMaps], list[_LocalMaps]] = field(compare=False, repr=False)
 
     @property
     def n_vn(self) -> int:
@@ -101,10 +109,10 @@ def _index_dtype(n: int) -> type:
 def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     """Draw one code: deterministic in (spec, scale, seed)."""
     _check_seed(seed)
-    return _sample_code(spec, scale, _philox(seed, 0))
+    return _sample_code(spec, scale, _philox(seed, 0), _local_maps(spec))
 
 
-def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> SampledCode:
+def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator, maps) -> SampledCode:
     if scale < 1:
         raise ValidationError("scale must be a positive integer")
     n_e = spec.n_edge_types
@@ -166,6 +174,7 @@ def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator) -> Sa
         n_transmitted=n_tx,
         vn_owner=_owners(vn_edges, n_edges),
         cn_owner=_owners(cn_edges, n_edges),
+        maps=maps,
     )
 
 
@@ -284,27 +293,14 @@ class _LocalMaps:
         return det & ((1 << self.q) - 1), det >> self.q
 
 
-_local_maps_cache: dict = {}
-
-
-def _vn_maps(spec: EnsembleSpec, i: int) -> _LocalMaps:
-    vn = spec.vn_types[i]
-    key = ("vn", vn.generator.row_bits, vn.generator.n_cols, vn.puncture)
-    maps = _local_maps_cache.get(key)
-    if maps is None:
-        maps = _LocalMaps(vn.generator.column_bits(), vn.n_info_bits, vn.transmitted_positions)
-        _local_maps_cache[key] = maps
-    return maps
-
-
-def _cn_maps(spec: EnsembleSpec, i: int) -> _LocalMaps:
-    cn = spec.cn_types[i]
-    key = ("cn", cn.generator.row_bits, cn.generator.n_cols)
-    maps = _local_maps_cache.get(key)
-    if maps is None:
-        maps = _LocalMaps(cn.generator.column_bits(), cn.dimension, ())
-        _local_maps_cache[key] = maps
-    return maps
+def _local_maps(spec: EnsembleSpec) -> tuple[list[_LocalMaps], list[_LocalMaps]]:
+    """Fresh, unfilled local maps for the VN types and for the CN types."""
+    vn_maps = [
+        _LocalMaps(vn.generator.column_bits(), vn.n_info_bits, vn.transmitted_positions)
+        for vn in spec.vn_types
+    ]
+    cn_maps = [_LocalMaps(cn.generator.column_bits(), cn.dimension, ()) for cn in spec.cn_types]
+    return vn_maps, cn_maps
 
 
 @dataclass
@@ -403,8 +399,9 @@ def decode(
             f"erasure pattern has shape {erased.shape}, expected ({code.n_transmitted},)"
         )
 
-    vn = _Side(code.vn_edges, [_vn_maps(spec, i) for i in range(len(spec.vn_types))], code.vn_owner)
-    cn = _Side(code.cn_edges, [_cn_maps(spec, i) for i in range(len(spec.cn_types))], code.cn_owner)
+    vn_maps, cn_maps = code.maps
+    vn = _Side(code.vn_edges, vn_maps, code.vn_owner)
+    cn = _Side(code.cn_edges, cn_maps, code.cn_owner)
     # A VN key starts as its channel-known mask (bit j = j-th transmitted
     # position) above its q incoming bits.
     chan_bits: list[np.ndarray] = []
@@ -481,28 +478,32 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-def _run_trial(args):
-    spec, scale, seed, eps_index, trial_index, eps, record_iters, max_iters = args
-    rng = _trial_rng(seed, eps_index, trial_index)
-    code = _sample_code(spec, scale, rng)
-    pattern = rng.random(code.n_transmitted) < eps
-    res = decode(
-        code,
-        pattern,
-        max_iters=max_iters,
-        record_trajectory=record_iters > 0,
-    )
-    traj = None
-    if record_iters > 0:
-        traj = res.trajectory
-        want = record_iters + 1
-        if traj.shape[0] < want:
-            # The fixpoint was reached early; later iterations repeat it.
-            pad = np.repeat(traj[-1:], want - traj.shape[0], axis=0)
-            traj = np.vstack([traj, pad])
-        else:
-            traj = traj[:want]
-    return res.success, res.residual_erasures, traj
+def _run_trials(spec, scale, seed, tasks, record_exit_iters, max_iters) -> list[tuple]:
+    """(success, residual erasures, trajectory or None) of each task, a
+    (grid index, trial index, eps) triple, in task order.  The codes of all
+    tasks share one set of local maps."""
+    maps = _local_maps(spec)
+    outcomes = []
+    for eps_index, trial_index, eps in tasks:
+        rng = _trial_rng(seed, eps_index, trial_index)
+        code = _sample_code(spec, scale, rng, maps)
+        pattern = rng.random(code.n_transmitted) < eps
+        res = decode(code, pattern, max_iters=max_iters, record_trajectory=record_exit_iters > 0)
+        # Drop this trial's graph before the next one is sampled, so that
+        # memory holds one graph at a time.
+        del code, pattern
+        traj = None
+        if record_exit_iters > 0:
+            traj = res.trajectory
+            want = record_exit_iters + 1
+            if traj.shape[0] < want:
+                # The fixpoint was reached early; later iterations repeat it.
+                pad = np.repeat(traj[-1:], want - traj.shape[0], axis=0)
+                traj = np.vstack([traj, pad])
+            else:
+                traj = traj[:want]
+        outcomes.append((res.success, res.residual_erasures, traj))
+    return outcomes
 
 
 @dataclass
@@ -531,7 +532,8 @@ def sweep(
 
     Each trial draws a fresh code and a fresh erasure pattern from a
     counter-based stream keyed by (seed, grid index, trial index), so results
-    do not depend on scheduling or on the number of workers.
+    do not depend on scheduling or on the number of workers.  The key holds
+    at most MAX_GRID_POINTS grid points and MAX_TRIALS trials per point.
     """
     eps_grid = [float(eps) for eps in eps_grid]
     if trials < 1:
@@ -546,24 +548,32 @@ def sweep(
     bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
     if bad:
         raise ValidationError(f"erasure probabilities must lie in [0, 1], got {bad[0]!r}")
+    if len(eps_grid) > MAX_GRID_POINTS:
+        raise ValidationError(f"eps grid has {len(eps_grid)} points, at most {MAX_GRID_POINTS} allowed")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     result = SweepResult(rows=[], seed=seed, stability_prediction=spec.stability_eligible)
     n_tx_per_scale = sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
     n_bits = n_tx_per_scale * scale
-    args = [
-        (spec, scale, seed, eps_index, t, eps, record_exit_iters, max_iters)
-        for eps_index, eps in enumerate(eps_grid)
-        for t in range(trials)
-    ]
-    if jobs > 1:
-        # One pool serves the whole grid; each worker fills its local maps
-        # once, on first use, and keeps them for every later grid point.
-        # Imported here: set-up and single-process runs never pay for it.
+    tasks = [(eps_index, t, eps) for eps_index, eps in enumerate(eps_grid) for t in range(trials)]
+    if jobs == 1:
+        outcomes = _run_trials(spec, scale, seed, tasks, record_exit_iters, max_iters)
+    else:
+        # Worker w runs tasks w, w + n, ... in one call: it receives the spec
+        # once, fills its own local maps on first use and keeps them for all
+        # of its tasks.  Imported here: set-up and single-process runs never
+        # pay for it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial, args, chunksize=max(1, trials // (4 * jobs))))
-    else:
-        outcomes = [_run_trial(a) for a in args]
+        n = min(jobs, len(tasks))
+        outcomes = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = [
+                pool.submit(_run_trials, spec, scale, seed, tasks[w::n], record_exit_iters, max_iters)
+                for w in range(n)
+            ]
+            for w, part in enumerate(parts):
+                outcomes[w::n] = part.result()
     for eps_index, eps in enumerate(eps_grid):
         point = outcomes[eps_index * trials : (eps_index + 1) * trials]
         failures = sum(1 for ok, _, _ in point if not ok)

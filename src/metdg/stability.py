@@ -230,21 +230,13 @@ def stability_bound(
 def disjoint_support_check(spec: EnsembleSpec, matrices: StabilityMatrices | None = None) -> bool:
     """Sufficient condition: weight-2 supports on the VN and CN sides touch
     disjoint edge-type sets, which forces the product matrix to vanish.
-    matrices, when given, are spec's, already built."""
-    _require_eligible(spec, "the stability analysis")
-    vn_touched: set[int] = set()
-    for vi in spec.vn_dist2_indices:
-        vn = spec.vn_types[vi]
-        for (l, m, _u) in enumerate_weight2_pairs(
-            vn.generator, vn.socket_types, with_input_weight=True
-        ):
-            vn_touched.update((l, m))
-    cn_touched: set[int] = set()
-    for ci in spec.cn_dist2_indices:
-        cn = spec.cn_types[ci]
-        for (l, m) in enumerate_weight2_pairs(cn.generator, cn.socket_types):
-            cn_touched.update((l, m))
-    disjoint = not (vn_touched & cn_touched)
-    if disjoint and not _matrices(spec, matrices).vanishes():
-        raise InternalError("disjoint weight-2 supports but nonzero product matrix")
-    return disjoint
+    matrices, when given, are spec's, already built.
+
+    A side touches type l exactly when row l of its matrix (P or C) is
+    nonzero: a weight-2 codeword on sockets of types l and m adds a positive
+    count to entries (l, m) and (m, l).
+    """
+    sm = _matrices(spec, matrices)
+    vn_touched = {l0 for l0, row in enumerate(sm.p_coeffs) if any(any(cell) for cell in row)}
+    cn_touched = {l0 for l0, row in enumerate(sm.c) if any(row)}
+    return not (vn_touched & cn_touched)

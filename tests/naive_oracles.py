@@ -81,6 +81,22 @@ def naive_weight2_pairs(gen_rows, socket_types, with_input_weight):
     return counts
 
 
+def disjoint_support_by_pairs(spec) -> bool:
+    """Whether the weight-2 codewords of the VN types and those of the CN
+    types touch disjoint edge-type sets, read off the enumerated codewords
+    instead of the stability matrices.  spec is stability-eligible."""
+
+    def touched(types):
+        return {
+            l
+            for t in types
+            for key in naive_weight2_pairs(t.generator.to_rows(), list(t.socket_types), False)
+            for l in key
+        }
+
+    return not (touched(spec.vn_types) & touched(spec.cn_types))
+
+
 def naive_info_table(gen_rows, socket_types, n_edge_types, puncture=None):
     """Rank-sum table by brute-force selection scans (no shared iterator)."""
     g = np.array(gen_rows, dtype=np.uint8)
@@ -342,8 +358,7 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
         chan_bits.append(block)
         chan_masks.append((block.astype(np.int64) << np.arange(w, dtype=np.int64)).sum(axis=1))
 
-    vn_maps = [peeling._vn_maps(spec, i) for i in range(len(spec.vn_types))]
-    cn_maps = [peeling._cn_maps(spec, i) for i in range(len(spec.cn_types))]
+    vn_maps, cn_maps = code.maps
 
     msg_vc = np.zeros(code.n_edges, dtype=bool)
     msg_cv = np.zeros(code.n_edges, dtype=bool)

@@ -238,7 +238,7 @@ def test_criterion_7_table_oracle_equivalence(announce):
             mismatches += 1
     ok = mismatches == 0
     announce(
-        "criterion 7 (memoized tables equal naive re-enumeration)",
+        "criterion 7 (tables equal naive re-enumeration)",
         ok,
         f"{len(sizes)} random codes, {mismatches} mismatches",
     )

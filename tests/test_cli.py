@@ -276,11 +276,19 @@ def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
         ["--eps", "0.5:0.1:0.1"],
         ["--seed", "-1"],
         ["--seed", str(1 << 64)],
+        # more grid points or trials than the stream derivation can key:
+        # rejected before any grid is completed or any task list is built
+        ["--eps", "0:1:1e-300"],
+        ["--eps", "0.5:0.5:1e-300"],
+        ["--eps", ",".join(["0.5"] * ((1 << 16) + 1))],
+        ["--trials", str((1 << 32) + 1)],
     ],
 )
 def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):
     args = ["simulate", ldpc_path, "--scale", "2", "--eps", "0.3", "--trials", "2", "--jobs", "1"]
+    t0 = time.perf_counter()
     assert main(args + bad) == 1
+    assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("error:")
 
 

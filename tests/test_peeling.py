@@ -1,3 +1,6 @@
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -165,18 +168,41 @@ def test_sweep_is_reproducible_and_jobs_invariant():
     assert a.rows == c.rows
 
 
-def test_sweep_jobs_invariant_on_dgldpc_grid():
-    # one pool serves every grid point; rows and trajectories stay grouped by
-    # grid index and equal the serial run's
+_DGLDPC_GRID = [0.30, 0.38, 0.45]
+
+
+@pytest.mark.parametrize(
+    "jobs, eps_grid, trials, start_method",
+    [
+        (2, _DGLDPC_GRID, 6, None),
+        (3, _DGLDPC_GRID, 6, None),
+        # more jobs than tasks: one worker per task
+        (3, [0.38], 2, None),
+        # spawned workers import metdg afresh and inherit nothing
+        (2, _DGLDPC_GRID, 6, "spawn"),
+    ],
+    ids=["jobs2", "jobs3", "jobs3-2tasks", "jobs2-spawn"],
+)
+def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_method, monkeypatch):
+    # one pool serves every grid point, each worker taking every n-th task;
+    # rows and trajectories stay grouped by grid index and equal the serial run's
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers, mp_context=multiprocessing.get_context(start_method))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     spec = dgldpc_spec()
-    kwargs = dict(scale=1, eps_grid=[0.30, 0.38, 0.45], trials=6, seed=11, record_exit_iters=3)
-    # the pooled run goes first, so its workers start from cold maps
-    b = sweep(spec, jobs=2, **kwargs)
+    kwargs = dict(scale=1, eps_grid=eps_grid, trials=trials, seed=11, record_exit_iters=3)
+    b = sweep(spec, jobs=jobs, **kwargs)
     a = sweep(spec, jobs=1, **kwargs)
+    assert pools == [min(jobs, len(eps_grid) * trials)]
     assert a.rows == b.rows
-    assert list(a.trajectories) == list(b.trajectories) == [0.30, 0.38, 0.45]
+    assert list(a.trajectories) == list(b.trajectories) == eps_grid
     for eps, traj in a.trajectories.items():
-        assert traj.shape == (6, 4, spec.n_edge_types)
+        assert traj.shape == (trials, 4, spec.n_edge_types)
         assert np.array_equal(traj, b.trajectories[eps])
 
 

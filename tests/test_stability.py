@@ -26,7 +26,7 @@ from conftest import (
     rep_gen,
     spc_gen,
 )
-from naive_oracles import weight_enumerator
+from naive_oracles import disjoint_support_by_pairs, weight_enumerator
 
 
 def test_example1_matrices():
@@ -184,6 +184,28 @@ def test_disjoint_support_vacuous_when_no_weight2_words():
     empty_spec = build_spec(1, [vn], [cn])
     assert empty_spec.vn_dist2_indices == () and empty_spec.cn_dist2_indices == ()
     assert disjoint_support_check(empty_spec)
+
+
+def test_disjoint_support_check_matches_weight2_pairs():
+    # the check reads the touched types off the matrices; the oracle
+    # enumerates each type's weight-2 codewords
+    from metdg import CnType, VnType, build_spec
+
+    rep3_only = build_spec(
+        1, [VnType("rep3", rep_gen(3), (1,), (1, 1, 1), 2)], [CnType("rep3c", rep_gen(3), (1, 1, 1), 2)]
+    )
+    specs = [
+        disjoint_support_spec(),
+        example2_spec(rep_gen(2)),
+        example1_spec(rep_gen(3), rep_gen(3)),
+        example1_spec(spc_gen(3), spc_gen(3)),
+        rep3_only,
+    ]
+    rng = np.random.default_rng(37)
+    specs += [random_eligible_spec(rng, n_edge_types=int(rng.integers(2, 4))) for _ in range(40)]
+    verdicts = [disjoint_support_check(spec) for spec in specs]
+    assert verdicts == [disjoint_support_by_pairs(spec) for spec in specs]
+    assert True in verdicts[5:] and False in verdicts[5:]
 
 
 def test_xi_chi_symmetry_on_random_specs():
