@@ -326,8 +326,8 @@ class ExitEngine:
         that do not record also take three early decisions:
 
         - stuck, "unstable", without a step: the spec is eligible for the
-          stability analysis and its verdict at epsilon is "unstable"
-          (sigma > 1 + margin).  For the Perron vector v of P(eps)C,
+          stability analysis and its exact verdict at epsilon is
+          "unstable" (sigma > 1).  For the Perron vector v of P(eps)C,
           g(c v) / c tends to sigma v > v as c falls to 0, where g is the
           step in erasure coordinates y = 1 - x.  So g(c v) >= c v for every
           small c > 0: c v is a sub-solution, the nondecreasing step keeps
@@ -409,7 +409,8 @@ class ExitEngine:
 
     def _basin(self, sm: stability.StabilityMatrices, epsilon: float) -> _Basin | None:
         """A certified basin {y <= c0 v} of the all-known state at a stable
-        epsilon, or None when the test below fails.
+        epsilon, or None when the float sigma is not below 1 or the test
+        below fails.
 
         In erasure coordinates y = 1 - x the step is g = h_V . h_C, its CN
         and VN halves, both nondecreasing with h(0) = 0 and with Jacobians
@@ -434,6 +435,8 @@ class ExitEngine:
         error of one computed step of the one tested.
         """
         gap = 1.0 - sm.sigma(epsilon)
+        if gap <= 0.0:
+            return None
         rho, v = sm.perron(epsilon, gap / (8 * self.n_edge_types), gap / 8)
         if not (rho < 1.0 and v.min() > 0.0):
             return None

@@ -4,7 +4,8 @@ Near the erasure-free fixed point only weight-2 local codewords matter.  The
 analysis collects them into an n_e x n_e constant matrix (CN side) and a
 matching matrix of polynomials in the erasure probability (VN side, one
 power per input weight); the fixed point attracts if and only if the
-spectral radius of their product is below one.
+spectral radius of their product is below one.  That condition is decided
+exactly, in rationals; the float spectral radius is only reported.
 
 Everything here requires an unpunctured ensemble whose component codes all
 have minimum distance at least 2; anything else is refused, not
@@ -13,17 +14,15 @@ approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .ensemble import EnsembleSpec
-from .errors import AssumptionError, InternalError, check_epsilon, check_tol_eps
+from .errors import AssumptionError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
-
-_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,27 @@ class StabilityMatrices:
         of it once the power iteration converges, and v > 0 approximates
         the Perron vector, scaled to max 1.  shift > 0 makes the matrix
         positive, so that v is positive even when P(eps)C is reducible."""
-        _, rho, v = _power_iteration(self.product(epsilon) + shift, tol)
-        return rho, v / v.max()
+        # Collatz-Wielandt ratios of a power iteration on the matrix shifted
+        # by the identity, as a positive diagonal makes any irreducible
+        # nonnegative matrix primitive.
+        b = self.product(epsilon) + shift + np.eye(self.n_edge_types)
+        x = np.ones(self.n_edge_types)
+        hi = 0.0
+        for _ in range(100000):
+            y = b @ x
+            ratios = y / x
+            hi = ratios.max()
+            if hi - ratios.min() < tol:
+                break
+            x = y / y.max()
+        return hi - 1.0, x
 
     def vanishes(self) -> bool:
-        """Whether P(eps)C is the zero matrix at every eps.  Every term of
-        an entry is a nonnegative coefficient times a power of eps, so this
-        holds exactly when no nonzero P coefficient meets a nonzero C entry."""
-        n = self.n_edge_types
-        return not any(
-            any(self.p_coeffs[l0][e0]) and self.c[e0][m0]
-            for l0, e0, m0 in product(range(n), repeat=3)
-        )
+        """Whether P(eps)C is the zero matrix at every eps.  Its entries are
+        sums of nonnegative terms, so this holds exactly when no edge type
+        has both a nonzero column in P and a nonzero row in C."""
+        p_touched = [any(map(any, col)) for col in zip(*self.p_coeffs)]
+        return not any(t and any(row) for t, row in zip(p_touched, self.c))
 
 
 def _require_eligible(spec: EnsembleSpec, what: str) -> None:
@@ -128,45 +136,8 @@ def build_matrices(spec: EnsembleSpec) -> StabilityMatrices:
     )
 
 
-def _is_irreducible(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    adj = a > 0
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if adj[u, v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != n:
-            return False
-    return True
-
-
-def _power_iteration(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray]:
-    """Collatz-Wielandt bounds lo <= rho(a) <= hi and the positive vector x
-    they were read from, with a x <= hi x componentwise, once hi - lo < tol
-    or after 100000 steps.  a is irreducible and nonnegative."""
-    # Shift by the identity: irreducible nonnegative + positive diagonal is
-    # primitive, so Collatz-Wielandt ratios converge from any positive start.
-    n = a.shape[0]
-    b = a + np.eye(n)
-    x = np.ones(n)
-    hi = lo = 0.0
-    for _ in range(100000):
-        y = b @ x
-        ratios = y / x
-        hi, lo = ratios.max(), ratios.min()
-        if hi - lo < tol:
-            break
-        x = y / y.max()
-    return lo - 1.0, hi - 1.0, x
-
-
-def spectral_radius(matrix, tol: float = 1e-10) -> float:
-    """Largest eigenvalue magnitude of a square nonnegative matrix."""
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue magnitude of a square matrix, in floats."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
@@ -174,15 +145,40 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
         raise ValueError("matrix has non-finite entries")
     if a.shape[0] == 0:
         return 0.0
-    sigma = float(np.max(np.abs(np.linalg.eigvals(a))))
-    if _is_irreducible(a):
-        lo, hi, _ = _power_iteration(a, tol)
-        check = 0.5 * (lo + hi)
-        if abs(check - sigma) > max(1e-8, 1e-8 * sigma):
-            raise InternalError(
-                f"eigenvalue and power-iteration radii disagree: {sigma} vs {check}"
-            )
-    return sigma
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _verdict(sm: StabilityMatrices, epsilon: float) -> str:
+    """"stable", "marginal" or "unstable" as rho(P(eps)C) is <, = or > 1,
+    decided exactly on the Z-matrix A = I - P(eps)C, eps taken as the dyadic
+    rational it is.  rho < 1 exactly when A is a nonsingular M-matrix, and
+    rho <= 1 exactly when A is an M-matrix (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 6).  Eliminating an index
+    with a positive diagonal entry keeps both properties, and leaves a
+    Z-matrix.  A rest with no positive diagonal entry is an M-matrix only
+    when it is nilpotent: its digraph has no cycle and no loop.
+
+    A is scaled to integers, and the elimination is Bareiss's: an entry is
+    its Schur complement entry times the last pivot, which is positive."""
+    n, eps = sm.n_edge_types, Fraction(float(epsilon))
+    p = [[sum(x * eps**u for u, x in enumerate(cell) if x) for cell in row] for row in sm.p_coeffs]
+    d_p, d_c = (math.lcm(*(x.denominator for row in m for x in row)) for m in (p, sm.c))
+    p, c = [[int(d_p * x) for x in row] for row in p], [[int(d_c * x) for x in row] for row in sm.c]
+    a = [[d_p * d_c * (l0 == m0) - sum(p[l0][e0] * c[e0][m0] for e0 in range(n)) for m0 in range(n)]
+         for l0 in range(n)]
+    live, last = list(range(n)), 1
+    while pivots := [i for i in live if a[i][i] > 0]:
+        i = pivots[0]
+        live.remove(i)
+        for j in live:
+            for k in live:
+                a[j][k] = (a[i][i] * a[j][k] - a[j][i] * a[i][k]) // last
+        last = a[i][i]
+    if not live:
+        return "stable"
+    while sinks := [i for i in live if not any(a[i][k] for k in live)]:
+        live = [i for i in live if i not in sinks]
+    return "unstable" if live else "marginal"
 
 
 def _matrices(spec: EnsembleSpec, matrices: StabilityMatrices | None) -> StabilityMatrices:
@@ -192,35 +188,31 @@ def _matrices(spec: EnsembleSpec, matrices: StabilityMatrices | None) -> Stabili
 def stability_verdict(
     spec: EnsembleSpec, epsilon: float, matrices: StabilityMatrices | None = None
 ) -> str:
-    """"stable", "marginal" or "unstable": sigma against 1 -/+ _MARGIN, a
-    band that covers the rounding error of the float sigma.  matrices, when
-    given, are spec's, already built."""
-    sigma = _matrices(spec, matrices).sigma(epsilon)
-    if sigma < 1.0 - _MARGIN:
-        return "stable"
-    if sigma <= 1.0 + _MARGIN:
-        return "marginal"
-    return "unstable"
+    """"stable", "marginal" or "unstable" as the spectral radius of P(eps)C
+    is below, at or above one, decided exactly.  matrices, when given, are
+    spec's, already built."""
+    check_epsilon(epsilon)
+    return _verdict(_matrices(spec, matrices), epsilon)
 
 
 def stability_bound(
     spec: EnsembleSpec, tol_eps: float = 1e-6, matrices: StabilityMatrices | None = None
 ) -> float | None:
-    """Largest erasure probability with spectral radius below one.
-
-    Returns None when the condition holds across the whole open unit
-    interval.  Bisection is valid because every matrix entry, hence the
-    spectral radius, is nondecreasing in the erasure probability.
-    matrices, when given, are spec's, already built.
+    """The erasure probability where the spectral radius reaches one, within
+    tol_eps: the midpoint of a bisection bracket whose upper end the exact
+    verdict calls not stable and whose lower end it calls stable (or is 0).
+    None unless the verdict at 1 is "unstable".  Bisection is valid because
+    every matrix entry, hence the spectral radius, is nondecreasing in the
+    erasure probability.  matrices, when given, are spec's, already built.
     """
     check_tol_eps(tol_eps)
     sm = _matrices(spec, matrices)
-    if sm.sigma(1.0) <= 1.0 + _MARGIN:
+    if _verdict(sm, 1.0) != "unstable":
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > 2.0 * tol_eps:
         mid = 0.5 * (lo + hi)
-        if sm.sigma(mid) < 1.0:
+        if _verdict(sm, mid) == "stable":
             lo = mid
         else:
             hi = mid
@@ -232,11 +224,9 @@ def disjoint_support_check(spec: EnsembleSpec, matrices: StabilityMatrices | Non
     disjoint edge-type sets, which forces the product matrix to vanish.
     matrices, when given, are spec's, already built.
 
-    A side touches type l exactly when row l of its matrix (P or C) is
-    nonzero: a weight-2 codeword on sockets of types l and m adds a positive
-    count to entries (l, m) and (m, l).
+    A side touches type l exactly when row l, or column l, of its matrix
+    (P or C) is nonzero: a weight-2 codeword on sockets of types l and m
+    adds a positive count to entries (l, m) and (m, l).  So the check holds
+    exactly when P(eps)C vanishes.
     """
-    sm = _matrices(spec, matrices)
-    vn_touched = {l0 for l0, row in enumerate(sm.p_coeffs) if any(any(cell) for cell in row)}
-    cn_touched = {l0 for l0, row in enumerate(sm.c) if any(row)}
-    return not (vn_touched & cn_touched)
+    return _matrices(spec, matrices).vanishes()

@@ -7,6 +7,7 @@ with the package is a meaningful check rather than a tautology.
 
 import itertools
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 
@@ -558,3 +559,39 @@ def central_difference_jacobian(step, at, eps, h=1e-5):
             col = (-3.0 * step(x, eps) + 4.0 * step(x + unit, eps) - step(x + 2 * unit, eps)) / (2.0 * h)
         jac[:, m] = col
     return jac
+
+
+def _det(rows):
+    """Determinant of a square rational matrix by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def principal_minor_verdict(m) -> str:
+    """"stable", "marginal" or "unstable" as rho(m) is <, = or > 1, for a
+    square nonnegative rational m, from the definitions: I - m is a
+    nonsingular M-matrix (rho < 1) exactly when all its leading principal
+    minors are positive, and an M-matrix (rho <= 1) exactly when all its
+    principal minors are nonnegative."""
+    n = len(m)
+    a = [[int(i == j) - Fraction(m[i][j]) for j in range(n)] for i in range(n)]
+
+    def minor(idx):
+        return _det([[a[i][j] for j in idx] for i in idx])
+
+    if all(minor(range(k)) > 0 for k in range(1, n + 1)):
+        return "stable"
+    subsets = (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
+    return "marginal" if all(minor(s) >= 0 for s in subsets) else "unstable"

@@ -7,7 +7,7 @@ import pytest
 
 from metdg.cli import main
 
-from conftest import example1_spec, fig1_doc, ldpc_spec, spc_gen
+from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, spc_gen
 
 
 @pytest.fixture()
@@ -71,6 +71,15 @@ def test_stability_with_epsilon(ex1_path, tmp_path):
     res = _read_json(out)["results"]
     assert abs(res["sigma"] - 0.6) < 1e-9
     assert res["verdict"] == "stable"
+
+
+def test_stability_decides_close_leading_eigenvalues(tmp_path, capsys):
+    # this spec once exited 1 with "internal error: eigenvalue and
+    # power-iteration radii disagree"
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(close_eigenvalues_doc()))
+    assert main(["stability", str(path), "--epsilon", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "stable"
 
 
 def test_stability_refuses_punctured_spec(fig1_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from metdg import (
     VnType,
     build_spec,
     stability_bound,
+    stability_verdict,
 )
 from metdg.stability import build_matrices
 
@@ -526,6 +528,35 @@ def test_marginal_point_is_left_to_the_run():
     # at the bound itself neither early decision applies
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
     assert engine.run(0.5, max_iters=50)[2] == ProbeOutcome(0.5, "max_iters", 50)
+
+
+def test_probes_next_to_the_bound_end_in_the_basin():
+    # the exact verdict calls these "stable"; float sigma lies within 1e-12
+    # of 1 here, and the iterates alone would crawl past any cap
+    engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
+    for eps in (0.5 - 2**-53, 0.5 - 1e-13):
+        assert engine.run(eps)[2].reason == "basin"
+
+
+@pytest.mark.parametrize(
+    "spec, eps",
+    [
+        (example1_spec(spc_gen(3), spc_gen(4)), 0.40824829046386296),
+        (example2_spec(pair_code_gen()), 0.49999999999999994),
+    ],
+    ids=["ex1_spc3_spc4", "ex2_pair"],
+)
+def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
+    # stable by the exact verdict, yet float sigma reads 1: no gap to build
+    # a basin on, so the run goes without one instead of spending 100,000
+    # power-iteration steps
+    sm = build_matrices(spec)
+    assert stability_verdict(spec, eps, matrices=sm) == "stable" and sm.sigma(eps) >= 1.0
+    engine = ExitEngine(spec)
+    assert engine._basin(sm, eps) is None
+    start = time.perf_counter()
+    assert engine.run(eps, max_iters=2000)[2].reason == "max_iters"
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

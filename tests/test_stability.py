@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +8,19 @@ import pytest
 from metdg import (
     AssumptionError,
     ExitEngine,
+    StabilityMatrices,
     build_matrices,
     disjoint_support_check,
     spectral_radius,
     stability_bound,
     stability_verdict,
 )
+from metdg.ensemble import spec_from_dict
 from metdg.gf2 import enumerate_weight2_pairs
+from metdg.stability import _verdict
 
 from conftest import (
+    close_eigenvalues_doc,
     disjoint_support_spec,
     example1_spec,
     example2_spec,
@@ -26,7 +31,7 @@ from conftest import (
     rep_gen,
     spc_gen,
 )
-from naive_oracles import disjoint_support_by_pairs, weight_enumerator
+from naive_oracles import disjoint_support_by_pairs, principal_minor_verdict, weight_enumerator
 
 
 def test_example1_matrices():
@@ -89,7 +94,7 @@ def test_spectral_radius_edge_cases():
         spectral_radius(np.ones((2, 3)))
 
 
-def test_spectral_radius_matches_power_iteration_on_random_nonnegative():
+def test_spectral_radius_is_bounded_by_row_sums_on_random_nonnegative():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(1, 6))
@@ -276,3 +281,87 @@ def test_reversed_product_has_same_spectral_radius():
             p = sm.p_matrix(eps)
             c = sm.c_matrix()
             assert abs(spectral_radius(p @ c) - spectral_radius(c @ p)) < 1e-9
+
+
+def _as_product(m) -> StabilityMatrices:
+    """Stability matrices with P(eps) = eps I and C = m, so P(1)C = m."""
+    n = len(m)
+    p = tuple(tuple((Fraction(0), Fraction(int(l0 == m0))) for m0 in range(n)) for l0 in range(n))
+    return StabilityMatrices(n, tuple(tuple(row) for row in m), p)
+
+
+def _random_rational_matrix(rng, n):
+    """A sparse nonnegative rational n x n matrix; half are block upper
+    triangular, and a random share of the rows is scaled to sum to 1, so
+    that spectral radius one is common."""
+    m = [
+        [Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5))) if rng.random() < 0.5 else Fraction(0)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n > 1 and rng.random() < 0.5:
+        cut = int(rng.integers(1, n))
+        for row in m[cut:]:
+            row[:cut] = [Fraction(0)] * cut
+    share = rng.random()
+    for row in m:
+        if any(row) and rng.random() < share:
+            total = sum(row)
+            row[:] = [x / total for x in row]
+    return m
+
+
+def test_verdict_matches_principal_minors_on_random_rational_matrices():
+    rng = np.random.default_rng(2024)
+    counts = dict.fromkeys(("stable", "marginal", "unstable"), 0)
+    for _ in range(2400):
+        m = _random_rational_matrix(rng, int(rng.integers(1, 6)))
+        want = principal_minor_verdict(m)
+        assert _verdict(_as_product(m), 1.0) == want, m
+        counts[want] += 1
+    assert min(counts.values()) >= 400, counts
+
+
+def test_verdict_agrees_with_float_sigma_away_from_one():
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(12):
+        spec = random_eligible_spec(rng)
+        sm = build_matrices(spec)
+        for eps in np.linspace(0.05, 1.0, 20):
+            sigma = sm.sigma(float(eps))
+            if abs(sigma - 1.0) > 1e-9:
+                want = "stable" if sigma < 1.0 else "unstable"
+                assert stability_verdict(spec, float(eps), matrices=sm) == want
+                seen.add(want)
+    assert seen == {"stable", "unstable"}
+
+
+def test_verdict_on_40_edge_types_is_fast():
+    # a dense 40 x 40 product, scaled to float sigma 0.95 at eps = 0.3, so
+    # that the elimination runs through all 40 pivots
+    rng = np.random.default_rng(5)
+    n = 40
+    c = [[Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9))) for _ in range(n)] for _ in range(n)]
+    p = tuple(
+        tuple((Fraction(0), Fraction(int(rng.integers(0, 3)), 7), Fraction(int(rng.integers(0, 3)), 5))
+              for _ in range(n))
+        for _ in range(n)
+    )
+    sigma = StabilityMatrices(n, tuple(map(tuple, c)), p).sigma(0.3)
+    scale = Fraction(0.95 / sigma).limit_denominator(1000)
+    sm = StabilityMatrices(n, tuple(tuple(x * scale for x in row) for row in c), p)
+    assert abs(sm.sigma(0.3) - 0.95) < 1e-3
+    start = time.perf_counter()
+    assert _verdict(sm, 0.3) == "stable"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_close_eigenvalues_are_decided():
+    # two close leading eigenvalues kept a power iteration from converging,
+    # which once turned a correct sigma into an internal error
+    spec = spec_from_dict(close_eigenvalues_doc())
+    sm = build_matrices(spec)
+    for eps in np.linspace(0.01, 1.0, 40):
+        verdict = stability_verdict(spec, float(eps), matrices=sm)
+        assert verdict == ("stable" if sm.sigma(float(eps)) < 1.0 else "unstable")
