@@ -260,6 +260,14 @@ def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error (exit 1); argparse's own exit
+    code 2 is the CLI's code for a capacity error."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec", help="path to the ensemble spec JSON file")
@@ -267,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
-    parser = argparse.ArgumentParser(prog="metdg", description=__doc__)
+    parser = _Parser(prog="metdg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metdg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,12 +328,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[args.command]
-    t0 = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        if args.format is None:
+            args.format = _DEFAULT_FORMATS[args.command]
+        t0 = time.perf_counter()
         if args.format == "csv" and args.command not in ("exit-chart", "simulate"):
             raise ValidationError(f"{args.command} has no CSV output")
         spec = load_spec(args.spec)

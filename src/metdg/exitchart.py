@@ -6,9 +6,12 @@ CN update followed by a VN update; the channel enters only the VN side.
 
 Every node type contributes through a precomputed coefficient array built
 from its information-function table.  Evaluating an extrinsic function is
-then a contraction of that array against per-axis weight vectors, so a step
-costs a handful of small vector-matrix products regardless of how often the
-threshold search calls it.
+then a contraction of that array against per-axis weight vectors.  When the
+engine is built, each half of the step is compiled into one straight-line
+Python function of the state's floats with every coefficient inlined, so a
+step of a small spec costs a few microseconds instead of numpy's per-call
+overhead; halves with more coefficient entries keep the numpy contraction.
+The runs keep their states as tuples of floats.
 
 Runs that do not record may end early on three sound decisions: a
 super-solution shows a run can never converge, a probe whose all-known state
@@ -18,10 +21,12 @@ run whose state enters a certified basin of the all-known state converges.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import le, sub
 
 import numpy as np
 
@@ -31,6 +36,11 @@ from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps
 from .infofuncs import cn_info_table, vn_info_table
 
 _BOUNDS_SLACK = 1e-9
+# A half whose parts hold more coefficient entries than this keeps the numpy
+# contraction.  Generated code costs about 0.03 us per entry and step and
+# 10 us per entry to compile, while numpy's step grows with the number of
+# parts rather than entries; past a few thousand entries numpy is faster.
+_KERNEL_MAX_ENTRIES = 1500
 _STALL_TOL = 1e-15
 # Non-convergence certificate (see ExitEngine.run): first check after
 # _CERT_FIRST steps, then every max(_CERT_FIRST, steps // _CERT_SPACING) steps.
@@ -137,6 +147,76 @@ class _Mixture:
         ends = np.cumsum([n + 1 for _, n in order]).tolist()
         self._slices = [slice(e - n - 1, e) for (_, n), e in zip(order, ends)]
 
+    def kernel(self):
+        """This half as a function of (state tuple, epsilon) that returns a
+        tuple of floats: generated straight-line code, or the numpy
+        contraction when the parts hold more than _KERNEL_MAX_ENTRIES
+        coefficient entries."""
+        if sum(arr.size for parts in self.parts for *_, arr, _ in parts) > _KERNEL_MAX_ENTRIES:
+            return lambda x, epsilon: tuple(self(np.array(x), epsilon).tolist())
+        namespace = {"_checked": _checked}
+        exec(compile(self._kernel_source(), "<exit kernel>", "exec"), namespace)
+        return namespace["kernel"]
+
+    def _kernel_source(self) -> str:
+        """Python source of kernel(x, eps), which computes what __call__
+        does in the same order: the weights (1-x)^t x^(n-t) by pow, each
+        part contracted axis by axis in kept order with zero coefficients
+        skipped, then checked and clamped by _checked.  It holds numbers
+        only.  The two can differ in the last bit, as numpy's SIMD power
+        and BLAS's fused multiply-adds round differently from libm's pow
+        and one rounding per operation."""
+        n_e = self.n_edge_types
+        used: set[tuple[int, int]] = set()
+
+        def weight(k: int, t: int) -> str:
+            used.add((k, t))
+            return f"w{k}_{t}"
+
+        body, outputs = [], []
+        for e0, parts in enumerate(self.parts):
+            terms = []
+            for i, (weight_f, _, n_sockets, arr, kept) in enumerate(parts):
+                # One expression (None where every coefficient is zero) per
+                # entry of what is left after contracting the leading axes,
+                # as _contract's chain of vector-matrix products does.
+                exprs = [repr(c) if c else None for c in arr.tolist()]
+                for k in kept:
+                    rest = len(exprs) // (self._axes[k][1] + 1)
+                    exprs = [
+                        " + ".join(
+                            _times(weight(k, t), e) for t, e in enumerate(exprs[j::rest]) if e
+                        )
+                        or None
+                        for j in range(rest)
+                    ]
+                # _checked leaves a value in [0, 1] as it is (1.0 - c never
+                # rounds to -0.0), so only the others need the call.
+                value = f"v{e0}_{i}"
+                body += [
+                    f"    {value} = 1.0 - ({exprs[0] or 0.0}) / {float(n_sockets)!r}",
+                    f"    if not 0.0 <= {value} <= 1.0:",
+                    f"        {value} = _checked({value})",
+                ]
+                terms.append(_times(repr(weight_f), value))
+            outputs.append(" + ".join(terms) or "0.0")
+        # u_l = 1 - x_l for a state axis, u_n_e = 1 - eps for the channel.
+        head = ["def kernel(x, eps):", f"    {''.join(f'x{l}, ' for l in range(n_e))}= x"]
+        head += [
+            f"    u{src} = 1.0 - {'eps' if src == n_e else f'x{src}'}"
+            for src in sorted(
+                {src for k, t in used for src, n in [self._axes[k]] if (n - t if src == n_e else t)}
+            )
+        ]
+        for k, (src, n) in enumerate(self._axes):
+            up, down = ("eps", f"u{src}") if src == n_e else (f"u{src}", f"x{src}")
+            head += [
+                f"    w{k}_{t} = {_times(_power(up, t), _power(down, n - t))}"
+                for t in range(n + 1)
+                if (k, t) in used
+            ]
+        return "\n".join(head + body + [f"    return ({', '.join(outputs)},)", ""])
+
     def _bases(self, x: np.ndarray, epsilon: float | None):
         up, down = 1.0 - x, x
         if epsilon is not None:
@@ -155,7 +235,7 @@ class _Mixture:
             total = 0.0
             for weight, _, n_sockets, arr, kept in parts:
                 value = 1.0 - _contract(arr, kept, vectors) / n_sockets
-                total += weight * _checked(value, "exit value")
+                total += weight * _checked(value)
             out[e0] = total
         return out
 
@@ -215,6 +295,20 @@ class _Mixture:
         return polys
 
 
+def _power(base: str, exponent: int) -> str | None:
+    """base**exponent as source, None for the factor 1.0; x**1 is x exactly."""
+    return None if exponent == 0 else base if exponent == 1 else f"{base}**{exponent}"
+
+
+def _times(a: str | None, b: str | None) -> str:
+    """The product a*b as source, a factor None or "1.0" being 1.0 (exact).
+    A compound b is bracketed, so that it is rounded before it is multiplied."""
+    a, b = (None if f == "1.0" else f for f in (a, b))
+    if a is None or b is None:
+        return a or b or "1.0"
+    return f"{a}*({b})" if "*" in b or " " in b else f"{a}*{b}"
+
+
 def _poly_add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
@@ -244,9 +338,9 @@ def _contract(arr: np.ndarray, kept, vectors) -> float:
     return acc.item()
 
 
-def _checked(value: float, what: str) -> float:
+def _checked(value: float) -> float:
     if value < -_BOUNDS_SLACK or value > 1.0 + _BOUNDS_SLACK:
-        raise InternalError(f"{what} left [0,1] by more than {_BOUNDS_SLACK}: {value!r}")
+        raise InternalError(f"exit value left [0,1] by more than {_BOUNDS_SLACK}: {value!r}")
     return min(1.0, max(0.0, value))
 
 
@@ -282,16 +376,19 @@ class ExitEngine:
             ]
         self._cn = _Mixture(n_e, cn_terms)
         self._vn = _Mixture(n_e, vn_terms)
+        self._cn_kernel = self._cn.kernel()
+        self._vn_kernel = self._vn.kernel()
 
     def step(self, i_ev, epsilon: float, *, _trusted: bool = False) -> np.ndarray:
         """One application of the recursion: CN pass, then VN pass.
 
-        run passes _trusted for the states it computed itself, which skips
-        the input checks."""
+        run passes _trusted for the states it computed itself, as tuples
+        of floats; that skips the input checks and returns a tuple."""
         if _trusted:
-            return self._vn(self._cn(i_ev), epsilon)
+            return self._vn_kernel(self._cn_kernel(i_ev, None), epsilon)
         check_epsilon(epsilon)
-        return self._vn(self._cn(self._state(i_ev)), epsilon)
+        x = tuple(self._state(i_ev).tolist())
+        return np.array(self._vn_kernel(self._cn_kernel(x, None), epsilon))
 
     def _state(self, i_ev) -> np.ndarray:
         """A caller's state as a float vector, or ValidationError."""
@@ -371,25 +468,25 @@ class ExitEngine:
                 return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
                 basin = self._basin(sm, epsilon)
-        x = self.step(np.zeros(n_e), epsilon, _trusted=True)
+        # States are tuples of floats; the comparisons below are the same
+        # IEEE operations an array would take.
+        x = self.step((0.0,) * n_e, epsilon, _trusted=True)
         trajectory = [x]
         next_check = max_iters + 1 if record else _CERT_FIRST
-        rise = None
+        x_prev = x_prev2 = None
         it = 0
         reason = _settled(x, tol, basin)
         while reason is None and it < max_iters:
-            x_next = self.step(x, epsilon, _trusted=True)
+            x_prev2, x_prev, x = x_prev, x, self.step(x, epsilon, _trusted=True)
             it += 1
             if record:
-                trajectory.append(x_next)
-            prev_rise, rise = rise, x_next - x
-            x = x_next
+                trajectory.append(x)
             reason = _settled(x, tol, basin)
-            if reason is None and np.max(np.abs(rise)) < _STALL_TOL:
+            if reason is None and max(map(abs, map(sub, x, x_prev))) < _STALL_TOL:
                 reason = "stall"
             if reason is None and it >= next_check:
                 next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
-                if self._never_converges(x, rise, prev_rise, epsilon, tol):
+                if self._never_converges(x, x_prev, x_prev2, epsilon, tol):
                     reason = "super-solution"
         reason = reason or "max_iters"
         rows = np.array(trajectory) if record else np.empty((0, n_e))
@@ -408,9 +505,9 @@ class ExitEngine:
         return None if sm.vanishes() else sm
 
     def _basin(self, sm: stability.StabilityMatrices, epsilon: float) -> _Basin | None:
-        """A certified basin {y <= c0 v} of the all-known state at a stable
-        epsilon, or None when the float sigma is not below 1 or the test
-        below fails.
+        """A basin {y <= c0 v} of the all-known state at a stable epsilon,
+        certified by the test below, or None when the float sigma is not
+        below 1.
 
         In erasure coordinates y = 1 - x the step is g = h_V . h_C, its CN
         and VN halves, both nondecreasing with h(0) = 0 and with Jacobians
@@ -433,6 +530,10 @@ class ExitEngine:
         r^k c v: the recursion converges.  The basin is shrunk by
         _CERT_SLACK, so it also holds every state within twice the rounding
         error of one computed step of the one tested.
+
+        Only the float part (v, w, r) is computed here.  The exact test runs
+        when a state first comes near the basin (_Basin.certified), so a
+        probe that never does, such as a stuck one, spends nothing on it.
         """
         gap = 1.0 - sm.sigma(epsilon)
         if gap <= 0.0:
@@ -443,9 +544,16 @@ class ExitEngine:
         r = 0.5 * (1.0 + rho)
         spread = float(sm.p_matrix(epsilon).sum(axis=1).max())
         eta = 0.5 * (r - rho) * v.min() / spread if spread > 0.0 else 1.0
-        w = sm.c_matrix() @ v + eta
-        v_q = [Fraction(t) for t in v.tolist()]
-        w_q = [Fraction(t) for t in w.tolist()]
+        v, w = v.tolist(), (sm.c_matrix() @ v + eta).tolist()
+        # Every bound below lies under c_max v; the factor covers rounding.
+        screen = [min(1.0, 1.0 / max(w)) * t * (1.0 + 1e-9) for t in v]
+        return _Basin(screen, lambda: self._certified_bound(v, w, r, epsilon))
+
+    def _certified_bound(self, v, w, r: float, epsilon: float) -> list[Fraction] | None:
+        """The exact part of _basin: c0 v - _CERT_SLACK, or None when that
+        is not positive."""
+        v_q = [Fraction(t) for t in v]
+        w_q = [Fraction(t) for t in w]
         tops = w_q + [Fraction(r) * t for t in v_q]
         halves = self._cn.erasure_polynomials(v_q)
         halves += self._vn.erasure_polynomials(w_q, Fraction(float(epsilon)))
@@ -455,17 +563,19 @@ class ExitEngine:
             for top, h in zip(tops, halves)
         )
         bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
-        return _Basin(bound) if min(bound) > 0 else None
+        return bound if min(bound) > 0 else None
 
-    def _never_converges(self, x, rise, prev_rise, epsilon: float, tol: float) -> bool:
-        """The super-solution test described in run."""
-        top, prev_top = rise.max(), prev_rise.max()
+    def _never_converges(self, x, x_prev, x_prev2, epsilon: float, tol: float) -> bool:
+        """The super-solution test described in run, on the last three states."""
+        rise = tuple(map(sub, x, x_prev))
+        top, prev_top = max(rise), max(map(sub, x_prev, x_prev2))
         if not 0.0 < top < prev_top:
             return False
-        y = np.minimum(1.0, x + 2.0 * rise / (1.0 - top / prev_top) + _CERT_PAD)
-        if y.min() >= 1.0 - tol or np.any(x > y):
+        ratio = 1.0 - top / prev_top
+        y = tuple(min(1.0, a + 2.0 * d / ratio + _CERT_PAD) for a, d in zip(x, rise))
+        if min(y) >= 1.0 - tol or any(a > b for a, b in zip(x, y)):
             return False
-        return bool(np.all(self.step(y, epsilon, _trusted=True) <= y - _CERT_SLACK))
+        return all(a <= b - _CERT_SLACK for a, b in zip(self.step(y, epsilon, _trusted=True), y))
 
     def threshold(
         self,
@@ -520,8 +630,8 @@ class ExitEngine:
         return self._vn.jacobian(self._cn(x), epsilon) @ self._cn.jacobian(x)
 
 
-def _settled(x: np.ndarray, tol: float, basin: _Basin | None) -> str | None:
-    if x.min() >= 1.0 - tol:
+def _settled(x: tuple, tol: float, basin: _Basin | None) -> str | None:
+    if min(x) >= 1.0 - tol:
         return "tol"
     if basin is not None and basin.contains(x):
         return "basin"
@@ -529,18 +639,29 @@ def _settled(x: np.ndarray, tol: float, basin: _Basin | None) -> str | None:
 
 
 class _Basin:
-    """The states with 1 - x <= bound componentwise, bound exact."""
+    """The states with 1 - x <= bound componentwise, bound exact.  The bound
+    is proven when a state first passes the float screen, which holds every
+    state of the basin; then the bound's own float values screen."""
 
-    def __init__(self, bound: list[Fraction]):
-        self._bound = bound
-        self._rough = [float(b) for b in bound]
+    def __init__(self, screen: list[float], certify: Callable[[], list[Fraction] | None]):
+        self._screen = screen
+        self._certify = certify
+        self._bound: list[Fraction] | None = None
 
-    def contains(self, x: np.ndarray) -> bool:
-        xs = x.tolist()
+    def certified(self) -> list[Fraction] | None:
+        """The exact bound, or None when the proof fails."""
+        if self._certify is not None:
+            self._bound, self._certify = self._certify(), None
+            # no state passes a screen of -1 once the proof has failed
+            self._screen = [float(b) for b in self._bound or [-1.0] * len(self._screen)]
+        return self._bound
+
+    def contains(self, x: tuple) -> bool:
         # The float comparison only screens; the exact one decides.
-        return all(1.0 - a <= b for a, b in zip(xs, self._rough)) and all(
-            1 - Fraction(a) <= b for a, b in zip(xs, self._bound)
-        )
+        if not all(map(le, map((1.0).__sub__, x), self._screen)):
+            return False
+        bound = self.certified()
+        return bound is not None and all(1 - Fraction(a) <= b for a, b in zip(x, bound))
 
 
 def _bernstein(coeffs: list[Fraction], width: Fraction) -> list[Fraction]:

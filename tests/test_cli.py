@@ -315,3 +315,28 @@ def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):
 def test_analysis_rejects_bad_inputs(ex1_path, args, capsys):
     assert main(args[:1] + [ex1_path] + args[1:]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # argparse takes "-1e-05" for an option, not a number
+        ["stability", "SPEC", "--epsilon", "-1e-05"],
+        ["stability", "SPEC", "--bogus"],
+        ["exit-chart", "SPEC"],
+        ["threshold"],
+    ],
+    ids=["negative-epsilon", "unknown-flag", "missing-option", "missing-spec"],
+)
+def test_usage_errors_exit_1(ex1_path, args, capsys):
+    assert main([ex1_path if a == "SPEC" else a for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage:" not in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["threshold", "--help"]])
+def test_help_and_version_exit_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

@@ -9,6 +9,7 @@ from metdg import (
     CnType,
     ExitEngine,
     GF2Matrix,
+    InternalError,
     ProbeOutcome,
     ValidationError,
     VnType,
@@ -501,10 +502,10 @@ def test_every_state_in_a_certified_basin_converges():
             if sm.sigma(float(eps)) > 0.99:
                 continue
             basin = engine._basin(sm, float(eps))
-            if basin is None:
+            if basin is None or basin.certified() is None:
                 continue
             built += 1
-            x = np.array([1.0 - float(b) for b in basin._bound])
+            x = np.array([1.0 - float(b) for b in basin.certified()])
             for _ in range(5000):
                 x = engine.step(x, float(eps))
                 if x.min() >= 1.0 - 1e-10:
@@ -596,3 +597,121 @@ def test_certificate_stops_a_stuck_dgldpc_run_early():
     # a recorded run never takes the certificate's exit
     _, trajectory, _ = engine.run(eps, record=True)
     assert len(trajectory) == oracle_iters + 1
+
+
+def _spc_spec(n_sockets: int, n_edge_types: int):
+    """One SPC CN whose sockets spread evenly over the edge types, and a
+    degree-2 repetition VN type per edge type."""
+    per = n_sockets // n_edge_types
+    sockets = tuple(l + 1 for l in range(n_edge_types) for _ in range(per))
+    cn = CnType("spc", spc_gen(n_sockets), sockets, 2)
+    vns = [VnType(f"rep{l}", rep_gen(2), (1,), (l + 1, l + 1), per) for l in range(n_edge_types)]
+    return build_spec(n_edge_types, vns, [cn])
+
+
+def _entries(half) -> int:
+    return sum(arr.size for parts in half.parts for _, _, _, arr, _ in parts)
+
+
+def test_compiled_halves_match_the_numpy_contraction():
+    from metdg.exitchart import _KERNEL_MAX_ENTRIES
+
+    rng = np.random.default_rng(29)
+    specs = [random_eligible_spec(rng, n_edge_types=n) for n in (1, 2, 3) for _ in range(4)]
+    below, above = _spc_spec(12, 4), _spc_spec(16, 4)
+    specs += [fig1_spec(), below, above]
+    sizes = {}
+    for spec in specs:
+        engine = ExitEngine(spec)
+        for half, kernel, eps in ((engine._cn, engine._cn_kernel, None), (engine._vn, engine._vn_kernel, 0.0)):
+            generated = kernel.__code__.co_filename == "<exit kernel>"
+            assert generated == (_entries(half) <= _KERNEL_MAX_ENTRIES)
+            sizes[generated] = max(sizes.get(generated, 0), _entries(half))
+            for _ in range(20):
+                x = rng.random(spec.n_edge_types)
+                if eps is not None:
+                    eps = float(rng.random())
+                got = kernel(tuple(x.tolist()), eps)
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                assert np.max(np.abs(np.array(got) - half(x, eps))) <= 1e-15, spec
+    # the SPC(12) CN over 4 edge types is generated, the SPC(16) one is not
+    assert _entries(ExitEngine(below)._cn) <= _KERNEL_MAX_ENTRIES < _entries(ExitEngine(above)._cn)
+    assert sizes[True] > 700 and sizes[False] > _KERNEL_MAX_ENTRIES
+
+
+@pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
+def test_corrupted_coefficient_still_raises(numpy_side, monkeypatch):
+    # a coefficient tripled pushes the CN output of the all-unknown state
+    # to 1 - 3 = -2, far outside [0, 1]
+    if numpy_side:
+        monkeypatch.setattr("metdg.exitchart._KERNEL_MAX_ENTRIES", -1)
+    engine = ExitEngine(ldpc_spec(3, 6))
+    assert engine._cn.kernel()((0.0,), None) == (0.0,)
+    arr = engine._cn.parts[0][0][3]
+    arr *= 3.0
+    with pytest.raises(InternalError, match="left \\[0,1\\]"):
+        engine._cn.kernel()((0.0,), None)
+
+
+def test_type_names_stay_out_of_the_generated_code():
+    names = ['a"b', "c'd", "e\\f", "g\nh", "'''\"\"\""]
+    vns = [VnType(names[0], rep_gen(3), (1,), (1, 1, 1), 4)]
+    cns = [CnType(names[1], spc_gen(6), (1,) * 6, 2)]
+    spec = build_spec(1, vns, cns)
+    plain = ldpc_spec(3, 6)
+    engine, reference = ExitEngine(spec), ExitEngine(plain)
+    assert np.array_equal(engine.step([0.3], 0.4), reference.step([0.3], 0.4))
+    assert engine.threshold(tol_eps=1e-4) == reference.threshold(tol_eps=1e-4)
+    two = example2_spec(rep_gen(3))
+    renamed = build_spec(
+        2,
+        [VnType(n, vn.generator, vn.puncture, vn.socket_types, vn.count) for n, vn in zip(names[2:], two.vn_types)],
+        [CnType(names[4], cn.generator, cn.socket_types, cn.count) for cn in two.cn_types],
+    )
+    assert ExitEngine(renamed).run(0.6)[2] == ExitEngine(two).run(0.6)[2]
+
+
+def _probe_log(engine, certified):
+    """The threshold search's probes, each with the number of exact basin
+    proofs its run made (the length of certified grows by one per proof)."""
+    log = []
+    run = engine.run
+
+    def recording_run(eps, **kwargs):
+        before = len(certified)
+        result = run(eps, **kwargs)
+        log.append((result[2], len(certified) - before))
+        return result
+
+    engine.run = recording_run
+    engine.threshold()
+    return log
+
+
+def test_exact_basin_is_built_only_when_a_state_comes_near_it(monkeypatch):
+    spec = example2_spec(rep_gen(3))
+    certified = []
+    certify = ExitEngine._certified_bound
+
+    def counting_certify(self, *args):
+        certified.append(args)
+        return certify(self, *args)
+
+    monkeypatch.setattr(ExitEngine, "_certified_bound", counting_certify)
+    lazy = _probe_log(ExitEngine(spec), certified)
+    # the same probes with every basin certified at the start of its probe
+    basin = ExitEngine._basin
+
+    def eager_basin(self, sm, epsilon):
+        b = basin(self, sm, epsilon)
+        if b is not None:
+            b.certified()
+        return b
+
+    monkeypatch.setattr(ExitEngine, "_basin", eager_basin)
+    eager = _probe_log(ExitEngine(spec), certified)
+    assert [probe for probe, _ in lazy] == [probe for probe, _ in eager]
+    assert all(n == 1 for _, n in eager)
+    stuck = [n for probe, n in lazy if probe.outcome == "stuck"]
+    assert len(stuck) >= 5 and not any(stuck)
+    assert all(n == 1 for probe, n in lazy if probe.reason == "basin")
