@@ -44,7 +44,6 @@ from .peeling import (  # noqa: F401
 from .stability import (  # noqa: F401
     StabilityMatrices,
     build_matrices,
-    disjoint_support_check,
     spectral_radius,
     stability_bound,
     stability_verdict,

@@ -175,7 +175,7 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         "c_exact": [[_frac_str(v) for v in row] for row in sm.c],
         "p_coeffs": [[[float(v) for v in cell] for cell in row] for row in sm.p_coeffs],
         "p_coeffs_exact": [[[_frac_str(v) for v in cell] for cell in row] for row in sm.p_coeffs],
-        "always_stable_by_disjoint_supports": stability.disjoint_support_check(spec, matrices=sm),
+        "always_stable_by_disjoint_supports": sm.vanishes(),
     }
     params: dict = {}
     if args.epsilon is not None:
@@ -272,8 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec", help="path to the ensemble spec JSON file")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # only exit-chart and simulate have a CSV form; it is their default
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("json", "csv"), default="csv")
 
     parser = _Parser(prog="metdg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metdg {__version__}")
@@ -284,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inffunc", parents=[common])
     p.add_argument("--type", required=True, help="VN or CN type name to dump")
 
-    p = sub.add_parser("exit-chart", parents=[common])
+    p = sub.add_parser("exit-chart", parents=[common, formats])
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -299,23 +300,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", action="store_true")
     p.add_argument("--tol-eps", type=float, default=1e-6)
 
-    p = sub.add_parser("simulate", parents=[common])
+    p = sub.add_parser("simulate", parents=[common, formats])
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--eps", required=True, help="grid as a:b:step or comma-separated values")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     return parser
 
-
-_DEFAULT_FORMATS = {
-    "validate": "json",
-    "inffunc": "json",
-    "exit-chart": "csv",
-    "threshold": "json",
-    "stability": "json",
-    "simulate": "csv",
-}
 
 _HANDLERS = {
     "validate": _cmd_validate,
@@ -330,11 +323,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.format is None:
-            args.format = _DEFAULT_FORMATS[args.command]
         t0 = time.perf_counter()
-        if args.format == "csv" and args.command not in ("exit-chart", "simulate"):
-            raise ValidationError(f"{args.command} has no CSV output")
         spec = load_spec(args.spec)
         digest = _digest(spec)
         return _HANDLERS[args.command](spec, args, digest, t0)

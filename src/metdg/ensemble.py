@@ -66,7 +66,6 @@ class CnType:
     generator: GF2Matrix
     socket_types: tuple[int, ...]
     count: int
-    given_form: str = "generator"
 
     @property
     def n_sockets(self) -> int:
@@ -201,7 +200,6 @@ def build_spec(
         _require(vn.count >= 1, f"{what}: count must be >= 1")
         _require(g.n_rows >= 1 and g.n_cols >= 1, f"{what}: empty generator")
         gf2.check_walk(g.n_cols, f"{what} sockets")
-        gf2.check_walk(g.n_rows, f"{what} input bits")
         _require(g.rank() == g.n_rows, f"{what}: rank-deficient generator")
         _require(not g.has_zero_column(), f"{what}: idle bit (all-zero generator column)")
         _require(len(vn.puncture) == g.n_rows,
@@ -215,7 +213,6 @@ def build_spec(
         _require(g.n_cols >= 1, f"{what}: empty code")
         gf2.check_walk(g.n_cols, f"{what} sockets")
         _require(g.n_rows >= 1, f"{what}: trivial code (dimension 0)")
-        gf2.check_walk(g.n_rows, f"{what} input bits")
         _require(g.rank() == g.n_rows, f"{what}: rank-deficient generator")
         _require(not g.has_zero_column(), f"{what}: idle bit (all-zero generator column)")
 
@@ -315,15 +312,12 @@ def spec_from_dict(doc: dict) -> EnsembleSpec:
         _require(has_g != has_h, f"{what}: give exactly one of generator, parity_check")
         if has_g:
             g = _parse_matrix(raw["generator"], what)
-            form = "generator"
         else:
-            h = _parse_matrix(raw["parity_check"], what)
-            g = gf2.generator_from_parity(h)
-            form = "parity_check"
+            g = gf2.generator_from_parity(_parse_matrix(raw["parity_check"], what))
         st = _check_socket_types(raw.get("socket_types"), g.n_cols, n_e, what)
         count = raw.get("count")
         _require(isinstance(count, int), f"{what}: count must be an integer")
-        cns.append(CnType(name, g, st, count, given_form=form))
+        cns.append(CnType(name, g, st, count))
 
     return build_spec(n_e, vns, cns)
 

@@ -4,6 +4,12 @@ Rows live in Python ints (bit j = column j), so a row operation is a single
 XOR.  Matrices are immutable; every operation allocates private scratch,
 which keeps them safe to share between concurrent workers.
 
+One elimination, `rref`, serves rank, the null space, and the codeword
+facts the analyses need: the weight-2 codewords come from equal columns of
+a parity-check matrix, and the minimum distance from a walk over the span
+of the smaller of the code and its dual (at most 2**12 words for the 24
+sockets a component may have).
+
 The subset walk (`subset_slots`) eliminates every subset of a column list at
 once in numpy, for the information tables and the local decoding maps.
 """
@@ -11,6 +17,8 @@ once in numpy, for the information tables and the local decoding maps.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import permutations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,9 +26,9 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 # The one enumeration limit: every exhaustive walk in the toolkit (the
-# subsets of an information table's columns, the inputs of a codeword walk)
-# is exponential in its width, which is checked against this budget before
-# the walk starts.
+# subsets of an information table's columns, the span of the basis walked
+# for a minimum distance) is exponential in its width, which is checked
+# against this budget before the walk starts.
 WALK_BUDGET = 24
 # A walk runs the subset recurrence over at most this many low key bits at a
 # time, which bounds its scratch arrays to 2**_FILL_MAX_LOW keys.
@@ -33,39 +41,6 @@ def check_walk(width: int, what: str) -> None:
             f"{what}: a walk over {width} columns exceeds the enumeration limit,"
             f" the walk budget WALK_BUDGET={WALK_BUDGET}"
         )
-
-
-def reduce_vector(v: int, pivots: list[int], vecs: list[int]) -> int:
-    """Reduce v against a basis kept in ascending-pivot order.
-
-    Each basis vector has its pivot as its lowest set bit, so XORing never
-    touches bits below the pivot and a single ascending sweep fully reduces.
-    """
-    for p, b in zip(pivots, vecs):
-        if v & p:
-            v ^= b
-    return v
-
-
-def basis_insert(v: int, pivots: list[int], vecs: list[int]) -> bool:
-    """Reduce v and, if independent, insert it.  Returns True on insert."""
-    v = reduce_vector(v, pivots, vecs)
-    if not v:
-        return False
-    p = v & -v
-    i = bisect_left(pivots, p)
-    pivots.insert(i, p)
-    vecs.insert(i, v)
-    return True
-
-
-def rank_of_rows(rows: Iterable[int]) -> int:
-    """GF(2) rank of a collection of bit-packed rows."""
-    pivots: list[int] = []
-    vecs: list[int] = []
-    for v in rows:
-        basis_insert(v, pivots, vecs)
-    return len(pivots)
 
 
 class GF2Matrix:
@@ -128,11 +103,8 @@ class GF2Matrix:
                 r ^= low
         return cols
 
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.n_cols, self.n_rows, self.column_bits())
-
     def rank(self) -> int:
-        return rank_of_rows(self.row_bits)
+        return len(rref(self)[0])
 
     def select_columns(self, indices: Iterable[int]) -> "GF2Matrix":
         """Submatrix of the chosen columns, in the given order."""
@@ -211,35 +183,42 @@ def generator_from_parity(h: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(len(free_cols), n, gen_rows)
 
 
-def codewords(g: GF2Matrix) -> Iterator[tuple[int, int]]:
-    """Yield (input_mask, codeword_bits) over all 2^k inputs, Gray ordered.
-
-    The all-zero input comes first.  Requires k <= WALK_BUDGET.
-    """
-    k = g.n_rows
-    check_walk(k, f"codewords of a code with {k} input bits")
-    rows = g.row_bits
+def _span_weights(rows: Sequence[int], n: int) -> list[int]:
+    """Weight distribution of the span of independent rows: entry w counts
+    its words of weight w, walked in Gray order."""
+    counts = [0] * (n + 1)
+    counts[0] = 1
     cw = 0
-    yield 0, 0
-    for i in range(1, 1 << k):
+    for i in range(1, 1 << len(rows)):
         cw ^= rows[(i & -i).bit_length() - 1]
-        yield i ^ (i >> 1), cw
+        counts[cw.bit_count()] += 1
+    return counts
 
 
 def min_distance(g: GF2Matrix) -> int:
-    """Exact minimum nonzero codeword weight by exhaustive enumeration."""
-    best = None
-    for mask, cw in codewords(g):
-        if mask == 0:
-            continue
-        w = cw.bit_count()
-        if w and (best is None or w < best):
-            best = w
-            if best == 1:
-                break
-    if best is None:
+    """Exact minimum nonzero codeword weight of the row space of g.
+
+    Walks the span of the smaller of the code and its dual.  From the dual's
+    weights B_j the code's are, by the MacWilliams identity,
+    A_i = 2**-(n-k) * sum_j B_j K_i(j), K_i the Krawtchouk polynomial
+    (MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 5);
+    only the sign of the sum is needed.
+    """
+    n = g.n_cols
+    rows = rref(g)[1]
+    if not rows:
         raise ValidationError("code has no nonzero codeword")
-    return best
+    dual = generator_from_parity(g).row_bits
+    walked = min(rows, dual, key=len)
+    check_walk(len(walked), f"minimum distance of a ({n}, {len(rows)}) code and its dual")
+    weights = _span_weights(walked, n)
+    if walked is dual:
+        weights = [
+            sum(b * sum((-1) ** s * comb(j, s) * comb(n - j, i - s) for s in range(i + 1))
+                for j, b in enumerate(weights) if b)
+            for i in range(n + 1)
+        ]
+    return next(i for i in range(1, n + 1) if weights[i])
 
 
 def enumerate_weight2_pairs(
@@ -252,25 +231,31 @@ def enumerate_weight2_pairs(
     For every codeword of Hamming weight 2 with support {i, j}, both ordered
     pairs (i, j) and (j, i) are counted under the key (type_i, type_j) or,
     when with_input_weight is set, (type_i, type_j, input_weight).
+
+    e_i + e_j is a codeword exactly when columns i and j of a parity-check
+    matrix are equal (two zero columns included).  Its input word comes
+    from one elimination of g with each row tagged by its own identity bit:
+    the reduced rows with pivot i or j sum to e_i + e_j, and their tags to
+    the input.  g must have full row rank.
     """
     st = list(socket_types)
-    if len(st) != g.n_cols:
-        raise ValidationError(
-            f"socket type vector has length {len(st)}, expected {g.n_cols}"
-        )
+    n, k = g.n_cols, g.n_rows
+    if len(st) != n:
+        raise ValidationError(f"socket type vector has length {len(st)}, expected {n}")
+    piv_cols, rows = rref(GF2Matrix(k, n + k, [r | 1 << (n + i) for i, r in enumerate(g.row_bits)]))
+    if piv_cols and piv_cols[-1] >= n:
+        raise ValidationError("weight-2 pairs need a full-row-rank generator")
+    by_pivot = dict(zip(piv_cols, rows))
+    groups: dict = {}
+    for j, col in enumerate(generator_from_parity(g).column_bits()):
+        groups.setdefault(col, []).append(j)
     counts: dict = {}
-    for mask, cw in codewords(g):
-        if cw.bit_count() != 2:
-            continue
-        low = cw & -cw
-        i = low.bit_length() - 1
-        j = (cw ^ low).bit_length() - 1
-        if with_input_weight:
-            u = mask.bit_count()
-            keys = [(st[i], st[j], u), (st[j], st[i], u)]
-        else:
-            keys = [(st[i], st[j]), (st[j], st[i])]
-        for key in keys:
+    for group in groups.values():
+        for i, j in permutations(group, 2):
+            key = (st[i], st[j])
+            if with_input_weight:
+                u = (by_pivot.get(i, 0) ^ by_pivot.get(j, 0)) >> n
+                key += (u.bit_count(),)
             counts[key] = counts.get(key, 0) + 1
     return counts
 

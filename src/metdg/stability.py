@@ -218,15 +218,3 @@ def stability_bound(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def disjoint_support_check(spec: EnsembleSpec, matrices: StabilityMatrices | None = None) -> bool:
-    """Sufficient condition: weight-2 supports on the VN and CN sides touch
-    disjoint edge-type sets, which forces the product matrix to vanish.
-    matrices, when given, are spec's, already built.
-
-    A side touches type l exactly when row l, or column l, of its matrix
-    (P or C) is nonzero: a weight-2 codeword on sockets of types l and m
-    adds a positive count to entries (l, m) and (m, l).  So the check holds
-    exactly when P(eps)C vanishes.
-    """
-    return _matrices(spec, matrices).vanishes()

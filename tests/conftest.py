@@ -67,7 +67,7 @@ def fig1_spec() -> EnsembleSpec:
     d1_h = GF2Matrix.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]])
     from metdg import generator_from_parity
 
-    d1 = CnType("dual", generator_from_parity(d1_h), (2, 2, 3, 3), 10, given_form="parity_check")
+    d1 = CnType("dual", generator_from_parity(d1_h), (2, 2, 3, 3), 10)
     d2 = CnType("single", spc_gen(3), (1, 2, 3), 4)
     return build_spec(3, [g1, g2, g3], [d1, d2])
 
@@ -109,9 +109,7 @@ def dgldpc_spec() -> EnsembleSpec:
     vn1 = VnType("ham74", ham74, (1,) * 4, (1,) * 7, 30)
     vn2 = VnType("rep3", rep_gen(3), (1,), (2, 2, 2), 35)
     h = GF2Matrix.from_rows([[(c >> r) & 1 for c in range(1, 16)] for r in range(4)])
-    cn = CnType(
-        "ham15", generator_from_parity(h), (1,) * 10 + (2,) * 5, 21, given_form="parity_check"
-    )
+    cn = CnType("ham15", generator_from_parity(h), (1,) * 10 + (2,) * 5, 21)
     return build_spec(2, [vn1, vn2], [cn])
 
 

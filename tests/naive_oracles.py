@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from metdg import gf2, peeling
+from metdg import peeling
 
 
 def rank_gf2_numpy(mat) -> int:
@@ -157,13 +157,20 @@ def rank_table_recursion(columns, shape):
     pivots: list[int] = []
     vecs: list[int] = []
 
+    def reduce(v: int) -> int:
+        # each basis vector's pivot is its lowest bit, in ascending order
+        for p, b in zip(pivots, vecs):
+            if v & p:
+                v ^= b
+        return v
+
     def visit(i: int, offset: int) -> None:
         if i == n:
             table[offset] += len(pivots)
             return
         visit(i + 1, offset)
         v, stride = cols[i]
-        v = gf2.reduce_vector(v, pivots, vecs)
+        v = reduce(v)
         if v:
             p = v & -v
             j = bisect_left(pivots, p)
@@ -182,8 +189,8 @@ def rank_table_recursion(columns, shape):
 def weight_pair_enumerator(g):
     """Counts of (input weight, output weight) over all 2^k input words."""
     counts = {}
-    for mask, cw in gf2.codewords(g):
-        key = (mask.bit_count(), cw.bit_count())
+    for bits, cw in all_codewords(g.to_rows()):
+        key = (sum(bits), int(cw.sum()))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -191,8 +198,8 @@ def weight_pair_enumerator(g):
 def weight_enumerator(g):
     """Codeword-weight multiplicities over all 2^k input words."""
     counts = {}
-    for _, cw in gf2.codewords(g):
-        w = cw.bit_count()
+    for _, cw in all_codewords(g.to_rows()):
+        w = int(cw.sum())
         counts[w] = counts.get(w, 0) + 1
     return counts
 

@@ -138,6 +138,28 @@ def test_walk_over_the_budget_exits_2_before_walking(tmp_path, capsys):
         assert "WALK_BUDGET=24" in err and "36 columns" in err
 
 
+def test_24_socket_spc_validates_and_analyses_quickly(tmp_path, capsys):
+    # minimum distance and weight-2 pairs of a (24,23) SPC, with no walk over
+    # its 2**23 inputs
+    doc = {
+        "edge_types": 1,
+        "vn_types": [{"name": "rep2", "generator": [[1, 1]], "socket_types": [1, 1], "count": 12}],
+        "cn_types": [
+            {"name": "spc24", "generator": spc_gen(24).to_rows(), "socket_types": [1] * 24, "count": 1}
+        ],
+    }
+    path = tmp_path / "spc24.json"
+    path.write_text(json.dumps(doc))
+    for args in (["validate"], ["stability", "--epsilon", "0.3", "--bound"]):
+        t0 = time.perf_counter()
+        assert main([args[0], str(path), *args[1:]]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        report = json.loads(capsys.readouterr().out)
+    assert report["results"]["verdict"] == "unstable"
+    # sigma(eps) = eps * 1 * 23: the bound is 1/23
+    assert abs(report["results"]["bound"] - 1 / 23) < 1e-6
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"edge_types\": 1}")
@@ -325,8 +347,10 @@ def test_analysis_rejects_bad_inputs(ex1_path, args, capsys):
         ["stability", "SPEC", "--bogus"],
         ["exit-chart", "SPEC"],
         ["threshold"],
+        # --jobs belongs to simulate only
+        ["threshold", "SPEC", "--jobs", "2"],
     ],
-    ids=["negative-epsilon", "unknown-flag", "missing-option", "missing-spec"],
+    ids=["negative-epsilon", "unknown-flag", "missing-option", "missing-spec", "jobs-outside-simulate"],
 )
 def test_usage_errors_exit_1(ex1_path, args, capsys):
     assert main([ex1_path if a == "SPEC" else a for a in args]) == 1

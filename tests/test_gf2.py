@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,24 @@ from metdg import (
 )
 from metdg.gf2 import _FILL_MAX_LOW, WALK_BUDGET, subset_slots
 
-from naive_oracles import rank_gf2_numpy, row_span_size, weight_enumerator, weight_pair_enumerator
+from naive_oracles import (
+    naive_weight2_pairs,
+    rank_gf2_numpy,
+    row_span_size,
+    weight_enumerator,
+    weight_pair_enumerator,
+)
+
+
+def _random_full_rank(rng, k, n):
+    while True:
+        rows = rng.integers(0, 2, size=(k, n)).tolist()
+        if rank_gf2_numpy(rows) == k:
+            return GF2Matrix.from_rows(rows)
+
+
+def _naive_min_distance(g):
+    return min(w for w, c in weight_enumerator(g).items() if w and c)
 
 
 def test_rank_empty_matrix():
@@ -113,9 +132,68 @@ def test_min_distance():
 
 
 def test_min_distance_capacity():
+    # the walk takes the smaller of the code and its dual, so both must be
+    # over the budget: a full-rank (50, 25) code
+    g = _random_full_rank(np.random.default_rng(3), WALK_BUDGET + 1, 2 * (WALK_BUDGET + 1))
     with pytest.raises(CapacityError) as exc:
-        min_distance(GF2Matrix.from_rows([[1] * (WALK_BUDGET + 1)] * (WALK_BUDGET + 1)))
+        min_distance(g)
     assert str(WALK_BUDGET) in str(exc.value)
+
+
+def test_min_distance_of_the_zero_code_is_refused():
+    with pytest.raises(ValidationError):
+        min_distance(GF2Matrix.zeros(2, 3))
+
+
+def test_min_distance_and_weight2_pairs_match_the_codebook_on_random_codes():
+    # k on both sides of n/2, so both the direct walk and the walk of the
+    # dual (with the MacWilliams transform) run
+    rng = np.random.default_rng(41)
+    dual_walked = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 25))
+        k = int(rng.integers(1, min(n, 14) + 1))
+        dual_walked += k > n - k
+        g = _random_full_rank(rng, k, n)
+        types = [int(t) for t in rng.integers(1, 4, size=n)]
+        assert min_distance(g) == _naive_min_distance(g)
+        for with_u in (False, True):
+            want = naive_weight2_pairs(g.to_rows(), types, with_u)
+            assert enumerate_weight2_pairs(g, types, with_u) == want
+    assert 15 <= dual_walked <= 45
+
+
+def test_weight2_pairs_with_zero_parity_columns():
+    # z weight-1 codewords e_i: their columns of H are zero, so each pair of
+    # them is a weight-2 codeword; rows mixed by a random invertible matrix,
+    # so inputs of weight other than 2 occur too
+    rng = np.random.default_rng(43)
+    for z in (2, 3, 4):
+        for _ in range(8):
+            n_rest = int(rng.integers(2, 9))
+            rest = np.array(_random_full_rank(rng, int(rng.integers(1, n_rest)), n_rest).to_rows())
+            k = z + rest.shape[0]
+            g = np.zeros((k, z + n_rest), dtype=int)
+            g[:z, :z] = np.eye(z, dtype=int)
+            g[z:, z:] = rest
+            mix = np.array(_random_full_rank(rng, k, k).to_rows())
+            g = GF2Matrix.from_rows(((mix @ g % 2)[:, rng.permutation(z + n_rest)]).tolist())
+            types = [int(t) for t in rng.integers(1, 4, size=g.n_cols)]
+            assert min_distance(g) == 1
+            for with_u in (False, True):
+                want = naive_weight2_pairs(g.to_rows(), types, with_u)
+                assert enumerate_weight2_pairs(g, types, with_u) == want
+                assert sum(want.values()) >= z * (z - 1)
+
+
+def test_min_distance_of_a_24_socket_spc_is_fast():
+    g = GF2Matrix(23, 24, [1 << i | 1 << 23 for i in range(23)])
+    t0 = time.perf_counter()
+    assert min_distance(g) == 2
+    counts = enumerate_weight2_pairs(g, [1] * 24, with_input_weight=True)
+    assert time.perf_counter() - t0 < 0.5
+    # e_i + e_23 has input weight 1, e_i + e_j (i, j < 23) input weight 2
+    assert counts == {(1, 1, 1): 2 * 23, (1, 1, 2): 23 * 22}
 
 
 @pytest.mark.parametrize("free", [0, 3, 16])
@@ -173,6 +251,10 @@ def test_enumerate_weight2_pairs_total_vs_codebook_scan():
         k, n = int(rng.integers(1, 9)), int(rng.integers(2, 10))
         g = GF2Matrix.from_rows(rng.integers(0, 2, size=(k, n)).tolist())
         types = [int(t) for t in rng.integers(1, 4, size=n)]
+        if g.rank() < k:
+            with pytest.raises(ValidationError):
+                enumerate_weight2_pairs(g, types, with_input_weight=True)
+            continue
         counts = enumerate_weight2_pairs(g, types, with_input_weight=True)
         n_weight2 = weight_enumerator(g).get(2, 0)
         assert sum(counts.values()) == 2 * n_weight2

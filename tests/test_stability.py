@@ -10,7 +10,6 @@ from metdg import (
     ExitEngine,
     StabilityMatrices,
     build_matrices,
-    disjoint_support_check,
     spectral_radius,
     stability_bound,
     stability_verdict,
@@ -166,21 +165,21 @@ def test_sigma_scalar_reduction():
 
 def test_disjoint_support_spec_is_stable_for_all_eps():
     spec = disjoint_support_spec()
-    assert disjoint_support_check(spec)
-    assert stability_bound(spec) is None
     sm = build_matrices(spec)
+    assert sm.vanishes()
+    assert stability_bound(spec) is None
     for eps in (0.2, 0.7, 0.99):
         assert sm.sigma(eps) == 0.0
 
 
 def test_disjoint_support_false_for_example2():
-    assert not disjoint_support_check(example2_spec(rep_gen(2)))
+    assert not build_matrices(example2_spec(rep_gen(2))).vanishes()
 
 
 def test_disjoint_support_vacuous_when_no_weight2_words():
     spec = example1_spec(rep_gen(3), rep_gen(3))  # distance-3 CN banks
     # VN side still has a weight-2 type, but the CN side touches nothing
-    assert disjoint_support_check(spec)
+    assert build_matrices(spec).vanishes()
     # and with distance >= 3 on both sides there is nothing to touch at all
     from metdg import CnType, VnType, build_spec
 
@@ -188,7 +187,7 @@ def test_disjoint_support_vacuous_when_no_weight2_words():
     cn = CnType("rep3c", rep_gen(3), (1, 1, 1), 2)
     empty_spec = build_spec(1, [vn], [cn])
     assert empty_spec.vn_dist2_indices == () and empty_spec.cn_dist2_indices == ()
-    assert disjoint_support_check(empty_spec)
+    assert build_matrices(empty_spec).vanishes()
 
 
 def test_disjoint_support_check_matches_weight2_pairs():
@@ -208,7 +207,7 @@ def test_disjoint_support_check_matches_weight2_pairs():
     ]
     rng = np.random.default_rng(37)
     specs += [random_eligible_spec(rng, n_edge_types=int(rng.integers(2, 4))) for _ in range(40)]
-    verdicts = [disjoint_support_check(spec) for spec in specs]
+    verdicts = [build_matrices(spec).vanishes() for spec in specs]
     assert verdicts == [disjoint_support_by_pairs(spec) for spec in specs]
     assert True in verdicts[5:] and False in verdicts[5:]
 
