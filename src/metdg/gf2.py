@@ -35,10 +35,11 @@ WALK_BUDGET = 24
 _FILL_MAX_LOW = 14
 
 
-def check_walk(width: int, what: str) -> None:
+def check_walk(width: int, what: str, unit: str = "columns") -> None:
+    """Refuse a walk over more than WALK_BUDGET units (columns or basis rows)."""
     if width > WALK_BUDGET:
         raise CapacityError(
-            f"{what}: a walk over {width} columns exceeds the enumeration limit,"
+            f"{what}: a walk over {width} {unit} exceeds the enumeration limit,"
             f" the walk budget WALK_BUDGET={WALK_BUDGET}"
         )
 
@@ -210,7 +211,9 @@ def min_distance(g: GF2Matrix) -> int:
         raise ValidationError("code has no nonzero codeword")
     dual = generator_from_parity(g).row_bits
     walked = min(rows, dual, key=len)
-    check_walk(len(walked), f"minimum distance of a ({n}, {len(rows)}) code and its dual")
+    check_walk(
+        len(walked), f"minimum distance of a ({n}, {len(rows)}) code and its dual", "basis rows"
+    )
     weights = _span_weights(walked, n)
     if walked is dual:
         weights = [

@@ -11,9 +11,9 @@ iteration) run as a frontier: message flags only ever turn on, and a node's
 outputs depend only on its packed key (channel-known mask << q |
 incoming-known mask), so a pass looks up only the nodes whose key grew since
 they were last evaluated.  Keys are kept as decoder state; a flag that turns
-on ORs its socket bit into the key of the node it enters, found through the
-per-edge owner maps the interleaver leaves behind.  The iteration stops at
-the first one that turns no flag on.
+on adds its socket bit to the key of the node it enters, found through
+per-edge owner maps built when decoding starts.  The iteration stops at the
+first one that turns no flag on.
 
 A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
@@ -21,6 +21,12 @@ the due nodes of each type.  A map is filled on first use from the echelon
 bases of many keys at a time, which the subset walk shared with the
 information tables (`gf2.subset_slots`) provides; the codes of one trial
 loop share one set of maps, so each key is filled once per loop.
+
+A simulation decodes its trials in blocks: runs of consecutive trials of at
+most _BLOCK_EDGES edges in all, each sampled from its own stream into one
+disjoint-union graph (a larger code is a block of one).  One frontier run
+serves the whole block, and each trial's outcome is read off its own node
+and edge ranges, so it is the one that trial gets decoded alone.
 """
 
 from __future__ import annotations
@@ -59,7 +65,11 @@ def _trial_rng(seed: int, eps_index: int, trial_index: int) -> np.random.Generat
 
 @dataclass
 class SampledCode:
-    """One Tanner-graph realization at a given scale."""
+    """One Tanner-graph realization at a given scale, or a block: the
+    disjoint union of `trials` of them.  Trial b of a block owns edges
+    [b E, (b + 1) E) of its E edges per trial and, in each node type of c
+    nodes per trial, rows [b c, (b + 1) c); counts and sizes are those of
+    the union."""
 
     spec: EnsembleSpec
     scale: int
@@ -70,35 +80,20 @@ class SampledCode:
     vn_edges: list[np.ndarray]
     cn_edges: list[np.ndarray]
     n_transmitted: int
-    # Per edge, the node at each end: (node index << _socket_bits) | socket,
-    # nodes numbered across the types of a side (see _owners).
-    vn_owner: np.ndarray
-    cn_owner: np.ndarray
     # Local maps of the VN types and of the CN types, which decode fills and
-    # reads; codes sampled by one trial loop share them.
+    # reads; the blocks of one trial loop share them.
     maps: tuple[list[_LocalMaps], list[_LocalMaps]] = field(compare=False, repr=False)
-
-    @property
-    def n_vn(self) -> int:
-        return sum(self.vn_counts)
-
-    @property
-    def n_cn(self) -> int:
-        return sum(self.cn_counts)
+    trials: int = 1
 
 
-def _socket_blocks(counts_per_type, n_edge_types, socket_type_vectors):
-    """Per edge type, the (type index, position, node count) blocks in slot order."""
+def _socket_blocks(node_types, n_edge_types: int, scale: int):
+    """Per edge type, the (type index, position, nodes per code) blocks of
+    one side's sockets in slot order."""
     blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_edge_types)]
-    for ti, st in enumerate(socket_type_vectors):
-        for pos, l in enumerate(st):
-            blocks[l - 1].append((ti, pos, counts_per_type[ti]))
+    for ti, t in enumerate(node_types):
+        for pos, l in enumerate(t.socket_types):
+            blocks[l - 1].append((ti, pos, t.count * scale))
     return blocks
-
-
-def _socket_bits(edges: list[np.ndarray]) -> int:
-    """Low bits of an owner code that hold the socket, on one side."""
-    return (max(e.shape[1] for e in edges) - 1).bit_length()
 
 
 def _index_dtype(n: int) -> type:
@@ -109,88 +104,66 @@ def _index_dtype(n: int) -> type:
 def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     """Draw one code: deterministic in (spec, scale, seed)."""
     _check_seed(seed)
-    return _sample_code(spec, scale, _philox(seed, 0), _local_maps(spec))
+    code = _new_block(spec, scale, 1, _local_maps(spec))
+    _sample_code(code, 0, _philox(seed, 0))
+    return code
 
 
-def _sample_code(spec: EnsembleSpec, scale: int, rng: np.random.Generator, maps) -> SampledCode:
+def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps) -> SampledCode:
+    """A block of `trials` codes whose interleavers are still to be drawn.
+
+    The VN side is the same in every code: VN slot k of an edge type (VN
+    sockets of that type in type, position, node order) carries the k-th
+    edge of the type.  _sample_code fills the CN sockets of each trial.
+    """
     if scale < 1:
         raise ValidationError("scale must be a positive integer")
-    n_e = spec.n_edge_types
-    vn_counts = tuple(vn.count * scale for vn in spec.vn_types)
-    cn_counts = tuple(cn.count * scale for cn in spec.cn_types)
-
-    vn_blocks = _socket_blocks(vn_counts, n_e, [vn.socket_types for vn in spec.vn_types])
-    cn_blocks = _socket_blocks(cn_counts, n_e, [cn.socket_types for cn in spec.cn_types])
-
-    edge_offsets = []
-    total = 0
-    for l0 in range(n_e):
-        edge_offsets.append(total)
-        total += spec.edge_counts[l0] * scale
-    n_edges = total
-
+    per_type = [count * scale for count in spec.edge_counts]
+    n_edges = trials * sum(per_type)
     idx_dtype = _index_dtype(n_edges)
-    edge_type0 = np.empty(n_edges, dtype=idx_dtype)
-    for l0 in range(n_e):
-        lo = edge_offsets[l0]
-        hi = lo + spec.edge_counts[l0] * scale
-        edge_type0[lo:hi] = l0
-
-    vn_edges = [
-        np.empty((vn_counts[i], vn.n_sockets), dtype=idx_dtype)
-        for i, vn in enumerate(spec.vn_types)
-    ]
-    cn_edges = [
-        np.empty((cn_counts[i], cn.n_sockets), dtype=idx_dtype)
-        for i, cn in enumerate(spec.cn_types)
-    ]
-
-    for l0 in range(n_e):
-        count_l = spec.edge_counts[l0] * scale
-        perm = rng.permutation(count_l)
-        inv = np.empty(count_l, dtype=idx_dtype)
-        inv[perm] = np.arange(count_l, dtype=idx_dtype)
-        # VN slot k of this type carries edge (offset + k); CN slot j carries
-        # the edge whose VN slot maps to it under the interleaver.
-        base = 0
-        for ti, pos, cnt in vn_blocks[l0]:
-            vn_edges[ti][:, pos] = edge_offsets[l0] + base + np.arange(cnt)
-            base += cnt
-        base = 0
-        for ti, pos, cnt in cn_blocks[l0]:
-            cn_edges[ti][:, pos] = edge_offsets[l0] + inv[base : base + cnt]
-            base += cnt
-
-    n_tx = sum(c * vn.n_transmitted for c, vn in zip(vn_counts, spec.vn_types))
+    vn_edges, cn_edges = (
+        [np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in types]
+        for types in (spec.vn_types, spec.cn_types)
+    )
+    trial_first = np.arange(0, n_edges, sum(per_type))[:, None]
+    first = 0
+    for blocks in _socket_blocks(spec.vn_types, spec.n_edge_types, scale):
+        for ti, pos, cnt in blocks:
+            vn_edges[ti][:, pos] = (trial_first + np.arange(first, first + cnt)).reshape(-1)
+            first += cnt
     return SampledCode(
         spec=spec,
         scale=scale,
         n_edges=n_edges,
-        edge_type0=edge_type0,
-        vn_counts=vn_counts,
-        cn_counts=cn_counts,
+        edge_type0=np.tile(np.repeat(np.arange(len(per_type), dtype=idx_dtype), per_type), trials),
+        vn_counts=tuple(map(len, vn_edges)),
+        cn_counts=tuple(map(len, cn_edges)),
         vn_edges=vn_edges,
         cn_edges=cn_edges,
-        n_transmitted=n_tx,
-        vn_owner=_owners(vn_edges, n_edges),
-        cn_owner=_owners(cn_edges, n_edges),
+        n_transmitted=trials * scale * sum(t.count * t.n_transmitted for t in spec.vn_types),
         maps=maps,
+        trials=trials,
     )
 
 
-def _owners(edges: list[np.ndarray], n_edges: int) -> np.ndarray:
-    """Per edge, (node << socket bits) | socket of the node it enters on one
-    side, given that side's (node, socket) -> edge arrays per type."""
-    bits = _socket_bits(edges)
-    n_nodes = sum(len(e) for e in edges)
-    owner = np.empty(n_edges, dtype=_index_dtype(n_nodes << bits))
-    first = 0
-    for e in edges:
-        owner[e] = np.arange(first, first + len(e))[:, None] << bits | np.arange(e.shape[1])
-        first += len(e)
-    return owner
+def _sample_code(code: SampledCode, trial: int, rng: np.random.Generator) -> None:
+    """Draw the interleavers of one trial of a block from rng: per edge type,
+    a uniform permutation maps VN slots to CN slots, and CN slot j carries
+    the edge whose VN slot maps to it."""
+    spec = code.spec
+    first = trial * (code.n_edges // code.trials)
+    for l0, blocks in enumerate(_socket_blocks(spec.cn_types, spec.n_edge_types, code.scale)):
+        count = spec.edge_counts[l0] * code.scale
+        inv = np.empty(count, dtype=code.edge_type0.dtype)
+        inv[rng.permutation(count)] = np.arange(first, first + count)
+        for ti, pos, cnt in blocks:
+            code.cn_edges[ti][trial * cnt : (trial + 1) * cnt, pos] = inv[:cnt]
+            inv = inv[cnt:]
+        first += count
 
 
+# Edges in one block of trials decoded together (see sweep).
+_BLOCK_EDGES = 1 << 16
 # Array tables cap at 2 x 8 MiB; wider types fall back to a dict memo.
 _ARRAY_MAX_WIDTH = 20
 # Missing dict keys filled per vectorized call, each with its q neighbours.
@@ -230,35 +203,34 @@ class _LocalMaps:
         width = self.q + self.kb
         self._array_backed = width <= _ARRAY_MAX_WIDTH
         if self._array_backed:
-            self.out_table = np.empty(1 << width, dtype=np.int64)
-            self.info_table = np.empty(1 << width, dtype=np.int64)
+            self.table = np.empty((2, 1 << width), dtype=np.int64)
             self._filled = np.zeros(1 << self.kb, dtype=bool)
         else:
             self._dict: dict[int, tuple[int, int]] = {}
 
-    def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, keys: np.ndarray, row: int) -> np.ndarray:
+        """Row 0 (out masks) or row 1 (recovered-info masks) of the map at
+        keys, filled where missing."""
         if self._array_backed:
             if not self._filled.all():
                 due = np.zeros_like(self._filled)
                 due[keys >> self.q] = True
                 for chan in np.flatnonzero(due & ~self._filled).tolist():
                     self._fill_block(chan)
-            return self.out_table[keys], self.info_table[keys]
+            return self.table[row][keys]
         uniq, inv = np.unique(keys, return_inverse=True)
         missing = [key for key in uniq.tolist() if key not in self._dict]
         if missing:
             self._fill_dict(np.array(missing, dtype=np.int64))
-        pairs = np.array([self._dict[key] for key in uniq.tolist()], dtype=np.int64)
-        pairs = pairs.reshape(-1, 2)  # keeps two columns for an empty batch
-        return pairs[inv, 0], pairs[inv, 1]
+        return np.array([self._dict[key][row] for key in uniq.tolist()], dtype=np.int64)[inv]
 
     def _fill_block(self, chan: int) -> None:
         base = chan << self.q
         det, info = self._span_masks(np.array([base]), self.q)
         inc = np.arange(1 << self.q, dtype=np.int64)
         block = slice(base, base + len(inc))
-        self.out_table[block] = _extrinsic(det, (inc & ~(1 << j) for j in range(self.q)))
-        self.info_table[block] = info
+        self.table[0, block] = _extrinsic(det, (inc & ~(1 << j) for j in range(self.q)))
+        self.table[1, block] = info
         self._filled[chan] = True
 
     def _fill_dict(self, missing: np.ndarray) -> None:
@@ -323,16 +295,19 @@ class _Side:
     across the types of the side: each node's key, the out mask of its last
     lookup, and whether its key grew since."""
 
-    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], owner: np.ndarray):
+    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], n_edges: int):
         self.edges = edges
         self.maps = maps
-        self.owner = owner
-        self.bits = _socket_bits(edges)
         first = np.cumsum([0] + [len(e) for e in edges]).tolist()
         self.spans = list(zip(first, first[1:]))
         self.keys = np.zeros(first[-1], dtype=np.int64)
         self.out = np.zeros(first[-1], dtype=np.int64)
         self.due = np.zeros(first[-1], dtype=bool)
+        # Per edge, the node it enters on this side: (node << bits) | socket.
+        self.bits = (max(e.shape[1] for e in edges) - 1).bit_length()
+        self.owner = np.empty(n_edges, dtype=_index_dtype(first[-1] << self.bits))
+        for (lo, hi), e in zip(self.spans, edges):
+            self.owner[e] = np.arange(lo, hi)[:, None] << self.bits | np.arange(e.shape[1])
 
     def send(self, other: "_Side", every_node: bool) -> list[np.ndarray]:
         """Look up the due nodes (or every node) and pass the messages that
@@ -357,7 +332,7 @@ class _Side:
                 return np.zeros(0, dtype=edges.dtype)
             nodes = rows + lo
         self.due[nodes] = False
-        out = self.maps[t].lookup_many(self.keys[nodes])[0]
+        out = self.maps[t].lookup(self.keys[nodes], 0)
         new = out & ~self.out[nodes]
         self.out[nodes] = out
         hit = np.flatnonzero(new)
@@ -365,14 +340,16 @@ class _Side:
         return senders[_bit_rows(new[hit], edges.shape[1])]
 
     def receive(self, edges: np.ndarray) -> None:
-        """OR the socket bits of newly known incoming edges into the keys of
+        """Add the socket bits of newly known incoming edges to the keys of
         their nodes, and mark those nodes due."""
         code = self.owner[edges]
         node = code >> self.bits
         code &= (1 << self.bits) - 1
-        # A node can gain several sockets at once, hence the unbuffered OR;
-        # the bits are int64 whatever the owner dtype, as sockets reach 63.
-        np.bitwise_or.at(self.keys, node, np.left_shift(1, code, dtype=np.int64))
+        # A node can gain several sockets at once, hence the unbuffered add;
+        # it sets each bit exactly, as an edge turns known once and enters
+        # one (node, socket).  The bits are int64 whatever the owner dtype,
+        # as sockets reach 63.
+        np.add.at(self.keys, node, np.left_shift(1, code, dtype=np.int64))
         self.due[node] = True
 
 
@@ -389,8 +366,6 @@ def decode(
     node, transmitted position).  Runs to the message fixpoint unless
     max_iters cuts it short.
     """
-    spec = code.spec
-    n_e = spec.n_edge_types
     if max_iters is not None and max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
     erased = np.asarray(erasure_pattern, dtype=bool)
@@ -398,69 +373,97 @@ def decode(
         raise ValidationError(
             f"erasure pattern has shape {erased.shape}, expected ({code.n_transmitted},)"
         )
+    success, residual, iterations, trajectory, history = _decode_block(
+        code, erased[None], max_iters, record_trajectory, keep_history
+    )
+    return DecodeResult(
+        success=bool(success[0]),
+        residual_erasures=int(residual[0]),
+        iterations=int(iterations[0]),
+        trajectory=None if trajectory is None else trajectory[:, 0],
+        vc_history=history,
+    )
 
-    vn_maps, cn_maps = code.maps
-    vn = _Side(code.vn_edges, vn_maps, code.vn_owner)
-    cn = _Side(code.cn_edges, cn_maps, code.cn_owner)
+
+def _decode_block(
+    code: SampledCode, erased: np.ndarray, max_iters, record_trajectory=False, keep_history=False
+):
+    """Decode every trial of a block in one run of the frontier decoder.
+
+    erased holds one row per trial, in decode's pattern order.  Returns per
+    trial success, residual erasures and iterations; when asked, the known
+    VN-to-CN fractions per edge type after each VN pass, shape (passes,
+    trials, edge types); and when asked, the block's VN-to-CN flags after
+    each VN pass.  The graphs are disjoint, so a trial at its fixpoint stays
+    there while the block runs on: its iterations end at the first one that
+    turned none of its messages known, and its later trajectory rows repeat
+    its last one.
+    """
+    spec, n_trials = code.spec, code.trials
+    n_e, per_trial = spec.n_edge_types, code.n_edges // n_trials
+    vn = _Side(code.vn_edges, code.maps[0], code.n_edges)
+    cn = _Side(code.cn_edges, code.maps[1], code.n_edges)
     # A VN key starts as its channel-known mask (bit j = j-th transmitted
     # position) above its q incoming bits.
     chan_bits: list[np.ndarray] = []
     offset = 0
-    for i, t in enumerate(spec.vn_types):
-        (lo, hi), w = vn.spans[i], t.n_transmitted
-        block = ~erased[offset : offset + (hi - lo) * w].reshape(hi - lo, w)
-        offset += (hi - lo) * w
-        chan_bits.append(block)
-        chan = (block.astype(np.int64) << np.arange(w, dtype=np.int64)).sum(axis=1)
+    for (lo, hi), t in zip(vn.spans, spec.vn_types):
+        width = (hi - lo) // n_trials * t.n_transmitted
+        chan_bits.append(~erased[:, offset : offset + width].reshape(hi - lo, t.n_transmitted))
+        offset += width
+        chan = (chan_bits[-1].astype(np.int64) << np.arange(t.n_transmitted)).sum(axis=1)
         vn.keys[lo:hi] = chan << t.n_sockets
 
-    edge_totals = np.bincount(code.edge_type0, minlength=n_e).astype(float)
-    known_vc = np.zeros(n_e, dtype=np.int64)
+    edge_totals = np.bincount(code.edge_type0[:per_trial], minlength=n_e).astype(float)
+    known_vc = np.zeros(n_trials * n_e, dtype=np.int64)
+    # per trial, the last iteration that turned one of its messages known
+    last_flip = np.zeros(n_trials, dtype=np.int64)
     msg_vc = np.zeros(code.n_edges, dtype=bool) if keep_history else None
-    trajectory = [] if record_trajectory else None
-    history = [] if keep_history else None
+    trajectory: list[np.ndarray] = []
+    history: list[np.ndarray] = []
 
-    def vn_pass(every_node: bool) -> int:
+    def note(sent: list[np.ndarray], iteration: int) -> int:
+        for flipped in sent:
+            last_flip[flipped // per_trial if n_trials > 1 else 0] = iteration
+        return sum(map(len, sent))
+
+    def vn_pass(every_node: bool, iteration: int) -> int:
         sent = vn.send(cn, every_node)
         for flipped in sent:
             if record_trajectory:
-                known_vc[:] += np.bincount(code.edge_type0[flipped], minlength=n_e)
+                classes = code.edge_type0[flipped] + flipped // per_trial * n_e
+                known_vc[:] += np.bincount(classes, minlength=n_trials * n_e)
             if keep_history:
                 msg_vc[flipped] = True
         if record_trajectory:
-            trajectory.append(known_vc / edge_totals)
+            trajectory.append(known_vc.reshape(n_trials, n_e) / edge_totals)
         if keep_history:
             history.append(msg_vc.copy())
-        return sum(map(len, sent))
+        return note(sent, iteration)
 
     # Every node is due on its side's first pass; later passes look up only
     # the nodes whose key grew.
-    vn_pass(every_node=True)
+    vn_pass(every_node=True, iteration=0)
     iterations = 0
     while max_iters is None or iterations < max_iters:
-        flips = sum(map(len, cn.send(vn, every_node=iterations == 0)))
-        flips += vn_pass(every_node=False)
         iterations += 1
-        if flips == 0:
+        flips = note(cn.send(vn, every_node=iterations == 1), iterations)
+        if flips + vn_pass(every_node=False, iteration=iterations) == 0:
             break
 
-    residual = 0
+    residual = np.zeros(n_trials, dtype=np.int64)
     for i, t in enumerate(spec.vn_types):
-        if t.n_transmitted == 0:
-            continue
         # every VN was last looked up at its current key, so this is a hit
         lo, hi = vn.spans[i]
-        _, info = vn.maps[i].lookup_many(vn.keys[lo:hi])
-        pos = np.array(t.transmitted_positions, dtype=np.int64)
-        recovered = ((info[:, None] >> pos) & 1).astype(bool)
-        residual += int(np.sum(~chan_bits[i] & ~recovered))
-
-    return DecodeResult(
-        success=residual == 0,
-        residual_erasures=residual,
-        iterations=iterations,
-        trajectory=np.array(trajectory) if record_trajectory else None,
-        vc_history=history,
+        info = vn.maps[i].lookup(vn.keys[lo:hi], 1)
+        recovered = (info[:, None] >> np.array(t.transmitted_positions, dtype=np.int64)) & 1
+        residual += (~chan_bits[i] & (recovered == 0)).reshape(n_trials, -1).sum(axis=1)
+    return (
+        residual == 0,
+        residual,
+        np.minimum(last_flip + 1, iterations),
+        np.array(trajectory) if record_trajectory else None,
+        history if keep_history else None,
     )
 
 
@@ -478,32 +481,50 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-def _run_trials(spec, scale, seed, tasks, record_exit_iters, max_iters) -> list[tuple]:
-    """(success, residual erasures, trajectory or None) of each task, a
-    (grid index, trial index, eps) triple, in task order.  The codes of all
-    tasks share one set of local maps."""
+def _sample_block(spec, scale, seed, eps, trials, start, stop, maps):
+    """The block of flat trials [start, stop) and its erasure patterns, one
+    row per trial; eps holds the grid."""
+    code = _new_block(spec, scale, stop - start, maps)
+    draws = np.empty((stop - start, code.n_transmitted // (stop - start)))
+    for b, flat in enumerate(range(start, stop)):
+        # each trial draws its code, then its erasures, from its own stream
+        rng = _trial_rng(seed, *divmod(flat, trials))
+        _sample_code(code, b, rng)
+        rng.random(out=draws[b])
+    return code, draws < eps[np.arange(start, stop) // trials, None]
+
+
+def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_iters, max_iters):
+    """Run the blocks [start, start + size) of flat trial indices (grid index
+    x trials + trial index), one per start.  Returns the failures and the
+    residual erasures summed per grid point and, when recording, each
+    block's trajectories keyed by its start.  The blocks share one set of
+    local maps."""
     maps = _local_maps(spec)
-    outcomes = []
-    for eps_index, trial_index, eps in tasks:
-        rng = _trial_rng(seed, eps_index, trial_index)
-        code = _sample_code(spec, scale, rng, maps)
-        pattern = rng.random(code.n_transmitted) < eps
-        res = decode(code, pattern, max_iters=max_iters, record_trajectory=record_exit_iters > 0)
-        # Drop this trial's graph before the next one is sampled, so that
-        # memory holds one graph at a time.
-        del code, pattern
-        traj = None
+    eps = np.array(eps_grid, dtype=float)
+    total = len(eps) * trials
+    failures = np.zeros(len(eps), dtype=np.int64)
+    residuals = np.zeros(len(eps), dtype=np.int64)
+    trajectories = {}
+    for start in starts:
+        stop = min(start + size, total)
+        code, erased = _sample_block(spec, scale, seed, eps, trials, start, stop, maps)
+        success, residual, _, traj, _ = _decode_block(
+            code, erased, max_iters, record_trajectory=record_exit_iters > 0
+        )
+        points = np.arange(start, stop) // trials
+        # Drop this block before the next one is sampled, so that memory
+        # holds one block at a time.
+        del code, erased
+        np.add.at(failures, points, ~success)
+        np.add.at(residuals, points, residual)
         if record_exit_iters > 0:
-            traj = res.trajectory
-            want = record_exit_iters + 1
-            if traj.shape[0] < want:
-                # The fixpoint was reached early; later iterations repeat it.
-                pad = np.repeat(traj[-1:], want - traj.shape[0], axis=0)
-                traj = np.vstack([traj, pad])
-            else:
-                traj = traj[:want]
-        outcomes.append((res.success, res.residual_erasures, traj))
-    return outcomes
+            # Past the block's fixpoint, iterations repeat its last row.
+            rows = np.minimum(np.arange(record_exit_iters + 1), len(traj) - 1)
+            trajectories[start] = traj[rows].transpose(1, 0, 2)
+    # Plain ints: a pool's parent that unpickles arrays keeps about 50 KB
+    # more heap in use for the rest of the process.
+    return failures.tolist(), residuals.tolist(), trajectories
 
 
 @dataclass
@@ -553,42 +574,50 @@ def sweep(
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     result = SweepResult(rows=[], seed=seed, stability_prediction=spec.stability_eligible)
-    n_tx_per_scale = sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
-    n_bits = n_tx_per_scale * scale
-    tasks = [(eps_index, t, eps) for eps_index, eps in enumerate(eps_grid) for t in range(trials)]
+    n_bits = scale * sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
+    total = len(eps_grid) * trials
+    # Blocks hold at most _BLOCK_EDGES edges (a larger code is a block of
+    # one), and each worker gets the same number of blocks, at least one.
+    n = min(jobs, total)
+    rounds = -(-total // (n * max(1, _BLOCK_EDGES // (scale * sum(spec.edge_counts)))))
+    size = -(-total // (n * rounds))
+    n = min(n, -(-total // size))
+    run = (spec, scale, seed, eps_grid, trials)
     if jobs == 1:
-        outcomes = _run_trials(spec, scale, seed, tasks, record_exit_iters, max_iters)
+        parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters, max_iters)]
     else:
-        # Worker w runs tasks w, w + n, ... in one call: it receives the spec
-        # once, fills its own local maps on first use and keeps them for all
-        # of its tasks.  Imported here: set-up and single-process runs never
-        # pay for it.
+        # Worker w runs blocks w, w + n, ... in one call: it receives the
+        # spec once, fills its own local maps on first use and keeps them for
+        # all of its blocks.  Imported here: set-up and single-process runs
+        # never pay for it.
         from concurrent.futures import ProcessPoolExecutor
 
-        n = min(jobs, len(tasks))
-        outcomes = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = [
-                pool.submit(_run_trials, spec, scale, seed, tasks[w::n], record_exit_iters, max_iters)
+            futures = [
+                pool.submit(_run_trials, *run, range(w * size, total, n * size), size,
+                            record_exit_iters, max_iters)
                 for w in range(n)
             ]
-            for w, part in enumerate(parts):
-                outcomes[w::n] = part.result()
+            parts = [f.result() for f in futures]
+    failures, residuals = np.sum([part[:2] for part in parts], axis=0)
+    if record_exit_iters > 0:
+        traj = np.empty((total, record_exit_iters + 1, spec.n_edge_types))
+        for _, _, blocks in parts:
+            for start, block in blocks.items():
+                traj[start : start + len(block)] = block
     for eps_index, eps in enumerate(eps_grid):
-        point = outcomes[eps_index * trials : (eps_index + 1) * trials]
-        failures = sum(1 for ok, _, _ in point if not ok)
-        residual_total = sum(r for _, r, _ in point)
-        ci_lo, ci_hi = wilson_interval(failures, trials)
+        fails = int(failures[eps_index])
+        ci_lo, ci_hi = wilson_interval(fails, trials)
         result.rows.append(
             {
                 "eps": eps,
-                "ber": residual_total / (n_bits * trials),
-                "bler": failures / trials,
+                "ber": int(residuals[eps_index]) / (n_bits * trials),
+                "bler": fails / trials,
                 "ci_lo": ci_lo,
                 "ci_hi": ci_hi,
                 "trials": trials,
             }
         )
         if record_exit_iters > 0:
-            result.trajectories[eps] = np.stack([t for _, _, t in point])
+            result.trajectories[eps] = traj[eps_index * trials : (eps_index + 1) * trials]
     return result

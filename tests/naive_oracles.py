@@ -383,7 +383,7 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
             shifts = np.arange(q, dtype=np.int64)
             inc = (msg_cv[eids].astype(np.int64) << shifts).sum(axis=1)
             keys = (chan_masks[i] << q) | inc
-            out, info = vn_maps[i].lookup_many(keys)
+            out, info = vn_maps[i].lookup(keys, 0), vn_maps[i].lookup(keys, 1)
             info_masks[i] = info
             msg_vc[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
 
@@ -395,7 +395,7 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
             eids = code.cn_edges[i]
             shifts = np.arange(s, dtype=np.int64)
             inc = (msg_vc[eids].astype(np.int64) << shifts).sum(axis=1)
-            out, _ = cn_maps[i].lookup_many(inc)
+            out = cn_maps[i].lookup(inc, 0)
             msg_cv[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
 
     def known_fractions() -> np.ndarray:

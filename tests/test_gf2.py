@@ -138,6 +138,8 @@ def test_min_distance_capacity():
     with pytest.raises(CapacityError) as exc:
         min_distance(g)
     assert str(WALK_BUDGET) in str(exc.value)
+    # the walk spans the basis rows of the code or its dual, not its columns
+    assert f"a walk over {WALK_BUDGET + 1} basis rows" in str(exc.value)
 
 
 def test_min_distance_of_the_zero_code_is_refused():

@@ -1,12 +1,22 @@
 import concurrent.futures
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metdg import ExitEngine, ValidationError, decode, sample_code, sweep, wilson_interval
 from metdg import GF2Matrix
-from metdg.peeling import _LocalMaps, _trial_rng
+from metdg import peeling
+from metdg.peeling import (
+    _decode_block,
+    _local_maps,
+    _LocalMaps,
+    _new_block,
+    _sample_block,
+    _sample_code,
+    _trial_rng,
+)
 
 from conftest import (
     dgldpc_spec,
@@ -264,6 +274,12 @@ def _half_punctured_spec():
     return build_spec(1, [vn], [cn])
 
 
+def _decode_specs(rng):
+    # spc21 is past the array cutoff, so its CN maps are a dict memo
+    specs = [dgldpc_spec(), fig1_spec(), _parallel_edge_spec(), _half_punctured_spec(), ldpc_spec(3, 21, 7)]
+    return specs + [random_eligible_spec(rng) for _ in range(6)]
+
+
 @pytest.mark.parametrize("max_iters", [None, 0, 1, 3])
 def test_frontier_decode_matches_flooding_oracle(max_iters):
     # the frontier decoder looks up only the nodes next to flipped edges; the
@@ -273,10 +289,7 @@ def test_frontier_decode_matches_flooding_oracle(max_iters):
     for eps in (0.40, 0.42, 0.44, 0.46):
         code = sample_code(ldpc36, 500, seed=int(eps * 100))
         _assert_same_decoding(code, rng.random(code.n_transmitted) < eps, max_iters)
-    # spc21 is past the array cutoff, so its CN maps are a dict memo
-    specs = [dgldpc_spec(), fig1_spec(), _parallel_edge_spec(), _half_punctured_spec(), ldpc_spec(3, 21, 7)]
-    specs += [random_eligible_spec(rng) for _ in range(6)]
-    for k, spec in enumerate(specs):
+    for k, spec in enumerate(_decode_specs(rng)):
         code = sample_code(spec, 6, seed=k)
         for eps in (0.1, 0.35, 0.6, 0.9):
             _assert_same_decoding(code, rng.random(code.n_transmitted) < eps, max_iters)
@@ -284,7 +297,8 @@ def test_frontier_decode_matches_flooding_oracle(max_iters):
 
 def _oracle_check(gen: GF2Matrix, chan_positions, keys):
     maps = _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
-    out, info = maps.lookup_many(np.asarray(keys, dtype=np.int64))
+    keys_arr = np.asarray(keys, dtype=np.int64)
+    out, info = maps.lookup(keys_arr, 0), maps.lookup(keys_arr, 1)
     rows = gen.to_rows()
     for key, o, i in zip(keys, out.tolist(), info.tolist()):
         assert (o, i) == naive_local_map(rows, chan_positions, key), (rows, chan_positions, key)
@@ -322,7 +336,7 @@ def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positi
     # a second batch mixes memoized keys with new ones
     _oracle_check(gen, chan_positions, keys[::3] + rng.integers(0, 1 << width, size=40).tolist())
     # an empty batch
-    out, info = maps.lookup_many(np.zeros(0, dtype=np.int64))
+    out, info = maps.lookup(np.zeros(0, dtype=np.int64), 0), maps.lookup(np.zeros(0, dtype=np.int64), 1)
     assert out.shape == info.shape == (0,)
 
 
@@ -389,3 +403,109 @@ def test_decode_with_partially_punctured_vn_type():
         pattern = rng.random(12) < 0.4
         base = decode(code, pattern)
         assert base.residual_erasures <= int(pattern.sum())
+
+
+def _trials_alone(spec, scale, seed, eps_grid, trials, flats, max_iters=None):
+    """Each of the flat trials sampled as one code and decoded on its own:
+    (code, DecodeResult) pairs."""
+    maps = _local_maps(spec)
+    out = []
+    for flat in flats:
+        point, t = divmod(flat, trials)
+        rng = _trial_rng(seed, point, t)
+        code = _new_block(spec, scale, 1, maps)
+        _sample_code(code, 0, rng)
+        pattern = rng.random(code.n_transmitted) < eps_grid[point]
+        out.append((code, decode(code, pattern, max_iters=max_iters, record_trajectory=True)))
+    return out
+
+
+@pytest.mark.parametrize("max_iters", [None, 0, 1, 3])
+def test_block_decode_equals_each_trial_decoded_alone(max_iters):
+    # a block of flat trials 2..12 at 3 trials per grid point mixes five eps
+    # values and crosses four grid-point boundaries
+    rng = np.random.default_rng(43)
+    eps_grid = [0.1, 0.35, 0.45, 0.6, 0.9]
+    trials, start, stop = 3, 2, 13
+    specs = [(ldpc_spec(3, 6), 50)] + [(spec, 6) for spec in _decode_specs(rng)]
+    for seed, (spec, scale) in enumerate(specs):
+        code, erased = _sample_block(
+            spec, scale, seed, np.array(eps_grid), trials, start, stop, _local_maps(spec)
+        )
+        success, residual, iterations, traj, _ = _decode_block(
+            code, erased, max_iters, record_trajectory=True
+        )
+        per_trial = code.n_edges // code.trials
+        alone = _trials_alone(spec, scale, seed, eps_grid, trials, range(start, stop), max_iters)
+        for b, (one, res) in enumerate(alone):
+            # the block holds trial b's graph at its node rows and edge range
+            for side, one_side in ((code.vn_edges, one.vn_edges), (code.cn_edges, one.cn_edges)):
+                for mine, theirs in zip(side, one_side):
+                    rows = mine[b * len(theirs) : (b + 1) * len(theirs)]
+                    assert np.array_equal(rows - b * per_trial, theirs)
+            assert success[b] == res.success
+            assert residual[b] == res.residual_erasures
+            assert iterations[b] == res.iterations
+            passes = len(res.trajectory)
+            assert np.array_equal(traj[:passes, b], res.trajectory)
+            # after its own fixpoint a trial's rows repeat its last one
+            assert np.all(traj[passes:, b] == res.trajectory[-1])
+
+
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    submitted: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(args)
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypatch):
+    # 4 points x 5 trials split into blocks of 10 (2 workers) or 7 (3
+    # workers), which cross grid points; rows and trajectories must equal
+    # those of every trial decoded alone
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    spec, grid, trials, iters = dgldpc_spec(), [0.3, 0.38, 0.42, 0.5], 5, 4
+    result = sweep(spec, scale=1, eps_grid=grid, trials=trials, seed=17, jobs=jobs,
+                   record_exit_iters=iters)
+
+    total = len(grid) * trials
+    blocks = sorted(
+        (start, min(start + args[6], total)) for args in _RecordingPool.submitted for start in args[5]
+    )
+    assert len(_RecordingPool.submitted) == jobs
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == total
+    assert any(lo // trials != (hi - 1) // trials for lo, hi in blocks)
+
+    alone = [res for _, res in _trials_alone(spec, 1, 17, grid, trials, range(total))]
+    n_bits = sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
+    for p, eps in enumerate(grid):
+        point = alone[p * trials : (p + 1) * trials]
+        assert result.rows[p]["bler"] == sum(not r.success for r in point) / trials
+        assert result.rows[p]["ber"] == sum(r.residual_erasures for r in point) / (n_bits * trials)
+        for t, res in enumerate(point):
+            want = res.trajectory[: iters + 1]
+            want = np.vstack([want] + [want[-1:]] * (iters + 1 - len(want)))
+            assert np.array_equal(result.trajectories[eps][t], want)
+
+
+def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
+    # sweep keeps no per-trial list: with blocks of 64 twelve-edge trials its
+    # peak at 2 x 2048 trials stays that of 2 x 128
+    monkeypatch.setattr(peeling, "_BLOCK_EDGES", 64 * 12)
+    spec = ldpc_spec(3, 6)
+    assert sample_code(spec, 1, seed=0).n_edges == 12
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            sweep(spec, scale=1, eps_grid=[0.4, 0.5], trials=trials, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(128)
+    assert peak(2048) < small + 100_000
