@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -56,13 +55,20 @@ def _emit_json(report: dict, out_path: str | None) -> None:
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
 
 
-def _csv_header(subcommand: str, digest: str, parameters: dict) -> list[str]:
+def _emit_csv(
+    subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
+) -> None:
+    """A commented header, the column line, then one line per row with each
+    value written as its repr."""
     params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
-    return [
+    head = [
         f"# tool=metdg version={__version__} subcommand={subcommand}",
         f"# spec_sha256={digest}",
         f"# {params}" if params else "#",
+        ",".join(columns),
     ]
+    body = "".join([",".join(map(repr, row)) + "\n" for row in rows])
+    _emit("\n".join(head) + "\n" + body, out_path)
 
 
 def _cmd_validate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
@@ -139,14 +145,9 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         }
         _emit_json(_report("exit-chart", digest, params, results, t0), args.out)
         return 0
-    buf = io.StringIO()
-    for line in _csv_header("exit-chart", digest, params):
-        buf.write(line + "\n")
-    cols = ",".join(f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1))
-    buf.write(f"iter,{cols}\n")
-    for it, row in enumerate(trajectory.tolist()):
-        buf.write(",".join([str(it)] + [repr(v) for v in row]) + "\n")
-    _emit(buf.getvalue(), args.out)
+    columns = ["iter"] + [f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1)]
+    rows = ((it, *row) for it, row in enumerate(trajectory.tolist()))
+    _emit_csv("exit-chart", digest, params, columns, rows, args.out)
     return 0
 
 
@@ -182,9 +183,9 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         params["epsilon"] = args.epsilon
         results["epsilon"] = args.epsilon
         results["sigma"] = sm.sigma(args.epsilon)
-        results["verdict"] = stability.stability_verdict(spec, args.epsilon, matrices=sm)
+        results["verdict"] = stability.stability_verdict(sm, args.epsilon)
     if args.bound:
-        bound = stability.stability_bound(spec, tol_eps=args.tol_eps, matrices=sm)
+        bound = stability.stability_bound(sm, tol_eps=args.tol_eps)
         params["tol_eps"] = args.tol_eps
         results["bound"] = "unbounded" if bound is None else bound
     _emit_json(_report("stability", digest, params, results, t0), args.out)
@@ -238,25 +239,9 @@ def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     if args.format == "json":
         _emit_json(_report("simulate", digest, params, {"rows": result.rows}, t0), args.out)
         return 0
-    buf = io.StringIO()
-    for line in _csv_header("simulate", digest, params):
-        buf.write(line + "\n")
-    buf.write("eps,ber,bler,ci_lo,ci_hi,trials\n")
-    for row in result.rows:
-        buf.write(
-            ",".join(
-                [
-                    repr(row["eps"]),
-                    repr(row["ber"]),
-                    repr(row["bler"]),
-                    repr(row["ci_lo"]),
-                    repr(row["ci_hi"]),
-                    str(row["trials"]),
-                ]
-            )
-            + "\n"
-        )
-    _emit(buf.getvalue(), args.out)
+    columns = ("eps", "ber", "bler", "ci_lo", "ci_hi", "trials")
+    rows = ([row[c] for c in columns] for row in result.rows)
+    _emit_csv("simulate", digest, params, columns, rows, args.out)
     return 0
 
 

@@ -463,7 +463,7 @@ class ExitEngine:
         basin = None
         sm = None if record else self._stability
         if sm is not None:
-            verdict = stability.stability_verdict(self.spec, epsilon, matrices=sm)
+            verdict = stability.stability_verdict(sm, epsilon)
             if verdict == "unstable":
                 return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
@@ -615,11 +615,11 @@ class ExitEngine:
         sm = self._stability
         if sm is None:
             return 1.0
-        bound = stability.stability_bound(self.spec, tol_eps, matrices=sm)
+        bound = stability.stability_bound(sm, tol_eps)
         if bound is None:
             return 1.0
         start = min(1.0, bound + tol_eps)
-        unstable = stability.stability_verdict(self.spec, start, matrices=sm) == "unstable"
+        unstable = stability.stability_verdict(sm, start) == "unstable"
         return start if unstable else 1.0
 
     def jacobian(self, at, epsilon: float) -> np.ndarray:

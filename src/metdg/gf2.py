@@ -107,19 +107,6 @@ class GF2Matrix:
     def rank(self) -> int:
         return len(rref(self)[0])
 
-    def select_columns(self, indices: Iterable[int]) -> "GF2Matrix":
-        """Submatrix of the chosen columns, in the given order."""
-        idx = [int(j) for j in indices]
-        seen = set()
-        for j in idx:
-            if not 0 <= j < self.n_cols:
-                raise ValidationError(f"column index {j} out of range for {self.n_cols} columns")
-            if j in seen:
-                raise ValidationError(f"duplicate column index {j}")
-            seen.add(j)
-        bits = [sum(((r >> j) & 1) << pos for pos, j in enumerate(idx)) for r in self.row_bits]
-        return GF2Matrix(self.n_rows, len(idx), bits)
-
     def has_zero_column(self) -> bool:
         used = 0
         for r in self.row_bits:

@@ -10,10 +10,10 @@ The schedule is flooding (a VN pass, then a CN pass and a VN pass per
 iteration) run as a frontier: message flags only ever turn on, and a node's
 outputs depend only on its packed key (channel-known mask << q |
 incoming-known mask), so a pass looks up only the nodes whose key grew since
-they were last evaluated.  Keys are kept as decoder state; a flag that turns
-on adds its socket bit to the key of the node it enters, found through
-per-edge owner maps built when decoding starts.  The iteration stops at the
-first one that turns no flag on.
+they were last evaluated (every node, on its side's first pass).  Keys are
+kept as decoder state; a flag that turns on adds its socket bit to the key of
+the node it enters, found through per-edge owner maps built when decoding
+starts.  The iteration stops at the first one that turns no flag on.
 
 A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
@@ -26,12 +26,15 @@ A simulation decodes its trials in blocks: runs of consecutive trials of at
 most _BLOCK_EDGES edges in all, each sampled from its own stream into one
 disjoint-union graph (a larger code is a block of one).  One frontier run
 serves the whole block, and each trial's outcome is read off its own node
-and edge ranges, so it is the one that trial gets decoded alone.
+and edge ranges, so it is the one that trial gets decoded alone.  The
+blocks are shared out among at most `jobs` workers, and never more workers
+than the machine has CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,8 @@ _RNG_NAME = "philox"
 # into 32 (see _trial_rng).
 MAX_GRID_POINTS = 1 << 16
 MAX_TRIALS = 1 << 32
+# Two-sided 95% normal quantile of the Wilson intervals.
+_WILSON_Z = 1.96
 
 
 def _check_seed(seed) -> None:
@@ -104,6 +109,8 @@ def _index_dtype(n: int) -> type:
 def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     """Draw one code: deterministic in (spec, scale, seed)."""
     _check_seed(seed)
+    if scale < 1:
+        raise ValidationError("scale must be a positive integer")
     code = _new_block(spec, scale, 1, _local_maps(spec))
     _sample_code(code, 0, _philox(seed, 0))
     return code
@@ -116,8 +123,6 @@ def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps) -> SampledCode
     sockets of that type in type, position, node order) carries the k-th
     edge of the type.  _sample_code fills the CN sockets of each trial.
     """
-    if scale < 1:
-        raise ValidationError("scale must be a positive integer")
     per_type = [count * scale for count in spec.edge_counts]
     n_edges = trials * sum(per_type)
     idx_dtype = _index_dtype(n_edges)
@@ -293,7 +298,8 @@ def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
 class _Side:
     """Decoder state of the VNs or the CNs of one code, by node number
     across the types of the side: each node's key, the out mask of its last
-    lookup, and whether its key grew since."""
+    lookup, and whether its key grew since (every node is due on its side's
+    first pass)."""
 
     def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], n_edges: int):
         self.edges = edges
@@ -302,41 +308,41 @@ class _Side:
         self.spans = list(zip(first, first[1:]))
         self.keys = np.zeros(first[-1], dtype=np.int64)
         self.out = np.zeros(first[-1], dtype=np.int64)
-        self.due = np.zeros(first[-1], dtype=bool)
+        self.due = np.ones(first[-1], dtype=bool)
         # Per edge, the node it enters on this side: (node << bits) | socket.
         self.bits = (max(e.shape[1] for e in edges) - 1).bit_length()
         self.owner = np.empty(n_edges, dtype=_index_dtype(first[-1] << self.bits))
         for (lo, hi), e in zip(self.spans, edges):
             self.owner[e] = np.arange(lo, hi)[:, None] << self.bits | np.arange(e.shape[1])
 
-    def send(self, other: "_Side", every_node: bool) -> list[np.ndarray]:
-        """Look up the due nodes (or every node) and pass the messages that
-        turned known on to the other side; returns their edges, per type."""
+    def send(self, other: "_Side") -> list[np.ndarray]:
+        """Look up the due nodes and pass the messages that turned known on
+        to the other side; returns their edges, per type."""
         sent = []
         for t in range(len(self.edges)):
-            flipped = self._evaluate(t, every_node)
+            flipped = self._evaluate(t)
             if len(flipped):
                 other.receive(flipped)
                 sent.append(flipped)
         return sent
 
-    def _evaluate(self, t: int, every_node: bool) -> np.ndarray:
+    def _evaluate(self, t: int) -> np.ndarray:
         """Look up the due nodes of type t; return the edges whose outgoing
         flag turned on."""
         (lo, hi), edges = self.spans[t], self.edges[t]
-        if every_node:
-            nodes = rows = slice(lo, hi)
-        else:
-            rows = np.flatnonzero(self.due[lo:hi])
-            if len(rows) == 0:
-                return np.zeros(0, dtype=edges.dtype)
-            nodes = rows + lo
+        rows = np.flatnonzero(self.due[lo:hi])
+        if len(rows) == 0:
+            return np.zeros(0, dtype=edges.dtype)
+        # On a side's first pass every node is due, and a slice gathers and
+        # scatters faster than the index array.
+        every = len(rows) == hi - lo
+        nodes = slice(lo, hi) if every else rows + lo
         self.due[nodes] = False
         out = self.maps[t].lookup(self.keys[nodes], 0)
         new = out & ~self.out[nodes]
         self.out[nodes] = out
         hit = np.flatnonzero(new)
-        senders = edges.take(hit if every_node else rows[hit], axis=0)
+        senders = edges.take(hit if every else rows[hit], axis=0)
         return senders[_bit_rows(new[hit], edges.shape[1])]
 
     def receive(self, edges: np.ndarray) -> None:
@@ -427,8 +433,8 @@ def _decode_block(
             last_flip[flipped // per_trial if n_trials > 1 else 0] = iteration
         return sum(map(len, sent))
 
-    def vn_pass(every_node: bool, iteration: int) -> int:
-        sent = vn.send(cn, every_node)
+    def vn_pass(iteration: int) -> int:
+        sent = vn.send(cn)
         for flipped in sent:
             if record_trajectory:
                 classes = code.edge_type0[flipped] + flipped // per_trial * n_e
@@ -441,14 +447,11 @@ def _decode_block(
             history.append(msg_vc.copy())
         return note(sent, iteration)
 
-    # Every node is due on its side's first pass; later passes look up only
-    # the nodes whose key grew.
-    vn_pass(every_node=True, iteration=0)
+    vn_pass(0)
     iterations = 0
     while max_iters is None or iterations < max_iters:
         iterations += 1
-        flips = note(cn.send(vn, every_node=iterations == 1), iterations)
-        if flips + vn_pass(every_node=False, iteration=iterations) == 0:
+        if note(cn.send(vn), iterations) + vn_pass(iterations) == 0:
             break
 
     residual = np.zeros(n_trials, dtype=np.int64)
@@ -467,10 +470,11 @@ def _decode_block(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = _WILSON_Z
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -494,7 +498,7 @@ def _sample_block(spec, scale, seed, eps, trials, start, stop, maps):
     return code, draws < eps[np.arange(start, stop) // trials, None]
 
 
-def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_iters, max_iters):
+def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_iters):
     """Run the blocks [start, start + size) of flat trial indices (grid index
     x trials + trial index), one per start.  Returns the failures and the
     residual erasures summed per grid point and, when recording, each
@@ -510,7 +514,7 @@ def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_i
         stop = min(start + size, total)
         code, erased = _sample_block(spec, scale, seed, eps, trials, start, stop, maps)
         success, residual, _, traj, _ = _decode_block(
-            code, erased, max_iters, record_trajectory=record_exit_iters > 0
+            code, erased, None, record_trajectory=record_exit_iters > 0
         )
         points = np.arange(start, stop) // trials
         # Drop this block before the next one is sampled, so that memory
@@ -547,22 +551,22 @@ def sweep(
     seed: int,
     jobs: int = 1,
     record_exit_iters: int = 0,
-    max_iters: int | None = None,
 ) -> SweepResult:
     """Monte Carlo block/bit erasure rates over a grid of channel parameters.
 
     Each trial draws a fresh code and a fresh erasure pattern from a
     counter-based stream keyed by (seed, grid index, trial index), so results
-    do not depend on scheduling or on the number of workers.  The key holds
-    at most MAX_GRID_POINTS grid points and MAX_TRIALS trials per point.
+    do not depend on scheduling or on the number of workers, which is at
+    most jobs and the machine's CPU count.  The key holds at most
+    MAX_GRID_POINTS grid points and MAX_TRIALS trials per point.
     """
     eps_grid = [float(eps) for eps in eps_grid]
+    if scale < 1:
+        raise ValidationError("scale must be a positive integer")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
-    if max_iters is not None and max_iters < 0:
-        raise ValidationError("max_iters must be >= 0")
     if record_exit_iters < 0:
         raise ValidationError(f"record_exit_iters must be >= 0, got {record_exit_iters!r}")
     _check_seed(seed)
@@ -578,13 +582,13 @@ def sweep(
     total = len(eps_grid) * trials
     # Blocks hold at most _BLOCK_EDGES edges (a larger code is a block of
     # one), and each worker gets the same number of blocks, at least one.
-    n = min(jobs, total)
+    n = min(jobs, total, os.cpu_count() or 1)
     rounds = -(-total // (n * max(1, _BLOCK_EDGES // (scale * sum(spec.edge_counts)))))
     size = -(-total // (n * rounds))
     n = min(n, -(-total // size))
     run = (spec, scale, seed, eps_grid, trials)
-    if jobs == 1:
-        parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters, max_iters)]
+    if n == 1:
+        parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters)]
     else:
         # Worker w runs blocks w, w + n, ... in one call: it receives the
         # spec once, fills its own local maps on first use and keeps them for
@@ -595,7 +599,7 @@ def sweep(
         with ProcessPoolExecutor(max_workers=n) as pool:
             futures = [
                 pool.submit(_run_trials, *run, range(w * size, total, n * size), size,
-                            record_exit_iters, max_iters)
+                            record_exit_iters)
                 for w in range(n)
             ]
             parts = [f.result() for f in futures]

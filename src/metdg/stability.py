@@ -5,7 +5,9 @@ analysis collects them into an n_e x n_e constant matrix (CN side) and a
 matching matrix of polynomials in the erasure probability (VN side, one
 power per input weight); the fixed point attracts if and only if the
 spectral radius of their product is below one.  That condition is decided
-exactly, in rationals; the float spectral radius is only reported.
+exactly, in rationals; the float spectral radius, `StabilityMatrices.sigma`,
+is only reported.  The verdict and the bound take the matrices that
+`build_matrices` assembles once per spec.
 
 Everything here requires an unpunctured ensemble whose component codes all
 have minimum distance at least 2; anything else is refused, not
@@ -55,8 +57,9 @@ class StabilityMatrices:
         return self.p_matrix(epsilon) @ self.c_matrix()
 
     def sigma(self, epsilon: float) -> float:
+        """Spectral radius of P(eps)C, in floats."""
         check_epsilon(epsilon)
-        return spectral_radius(self.product(epsilon))
+        return float(np.max(np.abs(np.linalg.eigvals(self.product(epsilon)))))
 
     def perron(self, epsilon: float, shift: float, tol: float) -> tuple[float, np.ndarray]:
         """(rho, v) with (P(eps)C + shift J) v <= rho v componentwise, J the
@@ -136,18 +139,6 @@ def build_matrices(spec: EnsembleSpec) -> StabilityMatrices:
     )
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue magnitude of a square matrix, in floats."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("spectral radius needs a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
 def _verdict(sm: StabilityMatrices, epsilon: float) -> str:
     """"stable", "marginal" or "unstable" as rho(P(eps)C) is <, = or > 1,
     decided exactly on the Z-matrix A = I - P(eps)C, eps taken as the dyadic
@@ -181,32 +172,22 @@ def _verdict(sm: StabilityMatrices, epsilon: float) -> str:
     return "unstable" if live else "marginal"
 
 
-def _matrices(spec: EnsembleSpec, matrices: StabilityMatrices | None) -> StabilityMatrices:
-    return build_matrices(spec) if matrices is None else matrices
-
-
-def stability_verdict(
-    spec: EnsembleSpec, epsilon: float, matrices: StabilityMatrices | None = None
-) -> str:
+def stability_verdict(sm: StabilityMatrices, epsilon: float) -> str:
     """"stable", "marginal" or "unstable" as the spectral radius of P(eps)C
-    is below, at or above one, decided exactly.  matrices, when given, are
-    spec's, already built."""
+    is below, at or above one, decided exactly."""
     check_epsilon(epsilon)
-    return _verdict(_matrices(spec, matrices), epsilon)
+    return _verdict(sm, epsilon)
 
 
-def stability_bound(
-    spec: EnsembleSpec, tol_eps: float = 1e-6, matrices: StabilityMatrices | None = None
-) -> float | None:
+def stability_bound(sm: StabilityMatrices, tol_eps: float = 1e-6) -> float | None:
     """The erasure probability where the spectral radius reaches one, within
     tol_eps: the midpoint of a bisection bracket whose upper end the exact
     verdict calls not stable and whose lower end it calls stable (or is 0).
     None unless the verdict at 1 is "unstable".  Bisection is valid because
     every matrix entry, hence the spectral radius, is nondecreasing in the
-    erasure probability.  matrices, when given, are spec's, already built.
+    erasure probability.
     """
     check_tol_eps(tol_eps)
-    sm = _matrices(spec, matrices)
     if _verdict(sm, 1.0) != "unstable":
         return None
     lo, hi = 0.0, 1.0
@@ -217,4 +198,3 @@ def stability_bound(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-

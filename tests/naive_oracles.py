@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from metdg import peeling
+from metdg import GF2Matrix, peeling
+
+
+def select_columns(g, indices):
+    """The submatrix of g's columns at indices, in that order."""
+    return GF2Matrix.from_rows([[row[j] for j in indices] for row in g.to_rows()])
 
 
 def rank_gf2_numpy(mat) -> int:

@@ -111,7 +111,7 @@ def test_criterion_3_product_ensemble_closed_form(announce):
             spec = example1_spec(spc_gen(s1), spc_gen(s2))
             a1, a2 = math.comb(s1, 2), math.comb(s2, 2)
             want = 0.5 * math.sqrt(s1 * s2 / (a1 * a2))
-            got = stability_bound(spec)
+            got = stability_bound(build_matrices(spec))
             worst = max(worst, abs(got - want))
             cases += 1
     for g1, g2 in ((pair_code_gen(), chain_code_gen()), (chain_code_gen(), chain_code_gen())):
@@ -120,7 +120,7 @@ def test_criterion_3_product_ensemble_closed_form(announce):
         assert (a1, a2) != (0, 0)
         spec = example1_spec(g1, g2)
         want = 0.5 * math.sqrt(g1.n_cols * g2.n_cols / (a1 * a2))
-        got = stability_bound(spec)
+        got = stability_bound(build_matrices(spec))
         worst = max(worst, abs(got - want))
         cases += 1
     ok = worst <= 1e-6
@@ -159,11 +159,11 @@ def test_criterion_4_accumulator_ensemble_closed_form(announce):
                 u = sum(bits)
                 b_counts[u] = b_counts.get(u, 0) + 1
         want = _ra_boundary_root(q, b_counts)
-        got = stability_bound(example2_spec(outer))
+        got = stability_bound(build_matrices(example2_spec(outer)))
         worst = max(worst, abs(got - want))
         details.append(f"q={q}: bound {got:.6f} vs root {want:.6f}")
     assert abs(_ra_boundary_root(2, {1: 1}) - 0.5) < 1e-12  # q=2 root is exactly 1/2
-    unbounded = stability_bound(example2_spec(rep_gen(3))) is None
+    unbounded = stability_bound(build_matrices(example2_spec(rep_gen(3)))) is None
     details.append(f"q=3: {'unbounded' if unbounded else 'bounded'}")
     ok = worst <= 1e-6 and unbounded
     announce(

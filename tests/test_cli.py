@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from metdg import ExitEngine
 from metdg.cli import main
 
 from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, spc_gen
@@ -217,6 +218,30 @@ def test_exit_chart_json(ldpc_path, tmp_path):
     assert res["trajectory"][0] == [0.7]
 
 
+@pytest.mark.parametrize(
+    "spec, eps",
+    [(ldpc_spec(3, 6), 0.3), (example1_spec(spc_gen(3), spc_gen(3)), 0.45)],
+    ids=["ldpc36", "ex1_spc3"],
+)
+def test_exit_chart_bodies_hold_every_engine_row(spec, eps, tmp_path):
+    path, out = tmp_path / "spec.json", tmp_path / "chart"
+    path.write_text(json.dumps(spec.to_dict()))
+    converged, trajectory, _ = ExitEngine(spec).run(eps, record=True)
+    rows = trajectory.tolist()
+    assert len(rows) > 1
+
+    assert main(["exit-chart", str(path), "--epsilon", str(eps), "--out", str(out)]) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0] == ",".join(["iter"] + [f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1)])
+    assert body[1:] == [",".join([str(it)] + [repr(v) for v in row]) for it, row in enumerate(rows)]
+
+    args = ["exit-chart", str(path), "--epsilon", str(eps), "--format", "json", "--out", str(out)]
+    assert main(args) == 0
+    res = _read_json(out)["results"]
+    assert res["converged"] is converged
+    assert res["trajectory"] == rows
+
+
 def test_inffunc_dump(ex1_path, tmp_path):
     out = tmp_path / "table.json"
     assert main(["inffunc", ex1_path, "--type", "bank1", "--out", str(out)]) == 0
@@ -313,6 +338,8 @@ def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
         ["--eps", "0.5:0.5:1e-300"],
         ["--eps", ",".join(["0.5"] * ((1 << 16) + 1))],
         ["--trials", str((1 << 32) + 1)],
+        ["--scale", "0"],
+        ["--scale", "-2"],
     ],
 )
 def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):

@@ -75,3 +75,21 @@ def _check_trajectory_csv(text: str, n_edge_types: int) -> None:
     for i, row in enumerate(rows):
         assert row[0] == str(i) and len(row) == n_edge_types + 1, row
         assert all(0.0 <= float(v) <= 1.0 for v in row[1:]), row
+
+
+@_SETTINGS
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.integers(-1, 3),
+    grid=st.lists(_EPS, min_size=1, max_size=3),
+    trials=st.integers(1, 3),
+)
+def test_simulate_on_random_specs(seed, scale, grid, trials):
+    spec = random_eligible_spec(np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        args = ["simulate", str(path), f"--scale={scale}", "--eps=" + ",".join(map(repr, grid)),
+                f"--trials={trials}", "--jobs=1"]
+        valid = scale >= 1 and all(0.0 <= eps <= 1.0 for eps in grid)
+        assert _run(args, Path(tmp) / "rows.csv") == (0 if valid else 1)

@@ -368,13 +368,13 @@ def test_threshold_never_exceeds_stability_bound():
     # the threshold stays well inside (0, 1)
     spec = example2_spec(rep_gen(3))
     (lo, hi), _ = ExitEngine(spec).threshold(tol_eps=1e-3)
-    assert stability_bound(spec) is None
+    assert stability_bound(build_matrices(spec)) is None
     assert 0.3 < 0.5 * (lo + hi) < 1.0
 
     # each result is within its own tol_eps of its true value
     for spec in (example2_spec(rep_gen(2)), example1_spec(spc_gen(3), spc_gen(3))):
         (lo, hi), _ = ExitEngine(spec).threshold(tol_eps=1e-3)
-        bound = stability_bound(spec, tol_eps=1e-6)
+        bound = stability_bound(build_matrices(spec), tol_eps=1e-6)
         assert 0.5 * (lo + hi) <= bound + 1e-3 + 1e-6
 
 
@@ -552,7 +552,7 @@ def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
     # a basin on, so the run goes without one instead of spending 100,000
     # power-iteration steps
     sm = build_matrices(spec)
-    assert stability_verdict(spec, eps, matrices=sm) == "stable" and sm.sigma(eps) >= 1.0
+    assert stability_verdict(sm, eps) == "stable" and sm.sigma(eps) >= 1.0
     engine = ExitEngine(spec)
     assert engine._basin(sm, eps) is None
     start = time.perf_counter()

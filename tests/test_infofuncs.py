@@ -7,7 +7,7 @@ from metdg import CapacityError, CnType, GF2Matrix, VnType, cn_info_table, vn_in
 from metdg.gf2 import WALK_BUDGET
 
 from conftest import random_component_code, rep_gen, spc_gen
-from naive_oracles import naive_info_table, rank_table_recursion
+from naive_oracles import naive_info_table, rank_table_recursion, select_columns
 
 
 def _random_socket_types(rng, n_cols, n_edge_types):
@@ -133,7 +133,7 @@ def test_socket_relabeling_within_type_leaves_table_unchanged():
             shuffled = [int(x) for x in rng.permutation(idx)]
             for a, b in zip(idx, shuffled):
                 perm[a] = b
-        g_perm = g.select_columns(perm)
+        g_perm = select_columns(g, perm)
         st_perm = [st[j] for j in perm]
         assert st_perm == st
         t_perm = cn_info_table(CnType("b", g_perm, tuple(st_perm), 1), 2)

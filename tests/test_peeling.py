@@ -1,5 +1,6 @@
 import concurrent.futures
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,8 @@ _DGLDPC_GRID = [0.30, 0.38, 0.45]
 def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_method, monkeypatch):
     # one pool serves every grid point, each worker taking every n-th task;
     # rows and trajectories stay grouped by grid index and equal the serial run's
+    # (as many CPUs as jobs, so that sweep's CPU cap leaves them all)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
     pool_class = concurrent.futures.ProcessPoolExecutor
     pools = []
 
@@ -214,12 +217,6 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
     for eps, traj in a.trajectories.items():
         assert traj.shape == (trials, 4, spec.n_edge_types)
         assert np.array_equal(traj, b.trajectories[eps])
-
-
-def test_sweep_rejects_negative_max_iters():
-    # the CLI tests cover jobs and the grid; max_iters is only reachable here
-    with pytest.raises(ValidationError):
-        sweep(ldpc_spec(3, 6), scale=2, eps_grid=[0.3], trials=2, seed=0, max_iters=-1)
 
 
 @pytest.mark.parametrize(
@@ -454,6 +451,11 @@ def test_block_decode_equals_each_trial_decoded_alone(max_iters):
 
 class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
     submitted: list = []
+    max_workers: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.max_workers.append(max_workers)
+        super().__init__(max_workers, **kwargs)
 
     def submit(self, fn, *args, **kwargs):
         self.submitted.append(args)
@@ -464,7 +466,9 @@ class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
 def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypatch):
     # 4 points x 5 trials split into blocks of 10 (2 workers) or 7 (3
     # workers), which cross grid points; rows and trajectories must equal
-    # those of every trial decoded alone
+    # those of every trial decoded alone (as many CPUs as jobs, so that
+    # sweep's CPU cap leaves them all)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
     monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     spec, grid, trials, iters = dgldpc_spec(), [0.3, 0.38, 0.42, 0.5], 5, 4
@@ -490,6 +494,18 @@ def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypa
             want = res.trajectory[: iters + 1]
             want = np.vstack([want] + [want[-1:]] * (iters + 1 - len(want)))
             assert np.array_equal(result.trajectories[eps][t], want)
+
+
+def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # 64 jobs on 2 CPUs start 2 workers, and the rows equal the serial run's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    kwargs = dict(scale=1, eps_grid=[0.3, 0.42], trials=40, seed=5)
+    capped = sweep(ldpc_spec(3, 6), jobs=64, **kwargs)
+    assert _RecordingPool.max_workers == [2] and len(_RecordingPool.submitted) == 2
+    assert capped.rows == sweep(ldpc_spec(3, 6), jobs=1, **kwargs).rows
 
 
 def test_sweep_memory_does_not_grow_with_trials(monkeypatch):

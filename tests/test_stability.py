@@ -9,8 +9,8 @@ from metdg import (
     AssumptionError,
     ExitEngine,
     StabilityMatrices,
+    ValidationError,
     build_matrices,
-    spectral_radius,
     stability_bound,
     stability_verdict,
 )
@@ -80,17 +80,18 @@ def test_spectral_radius_antidiagonal():
     rng = np.random.default_rng(3)
     for _ in range(20):
         a, b = rng.random(2) * 3
-        sigma = spectral_radius(np.array([[0.0, a], [b, 0.0]]))
-        assert abs(sigma - math.sqrt(a * b)) < 1e-10
+        sm = _as_product([[Fraction(0), Fraction(a)], [Fraction(b), Fraction(0)]])
+        assert abs(sm.sigma(1.0) - math.sqrt(a * b)) < 1e-10
 
 
 def test_spectral_radius_edge_cases():
-    assert spectral_radius(np.zeros((3, 3))) == 0.0
-    assert abs(spectral_radius(np.eye(4)) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        spectral_radius(np.array([[np.inf]]))
-    with pytest.raises(ValueError):
-        spectral_radius(np.ones((2, 3)))
+    assert _as_product([[Fraction(0)] * 3] * 3).sigma(1.0) == 0.0
+    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    assert abs(_as_product(eye).sigma(1.0) - 1.0) < 1e-12
+    assert abs(_as_product(eye).sigma(0.25) - 0.25) < 1e-12
+    for eps in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValidationError):
+            _as_product(eye).sigma(eps)
 
 
 def test_spectral_radius_is_bounded_by_row_sums_on_random_nonnegative():
@@ -98,32 +99,32 @@ def test_spectral_radius_is_bounded_by_row_sums_on_random_nonnegative():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         a = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
-        sigma = spectral_radius(a)
+        sigma = _as_product([[Fraction(float(x)) for x in row] for row in a]).sigma(1.0)
         assert sigma >= 0
         # dominant eigenvalue bound checks
         assert sigma <= a.sum(axis=1).max() + 1e-12
 
 
 def test_is_stable_example1():
-    spec = example1_spec(spc_gen(3), spc_gen(3))
-    assert stability_verdict(spec, 0.49) == "stable"
-    assert stability_verdict(spec, 0.51) != "stable"
-    assert stability_verdict(spec, 0.2) == "stable"
-    assert stability_verdict(spec, 0.9) == "unstable"
+    sm = build_matrices(example1_spec(spc_gen(3), spc_gen(3)))
+    assert stability_verdict(sm, 0.49) == "stable"
+    assert stability_verdict(sm, 0.51) != "stable"
+    assert stability_verdict(sm, 0.2) == "stable"
+    assert stability_verdict(sm, 0.9) == "unstable"
 
 
 def test_is_stable_example2_q2():
-    spec = example2_spec(rep_gen(2))
+    sm = build_matrices(example2_spec(rep_gen(2)))
     # boundary at the root of 2 eps^2 + eps - 1, i.e. 1/2
-    assert stability_verdict(spec, 0.49) == "stable"
-    assert stability_verdict(spec, 0.51) != "stable"
+    assert stability_verdict(sm, 0.49) == "stable"
+    assert stability_verdict(sm, 0.51) != "stable"
 
 
 def test_example2_q3_stable_everywhere():
-    spec = example2_spec(rep_gen(3))
+    sm = build_matrices(example2_spec(rep_gen(3)))
     for eps in np.linspace(0.05, 0.999, 12):
-        assert stability_verdict(spec, float(eps)) == "stable"
-    assert stability_bound(spec) is None
+        assert stability_verdict(sm, float(eps)) == "stable"
+    assert stability_bound(sm) is None
 
 
 def test_stability_bound_example1_closed_form():
@@ -133,14 +134,13 @@ def test_stability_bound_example1_closed_form():
             a1 = math.comb(s1, 2)
             a2 = math.comb(s2, 2)
             want = 0.5 * math.sqrt(s1 * s2 / (a1 * a2))
-            got = stability_bound(spec)
+            got = stability_bound(build_matrices(spec))
             assert got is not None
             assert abs(got - want) <= 1e-6
 
 
 def test_stability_bound_example2_root():
-    spec = example2_spec(rep_gen(2))
-    got = stability_bound(spec)
+    got = stability_bound(build_matrices(example2_spec(rep_gen(2))))
     assert abs(got - 0.5) <= 1e-6
 
 
@@ -148,7 +148,7 @@ def test_stability_bound_scalar_irregular_ldpc():
     for lam2 in (0.2, 0.5):
         spec, l2, rho_prime = irregular_ldpc_spec(lam2)
         want = 1.0 / (l2 * rho_prime)
-        got = stability_bound(spec)
+        got = stability_bound(build_matrices(spec))
         if want >= 1.0:
             assert got is None
         else:
@@ -167,7 +167,7 @@ def test_disjoint_support_spec_is_stable_for_all_eps():
     spec = disjoint_support_spec()
     sm = build_matrices(spec)
     assert sm.vanishes()
-    assert stability_bound(spec) is None
+    assert stability_bound(sm) is None
     for eps in (0.2, 0.7, 0.99):
         assert sm.sigma(eps) == 0.0
 
@@ -263,7 +263,7 @@ def test_sigma_monotone_and_bound_is_unique_crossing():
     grid = np.linspace(0.01, 1.0, 200)
     sigmas = [sm.sigma(float(e)) for e in grid]
     assert all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
-    bound = stability_bound(spec)
+    bound = stability_bound(sm)
     crossings = sum(
         1 for a, b in zip(sigmas, sigmas[1:]) if (a - 1.0) < 0 <= (b - 1.0)
     )
@@ -277,9 +277,8 @@ def test_reversed_product_has_same_spectral_radius():
         spec = random_eligible_spec(rng)
         sm = build_matrices(spec)
         for eps in (0.3, 0.8):
-            p = sm.p_matrix(eps)
-            c = sm.c_matrix()
-            assert abs(spectral_radius(p @ c) - spectral_radius(c @ p)) < 1e-9
+            reversed_product = sm.c_matrix() @ sm.p_matrix(eps)
+            assert abs(sm.sigma(eps) - np.abs(np.linalg.eigvals(reversed_product)).max()) < 1e-9
 
 
 def _as_product(m) -> StabilityMatrices:
@@ -331,7 +330,7 @@ def test_verdict_agrees_with_float_sigma_away_from_one():
             sigma = sm.sigma(float(eps))
             if abs(sigma - 1.0) > 1e-9:
                 want = "stable" if sigma < 1.0 else "unstable"
-                assert stability_verdict(spec, float(eps), matrices=sm) == want
+                assert stability_verdict(sm, float(eps)) == want
                 seen.add(want)
     assert seen == {"stable", "unstable"}
 
@@ -362,5 +361,5 @@ def test_close_eigenvalues_are_decided():
     spec = spec_from_dict(close_eigenvalues_doc())
     sm = build_matrices(spec)
     for eps in np.linspace(0.01, 1.0, 40):
-        verdict = stability_verdict(spec, float(eps), matrices=sm)
+        verdict = stability_verdict(sm, float(eps))
         assert verdict == ("stable" if sm.sigma(float(eps)) < 1.0 else "unstable")
