@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, exitchart, peeling, stability
-from .ensemble import EnsembleSpec, load_spec
+from .ensemble import EnsembleSpec, VnType, load_spec
 from .errors import AssumptionError, CapacityError, MetdgError, ValidationError
 from .infofuncs import cn_info_table, vn_info_table
 
@@ -44,11 +44,14 @@ def _report(subcommand: str, digest: str, parameters: dict, results: dict, t0: f
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write the output: {e}") from None
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
@@ -107,21 +110,14 @@ def _cmd_validate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     name = args.type
-    for vn in spec.vn_types:
-        if vn.name == name:
-            table = vn_info_table(vn, spec.n_edge_types)
-            axes = [f"edge_type_{l}" for l in range(1, spec.n_edge_types + 1)] + ["info_bits"]
-            kind = "vn"
-            break
+    node = {t.name: t for t in spec.vn_types + spec.cn_types}.get(name)
+    if node is None:
+        raise ValidationError(f"no VN or CN type named {name!r}")
+    axes = [f"edge_type_{l}" for l in range(1, spec.n_edge_types + 1)]
+    if isinstance(node, VnType):
+        table, kind, axes = vn_info_table(node, spec.n_edge_types), "vn", axes + ["info_bits"]
     else:
-        for cn in spec.cn_types:
-            if cn.name == name:
-                table = cn_info_table(cn, spec.n_edge_types)
-                axes = [f"edge_type_{l}" for l in range(1, spec.n_edge_types + 1)]
-                kind = "cn"
-                break
-        else:
-            raise ValidationError(f"no VN or CN type named {name!r}")
+        table, kind = cn_info_table(node, spec.n_edge_types), "cn"
     results = {
         "name": name,
         "kind": kind,
@@ -321,9 +317,6 @@ def main(argv=None) -> int:
     except AssumptionError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except MetdgError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1

@@ -23,6 +23,12 @@ class InternalError(MetdgError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+def is_int(value) -> bool:
+    """True for a Python int that is not a bool: the integer type of every
+    count, label, bit and size the toolkit accepts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_epsilon(epsilon: float) -> None:
     """Reject an erasure probability outside [0, 1], NaN included."""
     if not 0.0 <= epsilon <= 1.0:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, is_int
 
 # The one enumeration limit: every exhaustive walk in the toolkit (the
 # subsets of an information table's columns, the span of the basis walked
@@ -78,7 +78,7 @@ class GF2Matrix:
         for r in rows:
             if len(r) != n_cols:
                 raise ValidationError("ragged rows")
-            if any(b not in (0, 1) for b in r):
+            if not all(is_int(b) and b in (0, 1) for b in r):
                 raise ValidationError("matrix entries must be 0 or 1")
             bits.append(sum(b << j for j, b in enumerate(r)))
         return cls(n_rows, n_cols, bits)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import gf2
 from .ensemble import EnsembleSpec
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 
 _RNG_NAME = "philox"
 # Stream derivation packs the grid index into 16 bits and the trial index
@@ -55,6 +55,19 @@ _WILSON_Z = 1.96
 def _check_seed(seed) -> None:
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _check_count(value, name: str, low: int) -> None:
+    if not is_int(value) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_scale(spec: EnsembleSpec, scale) -> None:
+    # Every node and transmitted bit owns an edge, so a trial's edge count
+    # bounds the length of every array it needs.
+    _check_count(scale, "scale", 1)
+    if scale * sum(spec.edge_counts) > np.iinfo(np.intp).max:
+        raise ValidationError(f"at scale {scale}, a trial has more edges than numpy can index")
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -109,8 +122,7 @@ def _index_dtype(n: int) -> type:
 def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     """Draw one code: deterministic in (spec, scale, seed)."""
     _check_seed(seed)
-    if scale < 1:
-        raise ValidationError("scale must be a positive integer")
+    _check_scale(spec, scale)
     code = _new_block(spec, scale, 1, _local_maps(spec))
     _sample_code(code, 0, _philox(seed, 0))
     return code
@@ -561,14 +573,10 @@ def sweep(
     MAX_GRID_POINTS grid points and MAX_TRIALS trials per point.
     """
     eps_grid = [float(eps) for eps in eps_grid]
-    if scale < 1:
-        raise ValidationError("scale must be a positive integer")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
-    if record_exit_iters < 0:
-        raise ValidationError(f"record_exit_iters must be >= 0, got {record_exit_iters!r}")
+    _check_scale(spec, scale)
+    _check_count(trials, "trials", 1)
+    _check_count(jobs, "jobs", 1)
+    _check_count(record_exit_iters, "record_exit_iters", 0)
     _check_seed(seed)
     bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
     if bad:

@@ -98,6 +98,26 @@ def fig1_doc() -> dict:
     }
 
 
+def ones_doc() -> dict:
+    """A small valid document in which every count, edge type, socket type
+    and puncture bit is 1: one repetition-2 VN and one repetition-2 CN."""
+    node = {"generator": [[1, 1]], "socket_types": [1, 1], "count": 1}
+    return {
+        "edge_types": 1,
+        "vn_types": [{"name": "v", "puncture": [1], **node}],
+        "cn_types": [{"name": "c", **node}],
+    }
+
+
+def set_at(doc: dict, path: tuple, value) -> dict:
+    """doc with the value at path (keys and list indices) replaced."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
 def dgldpc_spec() -> EnsembleSpec:
     """The benchmark's D-GLDPC ensemble: Hamming(7,4) and rep3 VNs, and a
     Hamming(15,11) CN given by its parity check (column c is c in binary)."""

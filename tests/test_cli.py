@@ -8,7 +8,7 @@ import pytest
 from metdg import ExitEngine
 from metdg.cli import main
 
-from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, spc_gen
+from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, ones_doc, set_at, spc_gen
 
 
 @pytest.fixture()
@@ -169,6 +169,51 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/nonexistent/spec.json"]) == 1
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("vn_types", 0, "puncture"), [1.0]),
+        (("vn_types", 0, "generator", 0, 0), 1.0),
+        (("vn_types", 0, "name"), ["x"]),
+        (("edge_types",), True),
+        (("vn_types", 0, "count"), True),
+        (("cn_types", 0, "socket_types", 0), True),
+    ],
+    ids=["puncture-float", "generator-float", "name-list", "edge-types-bool", "count-bool",
+         "socket-bool"],
+)
+@pytest.mark.parametrize("command", ["validate", "threshold", "simulate"])
+def test_values_of_the_wrong_type_exit_1(path, value, command, tmp_path, capsys):
+    # in ones_doc, a bool or float read as 1 would make a valid spec
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(set_at(ones_doc(), path, value)))
+    extra = ["--scale", "1", "--eps", "0.3", "--trials", "1"] if command == "simulate" else []
+    assert main([command, str(spec), *extra]) == 1
+    assert _one_error_line(capsys.readouterr().err)
+
+
+def test_unreadable_paths_exit_1(ex1_path, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(fig1_doc()).replace('"deg2"', '"d\u00e9g2"').encode("latin-1"))
+    for args in (["validate", str(tmp_path)], ["validate", str(latin1)],
+                 ["validate", ex1_path, "--out", str(tmp_path)]):
+        assert main(args) == 1
+        assert _one_error_line(capsys.readouterr().err)
+
+
+def test_simulate_refuses_a_trial_numpy_cannot_index(tmp_path, capsys):
+    # valid, but one trial at scale 1 has 6 * 10**20 edges
+    path = tmp_path / "huge.json"
+    path.write_text(ldpc_spec(3, 6, 2 * 10**20).to_json())
+    assert main(["validate", str(path), "--out", str(tmp_path / "v.json")]) == 0
+    assert main(["simulate", str(path), "--scale", "1", "--eps", "0.3", "--trials", "1"]) == 1
+    assert _one_error_line(capsys.readouterr().err)
 
 
 def test_threshold_json_schema(ldpc_path, tmp_path):

@@ -1,10 +1,11 @@
-"""Random eligible specs and erasure probabilities through the CLI: every
-call ends with a documented exit code, in bounded time, and never with an
-internal error."""
+"""Random eligible specs, malformed spec files and erasure probabilities
+through the CLI: every call ends with a documented exit code, in bounded
+time, and never with an exception or an internal error."""
 
 import contextlib
 import io
 import json
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from metdg.cli import main
 
-from conftest import random_eligible_spec
+from conftest import fig1_doc, random_eligible_spec
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,12 +25,29 @@ _SETTINGS = hypothesis.settings(max_examples=20, deadline=None, derandomize=True
 _EPS = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in a call still running after `seconds`, so that a
+    hang fails the test instead of blocking the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _run(args: list[str], out: Path) -> int:
     """One CLI call: a documented exit code, in bounded time, and no
     internal error."""
     err = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), _deadline(10.0):
         code = main(args + ["--out", str(out)])
     assert time.perf_counter() - start < 5.0, args
     assert code in (0, 1, 2, 3), (args, err.getvalue())
@@ -93,3 +111,67 @@ def test_simulate_on_random_specs(seed, scale, grid, trials):
                 f"--trials={trials}", "--jobs=1"]
         valid = scale >= 1 and all(0.0 <= eps <= 1.0 for eps in grid)
         assert _run(args, Path(tmp) / "rows.csv") == (0 if valid else 1)
+
+
+def _paths(node, path=()):
+    """The path (keys and list indices) of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+def _mutate(doc: dict, kind: str, pick: int, value) -> bytes:
+    """doc with one leaf replaced, one key dropped or added, its JSON text
+    truncated, or a byte that is not UTF-8 written into it."""
+    text = json.dumps(doc)
+    if kind == "truncate":
+        return text[: pick % len(text)].encode()
+    if kind == "bytes":
+        at = pick % (len(text) + 1)
+        return text[:at].encode() + b"\xff" + text[at:].encode()
+    paths = list(_paths(doc))
+    if kind == "leaf":
+        paths = [p for p in paths if not isinstance(_get(doc, p), (dict, list))]
+    elif kind == "drop":
+        paths = [p for p in paths if isinstance(_get(doc, p[:-1]), dict)]
+    else:
+        paths = [()] + [p for p in paths if isinstance(_get(doc, p), dict)]
+    path = paths[pick % len(paths)]
+    if kind == "add":
+        _get(doc, path)["extra"] = value
+    else:
+        parent = _get(doc, path[:-1])
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@hypothesis.settings(_SETTINGS, max_examples=80)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["leaf", "drop", "add", "truncate", "bytes"]),
+    pick=st.integers(0, 2**16),
+    value=st.sampled_from([0.5, 1.0, True, False, "x", [1], [], None, 10**20]),
+)
+def test_malformed_spec_files(seed, kind, pick, value):
+    """A valid document, the punctured fig1 one or a random eligible one,
+    with one mutation: validate and threshold each accept it or reject it
+    with a documented exit code."""
+    rng = np.random.default_rng(seed)
+    doc = fig1_doc() if seed % 2 else random_eligible_spec(rng).to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_bytes(_mutate(doc, kind, pick, value))
+        out = Path(tmp) / "report.json"
+        _run(["validate", str(path)], out)
+        _run(["threshold", str(path), "--max-iters", "200"], out)

@@ -20,8 +20,11 @@ from conftest import (
     example2_spec,
     fig1_doc,
     fig1_spec,
+    ldpc_spec,
+    ones_doc,
     random_eligible_spec,
     rep_gen,
+    set_at,
     spc_gen,
 )
 
@@ -176,8 +179,11 @@ def test_schema_violations():
     doc["vn_types"][0]["bogus"] = 1
     with pytest.raises(ValidationError):
         spec_from_dict(doc)
-    with pytest.raises(ValidationError):
-        spec_from_json("{not json")
+    # not JSON, nested past the decoder's recursion limit, and an integer
+    # with more digits than Python converts
+    for text in ("{not json", "[" * 100_000, '{"edge_types": ' + "1" * 5000 + "}"):
+        with pytest.raises(ValidationError):
+            spec_from_json(text)
 
 
 def test_cn_parity_check_with_redundant_rows():
@@ -247,3 +253,66 @@ def test_spec_json_matches_document(tmp_path):
 
     spec = load_spec(path)
     assert spec.codeword_length == 28
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("vn_types", 0, "puncture"), [1.0]),
+        (("vn_types", 0, "puncture"), [True]),
+        (("vn_types", 0, "puncture"), 1),
+        (("vn_types", 0, "generator", 0, 0), 1.0),
+        (("cn_types", 0, "generator", 0, 1), True),
+        (("vn_types", 0, "name"), ["x"]),
+        (("cn_types", 0, "name"), None),
+        (("edge_types",), True),
+        (("edge_types",), 1.0),
+        (("vn_types", 0, "count"), True),
+        (("cn_types", 0, "count"), 1.0),
+        (("vn_types", 0, "socket_types", 0), True),
+        (("vn_types", 0, "socket_types"), 1),
+        (("cn_types", 0, "socket_types"), [1]),
+    ],
+    ids=["puncture-float", "puncture-bool", "puncture-int", "generator-float", "generator-bool",
+         "name-list", "name-null", "edge-types-bool", "edge-types-float", "count-bool",
+         "count-float", "socket-bool", "sockets-int", "sockets-short"],
+)
+def test_document_values_of_the_wrong_type_are_rejected(path, value):
+    # in ones_doc, a bool or float read as 1 would make a valid spec
+    spec_from_dict(ones_doc())
+    with pytest.raises(ValidationError):
+        spec_from_dict(set_at(ones_doc(), path, value))
+
+
+def test_python_types_pass_the_same_checks():
+    vn = VnType("rep2", rep_gen(2), (1,), (1, 1), 3)
+    cn = CnType("spc3", spc_gen(3), (1, 1, 1), 2)
+    bad = [
+        ([VnType("rep2", rep_gen(2), (1,), (1, 3), 3)], [cn]),  # socket type outside 1..n_e
+        ([VnType("rep2", rep_gen(2), (1,), (1,), 3)], [cn]),  # one socket type short
+        ([vn], [CnType("spc3", spc_gen(3), (1, 1, True), 2)]),
+        ([vn], [CnType("spc3", spc_gen(3), (1, 1, 1), 2.0)]),
+        ([VnType(["rep2"], rep_gen(2), (1,), (1, 1), 3)], [cn]),
+        ([VnType("rep2", rep_gen(2), (True,), (1, 1), 3)], [cn]),
+    ]
+    for vns, cns in bad:
+        with pytest.raises(ValidationError):
+            build_spec(1, vns, cns)
+    with pytest.raises(ValidationError):
+        build_spec(True, [vn], [cn])
+    assert build_spec(1, [vn], [cn]).edge_counts == (6,)
+
+
+def test_edge_types_far_above_the_sockets_are_rejected_quickly():
+    # the count of edge types is never looped over before every type is
+    # known to have a socket
+    with pytest.raises(ValidationError) as exc:
+        spec_from_dict(set_at(fig1_doc(), ("edge_types",), 10**20))
+    assert "edge type 4 has no sockets" in str(exc.value)
+
+
+def test_huge_counts_are_valid():
+    spec = spec_from_json(ldpc_spec(3, 6, 2 * 10**20).to_json())
+    assert spec.edge_counts == (6 * 10**20,)
+    assert spec.codeword_length == 2 * 10**20
+

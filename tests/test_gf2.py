@@ -250,6 +250,10 @@ def test_matrix_validation():
         GF2Matrix.from_rows([[1, 2]])
     with pytest.raises(ValidationError):
         GF2Matrix.from_rows([[1, 0], [1]])
+    # entries are Python ints: a float or a bool that equals 0 or 1 is not one
+    for entry in (1.0, 0.0, True, False):
+        with pytest.raises(ValidationError):
+            GF2Matrix.from_rows([[1, entry]])
 
 
 def test_matrix_is_hashable_and_immutable():

@@ -229,9 +229,23 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
         lambda spec: sample_code(spec, 2, seed=-1),
         lambda spec: sample_code(spec, 2, seed=1 << 64),
         lambda spec: sample_code(spec, 2, seed=1.5),
+        lambda spec: sweep(spec, scale=2.5, eps_grid=[0.3], trials=2, seed=0),
+        lambda spec: sweep(spec, scale=True, eps_grid=[0.3], trials=2, seed=0),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2.5, seed=0),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=True, seed=0),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=0, jobs=1.5),
+        lambda spec: sample_code(spec, 2.5, seed=0),
+        lambda spec: sample_code(spec, True, seed=0),
+        # 6 * 10**20 edges: more than numpy can index, refused before any
+        # array is allocated
+        lambda spec: sweep(ldpc_spec(3, 6, 2 * 10**20), scale=1, eps_grid=[0.3], trials=1, seed=0),
+        lambda spec: sample_code(ldpc_spec(3, 6, 2 * 10**20), 1, seed=0),
     ],
     ids=["decode-max-iters", "record-exit-iters", "sweep-seed-neg", "sweep-seed-big",
-         "sample-seed-neg", "sample-seed-big", "sample-seed-float"],
+         "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sweep-scale-float",
+         "sweep-scale-bool", "sweep-trials-float", "sweep-trials-bool", "sweep-jobs-float",
+         "sample-scale-float",
+         "sample-scale-bool", "sweep-unindexable", "sample-unindexable"],
 )
 def test_peeling_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
