@@ -62,7 +62,7 @@ def _emit_csv(
     subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
 ) -> None:
     """A commented header, the column line, then one line per row with each
-    value written as its repr."""
+    value written as its repr (%r is repr for ints and floats alike)."""
     params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
     head = [
         f"# tool=metdg version={__version__} subcommand={subcommand}",
@@ -70,7 +70,8 @@ def _emit_csv(
         f"# {params}" if params else "#",
         ",".join(columns),
     ]
-    body = "".join([",".join(map(repr, row)) + "\n" for row in rows])
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    body = "".join([line % tuple(row) for row in rows])
     _emit("\n".join(head) + "\n" + body, out_path)
 
 

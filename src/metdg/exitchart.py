@@ -11,12 +11,18 @@ engine is built, each half of the step is compiled into one straight-line
 Python function of the state's floats with every coefficient inlined, so a
 step of a small spec costs a few microseconds instead of numpy's per-call
 overhead; halves with more coefficient entries keep the numpy contraction.
-The runs keep their states as tuples of floats.
+The runs keep their states as tuples of floats and step them in one more
+generated function per engine, a loop that calls the two halves and tests
+convergence, the basin's float screen and the stall with comparisons
+unrolled over the edge types; only rarer decisions return to Python.
 
 Runs that do not record may end early on three sound decisions: a
 super-solution shows a run can never converge, a probe whose all-known state
 is locally unstable (the paper's condition) is stuck without a step, and a
 run whose state enters a certified basin of the all-known state converges.
+The basin is proven exactly on Python ints: every polynomial of the proof is
+an integer one times a positive rational, which changes no sign the proof
+reads.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial, lcm
 from operator import le, sub
 
 import numpy as np
@@ -260,38 +266,54 @@ class _Mixture:
                     jac[e0, m] -= weight * _contract(arr, kept, swapped) / n_sockets
         return jac
 
-    def erasure_polynomials(self, scales, epsilon: Fraction | None = None) -> list[list[Fraction]]:
+    def erasure_polynomials(
+        self, scales: list[int], epsilon: Fraction | None = None
+    ) -> list[tuple[list[int], int]]:
         """Exact power-basis coefficients in c of (1 - self(1 - c*scales))_e0 / c,
-        per output edge type e0, from the integer coefficient arrays and the
-        exact mixture weights; scales and epsilon are rationals.
+        per output edge type e0, as integers p over one positive integer q:
+        the polynomial is sum_k p[k] c^k / q.  scales are integers and epsilon
+        a rational; the coefficient arrays are integers and the mixture
+        weights exact, so only the channel weights and the mixture weights
+        have denominators, and each part is brought onto q by one integer.
 
         In erasure coordinates y = 1 - x an axis's weight vector reads
         y^t (1-y)^(n-t), so at y = c*a entry t is a polynomial of degree n
         in c; contracting the parts axis by axis keeps the degree at the
         part's socket count.  The constant term vanishes on the types the
         stability analysis accepts, since the all-known state is fixed."""
-        vectors = []
+        vectors, dens = [], []
         for src, n in self._axes:
             if src == self.n_edge_types:
-                vec = [[epsilon**z * (1 - epsilon) ** (n - z)] for z in range(n + 1)]
+                # eps^z (1-eps)^(n-z) for eps = e / m, over m^n
+                e, m = epsilon.numerator, epsilon.denominator
+                vec = [[e**z * (m - e) ** (n - z)] for z in range(n + 1)]
+                dens.append(m**n)
             else:
                 a = scales[src]
                 vec = [[0] * (n + 1) for _ in range(n + 1)]
                 for t in range(n + 1):
                     for j in range(n - t + 1):
                         vec[t][t + j] = comb(n - t, j) * (-a) ** j * a**t
+                dens.append(1)
             vectors.append(np.array(vec, dtype=object))
         polys = []
         for parts in self.parts:
-            total = [Fraction(0)]
+            terms = []
             for _, weight, n_sockets, arr, kept in parts:
                 acc = np.array([int(v) for v in arr], dtype=object).reshape(-1, 1)
+                den = 1
                 for k in kept:
                     acc = _poly_dot(vectors[k], acc)
-                total = _poly_add(total, (weight / n_sockets * acc[0]).tolist())
+                    den *= dens[k]
+                mix = weight / n_sockets
+                terms.append((acc[0].tolist(), mix.numerator, mix.denominator * den))
+            q = lcm(*(den for *_, den in terms))
+            total = [0]
+            for coeffs, num, den in terms:
+                total = _poly_add(total, [num * (q // den) * a for a in coeffs])
             if total[0] != 0:
                 raise InternalError("the all-known state is not a fixed point of an eligible spec")
-            polys.append(total[1:] or [Fraction(0)])
+            polys.append((total[1:] or [0], q))
         return polys
 
 
@@ -468,30 +490,41 @@ class ExitEngine:
                 return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
                 basin = self._basin(sm, epsilon)
-        # States are tuples of floats; the comparisons below are the same
-        # IEEE operations an array would take.
+        # States are tuples of floats; the comparisons here and in _advance
+        # are the same IEEE operations an array would take.
         x = self.step((0.0,) * n_e, epsilon, _trusted=True)
-        trajectory = [x]
+        rows = [x] if record else None
         next_check = max_iters + 1 if record else _CERT_FIRST
         x_prev = x_prev2 = None
         it = 0
         reason = _settled(x, tol, basin)
         while reason is None and it < max_iters:
-            x_prev2, x_prev, x = x_prev, x, self.step(x, epsilon, _trusted=True)
-            it += 1
-            if record:
-                trajectory.append(x)
-            reason = _settled(x, tol, basin)
-            if reason is None and max(map(abs, map(sub, x, x_prev))) < _STALL_TOL:
-                reason = "stall"
+            # no state passes a screen of -1
+            screen = (-1.0,) * n_e if basin is None else basin.screen
+            x, x_prev, x_prev2, it, reason = self._advance(
+                x, x_prev, x_prev2, epsilon, it, min(next_check, max_iters), 1.0 - tol, screen, rows
+            )
+            if reason == "screen":
+                # the exact test decides, then the stall test of the same step
+                reason = "basin" if basin.contains(x) else None
+                if reason is None and max(map(abs, map(sub, x, x_prev))) < _STALL_TOL:
+                    reason = "stall"
             if reason is None and it >= next_check:
                 next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
                 if self._never_converges(x, x_prev, x_prev2, epsilon, tol):
                     reason = "super-solution"
         reason = reason or "max_iters"
-        rows = np.array(trajectory) if record else np.empty((0, n_e))
+        trajectory = np.array(rows) if record else np.empty((0, n_e))
         outcome = ProbeOutcome(epsilon, reason, it)
-        return outcome.outcome == "converged", rows, outcome
+        return outcome.outcome == "converged", trajectory, outcome
+
+    @cached_property
+    def _advance(self) -> Callable:
+        """The stepping loop of run, compiled from _advance_source on the
+        engine's first run and kept for its later ones."""
+        namespace = {"cn": self._cn_kernel, "vn": self._vn_kernel}
+        exec(compile(_advance_source(self.n_edge_types), "<exit loop>", "exec"), namespace)
+        return namespace["advance"]
 
     @cached_property
     def _stability(self) -> stability.StabilityMatrices | None:
@@ -518,11 +551,12 @@ class ExitEngine:
 
             h_C(c v) <= c w   and   h_V(c w) <= r c v   for c in (0, c0]
 
-        in exact rationals, from the integer information tables, the exact
-        edge fractions and the exact epsilon: every component of
-        (c w - h_C(c v)) / c and of (r c v - h_V(c w)) / c is a polynomial
-        in c whose Bernstein coefficients on [0, c0] are nonnegative, after
-        at most _BASIN_DEPTH halvings of the interval (Garloff 1986).
+        exactly (in integers, see _certified_bound), from the integer
+        information tables, the exact edge fractions and the exact epsilon:
+        every component of (c w - h_C(c v)) / c and of (r c v - h_V(c w)) / c
+        is a polynomial in c whose Bernstein coefficients on [0, c0] are
+        nonnegative, after at most _BASIN_DEPTH halvings of the interval
+        (Garloff 1986).
         Splitting at the halves keeps each degree at one half's socket
         count.  With c0 w <= 1, h_V is monotone on the states involved, so
         g(c v) <= h_V(c w) <= r c v.  A state y <= c v with c <= c0 then has
@@ -551,17 +585,29 @@ class ExitEngine:
 
     def _certified_bound(self, v, w, r: float, epsilon: float) -> list[Fraction] | None:
         """The exact part of _basin: c0 v - _CERT_SLACK, or None when that
-        is not positive."""
+        is not positive.
+
+        The polynomials are held as integers.  A half at c s, where the
+        floats s are S / d for integers S and one d, is the half at u S for
+        u = c / d, so its polynomial in u on [0, c_max / d] comes from the
+        integer scales S.  Each component's polynomial is then scaled by one
+        positive integer, which changes no sign of a Bernstein coefficient,
+        so the shares are those of the same test in rationals."""
         v_q = [Fraction(t) for t in v]
         w_q = [Fraction(t) for t in w]
-        tops = w_q + [Fraction(r) * t for t in v_q]
-        halves = self._cn.erasure_polynomials(v_q)
-        halves += self._vn.erasure_polynomials(w_q, Fraction(float(epsilon)))
         c_max = min(Fraction(1), 1 / max(w_q))
-        share = min(
-            _nonnegative_share(_bernstein([top - h[0]] + [-a for a in h[1:]], c_max), _BASIN_DEPTH)
-            for top, h in zip(tops, halves)
-        )
+        share = Fraction(1)
+        for half, scales, tops, eps in (
+            (self._cn, v_q, w_q, None),
+            (self._vn, w_q, [Fraction(r) * t for t in v_q], Fraction(float(epsilon))),
+        ):
+            d = lcm(*(t.denominator for t in scales))
+            polys = half.erasure_polynomials([int(t * d) for t in scales], eps)
+            for top, (h, q) in zip(tops, polys):
+                # (top - h(u) / (q d)) q d top.denominator, coefficient by coefficient
+                g = [top.numerator * q * d - top.denominator * h[0]]
+                g += [-top.denominator * a for a in h[1:]]
+                share = min(share, _nonnegative_share(_bernstein(g, c_max / d), _BASIN_DEPTH))
         bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
         return bound if min(bound) > 0 else None
 
@@ -630,6 +676,49 @@ class ExitEngine:
         return self._vn.jacobian(self._cn(x), epsilon) @ self._cn.jacobian(x)
 
 
+def _advance_source(n_e: int) -> str:
+    """Python source of advance(x, x_prev, x_prev2, eps, it, stop, line,
+    screen, rows), run's loop between its Python-side decisions.
+
+    It steps the state x, the step count it and the two states before x
+    until it reaches stop, and returns them with the event that stopped it:
+    "tol" when every component reaches line, "screen" when 1 - x passes the
+    basin's float screen componentwise, "stall" when no component moved by
+    _STALL_TOL, in that order, and None at stop.  A step is the CN kernel
+    then the VN kernel, called from the namespace, and each new state is
+    appended to rows unless rows is None.  The tests are run's comparisons
+    on tuples, unrolled over the n_e components.
+    """
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{l}, " for l in range(n_e))
+
+    def every(test: str) -> str:
+        return " and ".join(test.format(l=l) for l in range(n_e))
+
+    done = "return x, x_prev, x_prev2, it, "
+    return "\n".join([
+        "def advance(x, x_prev, x_prev2, eps, it, stop, line, screen, rows):",
+        f"    {names('s')}= screen",
+        f"    {names('p')}= x",
+        "    while it < stop:",
+        "        x_prev2, x_prev, x = x_prev, x, vn(cn(x, None), eps)",
+        "        it += 1",
+        "        if rows is not None:",
+        "            rows.append(x)",
+        f"        {names('x')}= x",
+        f"        if {every('x{l} >= line')}:",
+        f"            {done}'tol'",
+        f"        if {every('1.0 - x{l} <= s{l}')}:",
+        f"            {done}'screen'",
+        f"        if {every(f'{-_STALL_TOL!r} < x{{l}} - p{{l}} < {_STALL_TOL!r}')}:",
+        f"            {done}'stall'",
+        f"        {names('p')}= {names('x')}",
+        f"    {done}None",
+        "",
+    ])
+
+
 def _settled(x: tuple, tol: float, basin: _Basin | None) -> str | None:
     if min(x) >= 1.0 - tol:
         return "tol"
@@ -644,7 +733,7 @@ class _Basin:
     state of the basin; then the bound's own float values screen."""
 
     def __init__(self, screen: list[float], certify: Callable[[], list[Fraction] | None]):
-        self._screen = screen
+        self.screen = screen
         self._certify = certify
         self._bound: list[Fraction] | None = None
 
@@ -653,44 +742,51 @@ class _Basin:
         if self._certify is not None:
             self._bound, self._certify = self._certify(), None
             # no state passes a screen of -1 once the proof has failed
-            self._screen = [float(b) for b in self._bound or [-1.0] * len(self._screen)]
+            self.screen = [float(b) for b in self._bound or [-1.0] * len(self.screen)]
         return self._bound
 
     def contains(self, x: tuple) -> bool:
         # The float comparison only screens; the exact one decides.
-        if not all(map(le, map((1.0).__sub__, x), self._screen)):
+        if not all(map(le, map((1.0).__sub__, x), self.screen)):
             return False
         bound = self.certified()
         return bound is not None and all(1 - Fraction(a) <= b for a, b in zip(x, bound))
 
 
-def _bernstein(coeffs: list[Fraction], width: Fraction) -> list[Fraction]:
+def _bernstein(coeffs: list, width: Fraction) -> list:
     """Bernstein coefficients on [0, width] of the polynomial with these
-    power-basis coefficients."""
+    power-basis coefficients, times the positive d! q^d for degree d and
+    width = p / q.  Entry i is sum_j C(i, j) j! (d-j)! p^j q^(d-j) a_j, so
+    integer coefficients give integers."""
     d = len(coeffs) - 1
-    scaled = [a * width**j for j, a in enumerate(coeffs)]
-    return [
-        sum(Fraction(comb(i, j), comb(d, j)) * scaled[j] for j in range(i + 1))
-        for i in range(d + 1)
+    p, q = width.numerator, width.denominator
+    scaled = [
+        a * factorial(j) * factorial(d - j) * p**j * q ** (d - j) for j, a in enumerate(coeffs)
     ]
+    return [sum(comb(i, j) * scaled[j] for j in range(i + 1)) for i in range(d + 1)]
 
 
-def _nonnegative_share(b: list[Fraction], depth: int) -> Fraction:
+def _nonnegative_share(b: list, depth: int) -> Fraction:
     """The largest dyadic share s of the interval such that the polynomial
-    with Bernstein coefficients b is nonnegative on its first s, found by
-    de Casteljau halving at most depth levels deep; 0 if none.
+    with Bernstein coefficients b (any positive multiple of them) is
+    nonnegative on its first s, found by de Casteljau halving at most depth
+    levels deep; 0 if none.
 
     Nonnegative coefficients prove the polynomial nonnegative on the
-    interval, and a negative first one is its value at the left end."""
+    interval, and a negative first one is its value at the left end.  The
+    halving takes sums instead of means: level k of the triangle is then
+    2^k times the means, and entry k of each half is scaled by 2^(d-k), so
+    that every coefficient of a half carries the same factor 2^d."""
     if min(b) >= 0:
         return Fraction(1)
     if b[0] < 0 or depth == 0:
         return Fraction(0)
-    left, right = [b[0]], [b[-1]]
-    while len(b) > 1:
-        b = [(u + t) / 2 for u, t in zip(b, b[1:])]
-        left.append(b[0])
-        right.append(b[-1])
+    d = len(b) - 1
+    left, right = [b[0] * 2**d], [b[-1] * 2**d]
+    for k in range(d - 1, -1, -1):
+        b = [u + t for u, t in zip(b, b[1:])]
+        left.append(b[0] * 2**k)
+        right.append(b[-1] * 2**k)
     share = _nonnegative_share(left, depth - 1) / 2
     if share < Fraction(1, 2):
         return share

@@ -12,8 +12,10 @@ outputs depend only on its packed key (channel-known mask << q |
 incoming-known mask), so a pass looks up only the nodes whose key grew since
 they were last evaluated (every node, on its side's first pass).  Keys are
 kept as decoder state; a flag that turns on adds its socket bit to the key of
-the node it enters, found through per-edge owner maps built when decoding
-starts.  The iteration stops at the first one that turns no flag on.
+the node it enters, found through per-edge owner maps: the VN side's is
+built once per block size of a simulation, as every block of one size wires
+its VN sockets the same way, and the CN side's when decoding starts.  The
+iteration stops at the first one that turns no flag on.
 
 A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
@@ -53,7 +55,7 @@ _WILSON_Z = 1.96
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+    if not is_int(seed) or not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -101,6 +103,9 @@ class SampledCode:
     # Local maps of the VN types and of the CN types, which decode fills and
     # reads; the blocks of one trial loop share them.
     maps: tuple[list[_LocalMaps], list[_LocalMaps]] = field(compare=False, repr=False)
+    # The VN side's owner map (see _owner_map), shared by the blocks of one
+    # size in a trial loop.
+    vn_owner: tuple[np.ndarray, int] = field(compare=False, repr=False)
     trials: int = 1
 
 
@@ -128,26 +133,19 @@ def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     return code
 
 
-def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps) -> SampledCode:
+def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps, vn_wiring=None) -> SampledCode:
     """A block of `trials` codes whose interleavers are still to be drawn.
 
-    The VN side is the same in every code: VN slot k of an edge type (VN
-    sockets of that type in type, position, node order) carries the k-th
-    edge of the type.  _sample_code fills the CN sockets of each trial.
+    vn_wiring is _vn_wiring of the same spec, scale and trials, built here
+    when not given.  _sample_code fills the CN sockets of each trial.
     """
     per_type = [count * scale for count in spec.edge_counts]
     n_edges = trials * sum(per_type)
     idx_dtype = _index_dtype(n_edges)
-    vn_edges, cn_edges = (
-        [np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in types]
-        for types in (spec.vn_types, spec.cn_types)
-    )
-    trial_first = np.arange(0, n_edges, sum(per_type))[:, None]
-    first = 0
-    for blocks in _socket_blocks(spec.vn_types, spec.n_edge_types, scale):
-        for ti, pos, cnt in blocks:
-            vn_edges[ti][:, pos] = (trial_first + np.arange(first, first + cnt)).reshape(-1)
-            first += cnt
+    vn_edges, vn_owner = vn_wiring or _vn_wiring(spec, scale, trials)
+    cn_edges = [
+        np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in spec.cn_types
+    ]
     return SampledCode(
         spec=spec,
         scale=scale,
@@ -159,8 +157,32 @@ def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps) -> SampledCode
         cn_edges=cn_edges,
         n_transmitted=trials * scale * sum(t.count * t.n_transmitted for t in spec.vn_types),
         maps=maps,
+        vn_owner=vn_owner,
         trials=trials,
     )
+
+
+def _vn_wiring(spec: EnsembleSpec, scale: int, trials: int):
+    """The VN side of a block of `trials` codes, which is the same in every
+    block of that size: per VN type its sockets' edges, and the VN side's
+    per-edge owner map (see _owner_map).
+
+    VN slot k of an edge type (VN sockets of that type in type, position,
+    node order) carries the k-th edge of the type.
+    """
+    per_type = [count * scale for count in spec.edge_counts]
+    n_edges = trials * sum(per_type)
+    idx_dtype = _index_dtype(n_edges)
+    vn_edges = [
+        np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in spec.vn_types
+    ]
+    trial_first = np.arange(0, n_edges, sum(per_type))[:, None]
+    first = 0
+    for blocks in _socket_blocks(spec.vn_types, spec.n_edge_types, scale):
+        for ti, pos, cnt in blocks:
+            vn_edges[ti][:, pos] = (trial_first + np.arange(first, first + cnt)).reshape(-1)
+            first += cnt
+    return vn_edges, _owner_map(vn_edges, n_edges)
 
 
 def _sample_code(code: SampledCode, trial: int, rng: np.random.Generator) -> None:
@@ -313,7 +335,8 @@ class _Side:
     lookup, and whether its key grew since (every node is due on its side's
     first pass)."""
 
-    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], n_edges: int):
+    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], owner):
+        """owner: the side's per-edge owner map and its bits (see _owner_map)."""
         self.edges = edges
         self.maps = maps
         first = np.cumsum([0] + [len(e) for e in edges]).tolist()
@@ -321,11 +344,7 @@ class _Side:
         self.keys = np.zeros(first[-1], dtype=np.int64)
         self.out = np.zeros(first[-1], dtype=np.int64)
         self.due = np.ones(first[-1], dtype=bool)
-        # Per edge, the node it enters on this side: (node << bits) | socket.
-        self.bits = (max(e.shape[1] for e in edges) - 1).bit_length()
-        self.owner = np.empty(n_edges, dtype=_index_dtype(first[-1] << self.bits))
-        for (lo, hi), e in zip(self.spans, edges):
-            self.owner[e] = np.arange(lo, hi)[:, None] << self.bits | np.arange(e.shape[1])
+        self.owner, self.bits = owner
 
     def send(self, other: "_Side") -> list[np.ndarray]:
         """Look up the due nodes and pass the messages that turned known on
@@ -369,6 +388,18 @@ class _Side:
         # as sockets reach 63.
         np.add.at(self.keys, node, np.left_shift(1, code, dtype=np.int64))
         self.due[node] = True
+
+
+def _owner_map(edges: list[np.ndarray], n_edges: int) -> tuple[np.ndarray, int]:
+    """Per edge, the node it enters on one side of a code, packed as
+    (node << bits) | socket with nodes numbered across the side's types;
+    and bits."""
+    first = np.cumsum([0] + [len(e) for e in edges]).tolist()
+    bits = (max(e.shape[1] for e in edges) - 1).bit_length()
+    owner = np.empty(n_edges, dtype=_index_dtype(first[-1] << bits))
+    for lo, hi, e in zip(first, first[1:], edges):
+        owner[e] = np.arange(lo, hi)[:, None] << bits | np.arange(e.shape[1])
+    return owner, bits
 
 
 def decode(
@@ -419,8 +450,8 @@ def _decode_block(
     """
     spec, n_trials = code.spec, code.trials
     n_e, per_trial = spec.n_edge_types, code.n_edges // n_trials
-    vn = _Side(code.vn_edges, code.maps[0], code.n_edges)
-    cn = _Side(code.cn_edges, code.maps[1], code.n_edges)
+    vn = _Side(code.vn_edges, code.maps[0], code.vn_owner)
+    cn = _Side(code.cn_edges, code.maps[1], _owner_map(code.cn_edges, code.n_edges))
     # A VN key starts as its channel-known mask (bit j = j-th transmitted
     # position) above its q incoming bits.
     chan_bits: list[np.ndarray] = []
@@ -497,10 +528,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _sample_block(spec, scale, seed, eps, trials, start, stop, maps):
+def _sample_block(spec, scale, seed, eps, trials, start, stop, maps, vn_wiring=None):
     """The block of flat trials [start, stop) and its erasure patterns, one
-    row per trial; eps holds the grid."""
-    code = _new_block(spec, scale, stop - start, maps)
+    row per trial; eps holds the grid and vn_wiring is passed to
+    _new_block."""
+    code = _new_block(spec, scale, stop - start, maps, vn_wiring)
     draws = np.empty((stop - start, code.n_transmitted // (stop - start)))
     for b, flat in enumerate(range(start, stop)):
         # each trial draws its code, then its erasures, from its own stream
@@ -522,9 +554,14 @@ def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_i
     failures = np.zeros(len(eps), dtype=np.int64)
     residuals = np.zeros(len(eps), dtype=np.int64)
     trajectories = {}
+    wiring, wired = None, 0
     for start in starts:
         stop = min(start + size, total)
-        code, erased = _sample_block(spec, scale, seed, eps, trials, start, stop, maps)
+        # Every block of one size wires its VN sockets the same way; only
+        # the last block can be smaller.
+        if stop - start != wired:
+            wiring, wired = _vn_wiring(spec, scale, stop - start), stop - start
+        code, erased = _sample_block(spec, scale, seed, eps, trials, start, stop, maps, wiring)
         success, residual, _, traj, _ = _decode_block(
             code, erased, None, record_trajectory=record_exit_iters > 0
         )

@@ -607,3 +607,145 @@ def principal_minor_verdict(m) -> str:
         return "stable"
     subsets = (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
     return "marginal" if all(minor(s) >= 0 for s in subsets) else "unstable"
+
+
+def fraction_certified_bound(engine, v, w, r, epsilon):
+    """ExitEngine._certified_bound with every coefficient a Fraction: the
+    erasure polynomials of both halves at c v and c w in rationals, their
+    Bernstein coefficients on [0, c_max] and de Casteljau halving by means.
+    Returns the bound c0 v - _CERT_SLACK, or None when it is not positive."""
+    from math import comb
+
+    from metdg.exitchart import _BASIN_DEPTH, _CERT_SLACK
+
+    def poly_add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+    def poly_dot(vec, acc):
+        m, d_v = vec.shape
+        rows = acc.reshape(m, -1, acc.shape[-1])
+        d_a = rows.shape[-1]
+        out = np.zeros((rows.shape[1], d_a + d_v - 1), dtype=object)
+        for t in range(m):
+            for j in range(d_v):
+                if vec[t, j]:
+                    out[:, j : j + d_a] += vec[t, j] * rows[t]
+        return out
+
+    def erasure_polynomials(half, scales, eps=None):
+        vectors = []
+        for src, n in half._axes:
+            if src == half.n_edge_types:
+                vec = [[eps**z * (1 - eps) ** (n - z)] for z in range(n + 1)]
+            else:
+                a = scales[src]
+                vec = [[0] * (n + 1) for _ in range(n + 1)]
+                for t in range(n + 1):
+                    for j in range(n - t + 1):
+                        vec[t][t + j] = comb(n - t, j) * (-a) ** j * a**t
+            vectors.append(np.array(vec, dtype=object))
+        polys = []
+        for parts in half.parts:
+            total = [Fraction(0)]
+            for _, weight, n_sockets, arr, kept in parts:
+                acc = np.array([int(x) for x in arr], dtype=object).reshape(-1, 1)
+                for k in kept:
+                    acc = poly_dot(vectors[k], acc)
+                total = poly_add(total, (weight / n_sockets * acc[0]).tolist())
+            assert total[0] == 0
+            polys.append(total[1:] or [Fraction(0)])
+        return polys
+
+    def bernstein(coeffs, width):
+        d = len(coeffs) - 1
+        scaled = [a * width**j for j, a in enumerate(coeffs)]
+        return [
+            sum(Fraction(comb(i, j), comb(d, j)) * scaled[j] for j in range(i + 1))
+            for i in range(d + 1)
+        ]
+
+    def nonnegative_share(b, depth):
+        if min(b) >= 0:
+            return Fraction(1)
+        if b[0] < 0 or depth == 0:
+            return Fraction(0)
+        left, right = [b[0]], [b[-1]]
+        while len(b) > 1:
+            b = [(u + t) / 2 for u, t in zip(b, b[1:])]
+            left.append(b[0])
+            right.append(b[-1])
+        share = nonnegative_share(left, depth - 1) / 2
+        if share < Fraction(1, 2):
+            return share
+        return share + nonnegative_share(right[::-1], depth - 1) / 2
+
+    v_q = [Fraction(t) for t in v]
+    w_q = [Fraction(t) for t in w]
+    tops = w_q + [Fraction(r) * t for t in v_q]
+    halves = erasure_polynomials(engine._cn, v_q)
+    halves += erasure_polynomials(engine._vn, w_q, Fraction(float(epsilon)))
+    c_max = min(Fraction(1), 1 / max(w_q))
+    share = min(
+        nonnegative_share(bernstein([top - h[0]] + [-a for a in h[1:]], c_max), _BASIN_DEPTH)
+        for top, h in zip(tops, halves)
+    )
+    bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
+    return bound if min(bound) > 0 else None
+
+
+def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
+    """ExitEngine.run as a plain Python loop over engine.step: after each
+    step the tol test, the basin test, the stall test, then the
+    super-solution test when it is due.  Returns (converged, trajectory,
+    outcome) as run does."""
+    from operator import sub
+
+    from metdg.exitchart import (
+        _CERT_FIRST,
+        _CERT_SPACING,
+        _STALL_TOL,
+        ProbeOutcome,
+    )
+    from metdg.stability import stability_verdict
+
+    n_e = engine.n_edge_types
+    basin = None
+    sm = None if record else engine._stability
+    if sm is not None:
+        verdict = stability_verdict(sm, epsilon)
+        if verdict == "unstable":
+            return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
+        if verdict == "stable":
+            basin = engine._basin(sm, epsilon)
+
+    def settled(x):
+        if min(x) >= 1.0 - tol:
+            return "tol"
+        if basin is not None and basin.contains(x):
+            return "basin"
+        return None
+
+    x = tuple(engine.step(np.zeros(n_e), epsilon).tolist())
+    trajectory = [x]
+    next_check = max_iters + 1 if record else _CERT_FIRST
+    x_prev = x_prev2 = None
+    it = 0
+    reason = settled(x)
+    while reason is None and it < max_iters:
+        x_prev2, x_prev, x = x_prev, x, tuple(engine.step(x, epsilon).tolist())
+        it += 1
+        if record:
+            trajectory.append(x)
+        reason = settled(x)
+        if reason is None and max(map(abs, map(sub, x, x_prev))) < _STALL_TOL:
+            reason = "stall"
+        if reason is None and it >= next_check:
+            next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
+            if engine._never_converges(x, x_prev, x_prev2, epsilon, tol):
+                reason = "super-solution"
+    reason = reason or "max_iters"
+    rows = np.array(trajectory) if record else np.empty((0, n_e))
+    outcome = ProbeOutcome(epsilon, reason, it)
+    return outcome.outcome == "converged", rows, outcome

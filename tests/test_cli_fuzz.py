@@ -165,8 +165,8 @@ def _get(doc, path):
 )
 def test_malformed_spec_files(seed, kind, pick, value):
     """A valid document, the punctured fig1 one or a random eligible one,
-    with one mutation: validate and threshold each accept it or reject it
-    with a documented exit code."""
+    with one mutation: every subcommand accepts it or rejects it with a
+    documented exit code."""
     rng = np.random.default_rng(seed)
     doc = fig1_doc() if seed % 2 else random_eligible_spec(rng).to_dict()
     with tempfile.TemporaryDirectory() as tmp:
@@ -175,3 +175,8 @@ def test_malformed_spec_files(seed, kind, pick, value):
         out = Path(tmp) / "report.json"
         _run(["validate", str(path)], out)
         _run(["threshold", str(path), "--max-iters", "200"], out)
+        _run(["stability", str(path), "--epsilon", "0.3", "--bound"], out)
+        _run(["exit-chart", str(path), "--epsilon", "0.3", "--max-iters", "200"], out)
+        # a VN type of the document, whose name the mutation may have changed
+        _run(["inffunc", str(path), "--type", "deg2" if seed % 2 else "v0"], out)
+        _run(["simulate", str(path), "--eps", "0.3", "--scale", "1", "--trials", "1", "--jobs", "1"], out)

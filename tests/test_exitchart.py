@@ -34,11 +34,13 @@ from conftest import (
 )
 from naive_oracles import (
     central_difference_jacobian,
+    fraction_certified_bound,
     scalar_de_converges,
     scalar_de_threshold,
     semantic_extrinsic_known_probability,
     stall_only_run,
     stall_only_threshold,
+    stepwise_run,
     tensordot_step,
 )
 
@@ -583,6 +585,55 @@ def test_bernstein_share_is_a_nonnegative_prefix(coeffs, root):
     for k in range(201 if got else 0):
         c = got * Fraction(k, 200)
         assert sum(a * c**j for j, a in enumerate(coeffs)) >= 0
+
+
+@pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
+def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
+    # run steps in a generated loop; its outcomes and rows are those of a
+    # plain loop over step, bit for bit, with either kind of half
+    from metdg.exitchart import _OUTCOME_OF
+
+    if numpy_side:
+        monkeypatch.setattr("metdg.exitchart._KERNEL_MAX_ENTRIES", -1)
+    rng = np.random.default_rng(15)
+    specs = [random_eligible_spec(rng, n_edge_types=n) for n in (1, 2, 3) for _ in range(2)]
+    specs += [ldpc_spec(3, 6), example1_spec(spc_gen(3), spc_gen(3)), dgldpc_spec()]
+    reasons = set()
+    for spec in specs:
+        engine = ExitEngine(spec)
+        generated = engine._vn_kernel.__code__.co_filename == "<exit kernel>"
+        assert generated != numpy_side
+        (lo, hi), _ = engine.threshold(tol_eps=1e-3, max_iters=400)
+        near = 0.5 * (lo + hi)
+        around = (near - 0.01, near - 1e-4, near + 1e-4, near + 0.01)
+        for eps in (0.0, 0.2, *(e for e in around if 0.0 < e < 1.0), 0.7, 1.0):
+            for record, max_iters in ((False, 3000), (True, 150)):
+                got = engine.run(eps, max_iters=max_iters, record=record)
+                want = stepwise_run(engine, eps, max_iters=max_iters, record=record)
+                assert got[0] == want[0] and got[2] == want[2], (spec, eps, record)
+                assert got[1].shape == want[1].shape
+                assert got[1].tobytes() == want[1].tobytes(), (spec, eps, record)
+                reasons.add(got[2].reason)
+    assert reasons == set(_OUTCOME_OF)
+
+
+def test_integer_basin_proof_matches_fractions(monkeypatch):
+    certify = ExitEngine._certified_bound
+    proofs = []
+
+    def compared(self, *args):
+        got = certify(self, *args)
+        assert got == fraction_certified_bound(self, *args), args
+        proofs.append(got is not None)
+        return got
+
+    monkeypatch.setattr(ExitEngine, "_certified_bound", compared)
+    rng = np.random.default_rng(36)
+    specs = [example1_spec(spc_gen(3), spc_gen(3)), example2_spec(rep_gen(3))]
+    specs += [random_eligible_spec(rng, n_edge_types=n) for n in (1, 2, 3) for _ in range(2)]
+    for spec in specs:
+        ExitEngine(spec).threshold(tol_eps=1e-4, max_iters=2000)
+    assert len(proofs) >= 30 and all(proofs)
 
 
 def test_certificate_stops_a_stuck_dgldpc_run_early():

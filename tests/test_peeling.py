@@ -229,6 +229,11 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
         lambda spec: sample_code(spec, 2, seed=-1),
         lambda spec: sample_code(spec, 2, seed=1 << 64),
         lambda spec: sample_code(spec, 2, seed=1.5),
+        # a seed is a Python int, as scale and trials are: True is not 1
+        lambda spec: sample_code(spec, 2, seed=True),
+        lambda spec: sample_code(spec, 2, seed=np.int64(1)),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=False),
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=np.uint64(1)),
         lambda spec: sweep(spec, scale=2.5, eps_grid=[0.3], trials=2, seed=0),
         lambda spec: sweep(spec, scale=True, eps_grid=[0.3], trials=2, seed=0),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2.5, seed=0),
@@ -242,7 +247,8 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
         lambda spec: sample_code(ldpc_spec(3, 6, 2 * 10**20), 1, seed=0),
     ],
     ids=["decode-max-iters", "record-exit-iters", "sweep-seed-neg", "sweep-seed-big",
-         "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sweep-scale-float",
+         "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sample-seed-bool",
+         "sample-seed-numpy", "sweep-seed-bool", "sweep-seed-numpy", "sweep-scale-float",
          "sweep-scale-bool", "sweep-trials-float", "sweep-trials-bool", "sweep-jobs-float",
          "sample-scale-float",
          "sample-scale-bool", "sweep-unindexable", "sample-unindexable"],
