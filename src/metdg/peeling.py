@@ -10,12 +10,17 @@ The schedule is flooding (a VN pass, then a CN pass and a VN pass per
 iteration) run as a frontier: message flags only ever turn on, and a node's
 outputs depend only on its packed key (channel-known mask << q |
 incoming-known mask), so a pass looks up only the nodes whose key grew since
-they were last evaluated (every node, on its side's first pass).  Keys are
-kept as decoder state; a flag that turns on adds its socket bit to the key of
-the node it enters, found through per-edge owner maps: the VN side's is
-built once per block size of a simulation, as every block of one size wires
-its VN sockets the same way, and the CN side's when decoding starts.  The
-iteration stops at the first one that turns no flag on.
+they were last evaluated (every node, on its side's first pass).  A flag
+that turns on adds its socket bit to the key of the node it enters, found
+through per-edge owner maps made with the code.  The iteration stops at the
+first one that turns no flag on.
+
+Sweeps that record no trajectory pass one message per edge, as the peeling
+decoder does: a node sends on no socket whose incoming message is known.  It
+sends on a socket once that column lies in the span of what it knows, so a
+later message in adds nothing to that span and could flip only outputs the
+rule drops too: success and residual erasures are those of flooding.
+decode() and recorded trajectories keep flooding, whose counts they report.
 
 A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
@@ -103,9 +108,10 @@ class SampledCode:
     # Local maps of the VN types and of the CN types, which decode fills and
     # reads; the blocks of one trial loop share them.
     maps: tuple[list[_LocalMaps], list[_LocalMaps]] = field(compare=False, repr=False)
-    # The VN side's owner map (see _owner_map), shared by the blocks of one
-    # size in a trial loop.
-    vn_owner: tuple[np.ndarray, int] = field(compare=False, repr=False)
+    # Owner maps (see _owner_map) of the VN side, shared by the blocks of one
+    # size as cn_slots is (see _wiring), and of the CN side, gathered from it.
+    owners: tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]] = field(compare=False, repr=False)
+    cn_slots: np.ndarray = field(compare=False, repr=False)
     trials: int = 1
 
 
@@ -133,23 +139,21 @@ def sample_code(spec: EnsembleSpec, scale: int, seed: int) -> SampledCode:
     return code
 
 
-def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps, vn_wiring=None) -> SampledCode:
+def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps, wiring=None) -> SampledCode:
     """A block of `trials` codes whose interleavers are still to be drawn.
 
-    vn_wiring is _vn_wiring of the same spec, scale and trials, built here
-    when not given.  _sample_code fills the CN sockets of each trial.
+    wiring is _wiring of the same spec, scale and trials, built here when
+    not given.  _sample_code fills the CN side of each trial.
     """
-    per_type = [count * scale for count in spec.edge_counts]
-    n_edges = trials * sum(per_type)
-    idx_dtype = _index_dtype(n_edges)
-    vn_edges, vn_owner = vn_wiring or _vn_wiring(spec, scale, trials)
+    vn_edges, vn_owner, (cn_slots, cn_bits) = wiring or _wiring(spec, scale, trials)
+    per_type, idx_dtype = [count * scale for count in spec.edge_counts], vn_edges[0].dtype
     cn_edges = [
         np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in spec.cn_types
     ]
     return SampledCode(
         spec=spec,
         scale=scale,
-        n_edges=n_edges,
+        n_edges=len(cn_slots),
         edge_type0=np.tile(np.repeat(np.arange(len(per_type), dtype=idx_dtype), per_type), trials),
         vn_counts=tuple(map(len, vn_edges)),
         cn_counts=tuple(map(len, cn_edges)),
@@ -157,44 +161,47 @@ def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps, vn_wiring=None
         cn_edges=cn_edges,
         n_transmitted=trials * scale * sum(t.count * t.n_transmitted for t in spec.vn_types),
         maps=maps,
-        vn_owner=vn_owner,
+        owners=(vn_owner, (np.empty_like(cn_slots), cn_bits)),
+        cn_slots=cn_slots,
         trials=trials,
     )
 
 
-def _vn_wiring(spec: EnsembleSpec, scale: int, trials: int):
-    """The VN side of a block of `trials` codes, which is the same in every
-    block of that size: per VN type its sockets' edges, and the VN side's
-    per-edge owner map (see _owner_map).
-
-    VN slot k of an edge type (VN sockets of that type in type, position,
-    node order) carries the k-th edge of the type.
-    """
+def _wiring(spec: EnsembleSpec, scale: int, trials: int):
+    """What every block of `trials` codes shares: per VN type its sockets'
+    edges and the VN side's owner map (see _owner_map), and the CN slot
+    owners, the CN side's owner map if it were wired as the VN side is: slot
+    k of an edge type (a side's sockets of that type in type, position, node
+    order) carrying the type's k-th edge."""
     per_type = [count * scale for count in spec.edge_counts]
     n_edges = trials * sum(per_type)
-    idx_dtype = _index_dtype(n_edges)
-    vn_edges = [
-        np.empty((trials * t.count * scale, t.n_sockets), dtype=idx_dtype) for t in spec.vn_types
-    ]
     trial_first = np.arange(0, n_edges, sum(per_type))[:, None]
-    first = 0
-    for blocks in _socket_blocks(spec.vn_types, spec.n_edge_types, scale):
-        for ti, pos, cnt in blocks:
-            vn_edges[ti][:, pos] = (trial_first + np.arange(first, first + cnt)).reshape(-1)
-            first += cnt
-    return vn_edges, _owner_map(vn_edges, n_edges)
+    sides = []
+    for types in (spec.vn_types, spec.cn_types):
+        edges = [np.empty((trials * t.count * scale, t.n_sockets), dtype=_index_dtype(n_edges))
+                 for t in types]
+        first = 0
+        for blocks in _socket_blocks(types, spec.n_edge_types, scale):
+            for ti, pos, cnt in blocks:
+                edges[ti][:, pos] = (trial_first + np.arange(first, first + cnt)).reshape(-1)
+                first += cnt
+        sides.append((edges, _owner_map(edges, n_edges)))
+    return (*sides[0], sides[1][1])
 
 
 def _sample_code(code: SampledCode, trial: int, rng: np.random.Generator) -> None:
     """Draw the interleavers of one trial of a block from rng: per edge type,
-    a uniform permutation maps VN slots to CN slots, and CN slot j carries
-    the edge whose VN slot maps to it."""
+    a uniform permutation perm maps VN slots to CN slots.  CN slot perm[k]
+    carries edge first + k, the edge of VN slot k, so the CN owner map is a
+    gather of the slot owners."""
     spec = code.spec
     first = trial * (code.n_edges // code.trials)
     for l0, blocks in enumerate(_socket_blocks(spec.cn_types, spec.n_edge_types, code.scale)):
         count = spec.edge_counts[l0] * code.scale
+        perm = rng.permutation(count)
+        code.owners[1][0][first : first + count] = code.cn_slots[first : first + count][perm]
         inv = np.empty(count, dtype=code.edge_type0.dtype)
-        inv[rng.permutation(count)] = np.arange(first, first + count)
+        inv[perm] = np.arange(first, first + count)
         for ti, pos, cnt in blocks:
             code.cn_edges[ti][trial * cnt : (trial + 1) * cnt, pos] = inv[:cnt]
             inv = inv[cnt:]
@@ -335,8 +342,8 @@ class _Side:
     lookup, and whether its key grew since (every node is due on its side's
     first pass)."""
 
-    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], owner):
-        """owner: the side's per-edge owner map and its bits (see _owner_map)."""
+    def __init__(self, edges: list[np.ndarray], maps: list[_LocalMaps], owner, one_way: bool):
+        """owner: the side's owner map and its bits (see _owner_map); one_way: see _decode_block."""
         self.edges = edges
         self.maps = maps
         first = np.cumsum([0] + [len(e) for e in edges]).tolist()
@@ -345,17 +352,14 @@ class _Side:
         self.out = np.zeros(first[-1], dtype=np.int64)
         self.due = np.ones(first[-1], dtype=bool)
         self.owner, self.bits = owner
+        self.one_way = one_way
 
-    def send(self, other: "_Side") -> list[np.ndarray]:
+    def send(self, other: "_Side") -> np.ndarray:
         """Look up the due nodes and pass the messages that turned known on
-        to the other side; returns their edges, per type."""
-        sent = []
-        for t in range(len(self.edges)):
-            flipped = self._evaluate(t)
-            if len(flipped):
-                other.receive(flipped)
-                sent.append(flipped)
-        return sent
+        to the other side; returns their edges."""
+        flipped = np.concatenate([self._evaluate(t) for t in range(len(self.edges))])
+        other.receive(flipped)
+        return flipped
 
     def _evaluate(self, t: int) -> np.ndarray:
         """Look up the due nodes of type t; return the edges whose outgoing
@@ -369,8 +373,10 @@ class _Side:
         every = len(rows) == hi - lo
         nodes = slice(lo, hi) if every else rows + lo
         self.due[nodes] = False
-        out = self.maps[t].lookup(self.keys[nodes], 0)
-        new = out & ~self.out[nodes]
+        keys = self.keys[nodes]
+        out = self.maps[t].lookup(keys, 0)
+        # one_way drops the key's low q bits, its incoming-known mask
+        new = out & ~(self.out[nodes] | keys) if self.one_way else out & ~self.out[nodes]
         self.out[nodes] = out
         hit = np.flatnonzero(new)
         senders = edges.take(hit if every else rows[hit], axis=0)
@@ -415,15 +421,17 @@ def decode(
     node, transmitted position).  Runs to the message fixpoint unless
     max_iters cuts it short.
     """
-    if max_iters is not None and max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
-    erased = np.asarray(erasure_pattern, dtype=bool)
-    if erased.shape != (code.n_transmitted,):
-        raise ValidationError(
-            f"erasure pattern has shape {erased.shape}, expected ({code.n_transmitted},)"
-        )
+    if max_iters is not None:
+        _check_count(max_iters, "max_iters", 0)
+    try:
+        erased = np.asarray(erasure_pattern)
+    except ValueError:  # a ragged sequence
+        erased = np.array(None)
+    if erased.shape != (code.n_transmitted,) or erased.dtype.kind not in "biu" or np.any(erased >> 1):
+        raise ValidationError(f"erasure pattern must be {code.n_transmitted} bools or 0/1 integers, "
+                              f"got shape {erased.shape} and dtype {erased.dtype}")
     success, residual, iterations, trajectory, history = _decode_block(
-        code, erased[None], max_iters, record_trajectory, keep_history
+        code, erased[None] != 0, max_iters, record_trajectory, keep_history
     )
     return DecodeResult(
         success=bool(success[0]),
@@ -434,10 +442,10 @@ def decode(
     )
 
 
-def _decode_block(
-    code: SampledCode, erased: np.ndarray, max_iters, record_trajectory=False, keep_history=False
-):
-    """Decode every trial of a block in one run of the frontier decoder.
+def _decode_block(code: SampledCode, erased: np.ndarray, max_iters, record_trajectory=False,
+                  keep_history=False, one_way=False):
+    """Decode every trial of a block in one run of the frontier decoder, with
+    one message per edge when one_way (see the module docstring).
 
     erased holds one row per trial, in decode's pattern order.  Returns per
     trial success, residual erasures and iterations; when asked, the known
@@ -450,8 +458,8 @@ def _decode_block(
     """
     spec, n_trials = code.spec, code.trials
     n_e, per_trial = spec.n_edge_types, code.n_edges // n_trials
-    vn = _Side(code.vn_edges, code.maps[0], code.vn_owner)
-    cn = _Side(code.cn_edges, code.maps[1], _owner_map(code.cn_edges, code.n_edges))
+    vn = _Side(code.vn_edges, code.maps[0], code.owners[0], one_way)
+    cn = _Side(code.cn_edges, code.maps[1], code.owners[1], one_way)
     # A VN key starts as its channel-known mask (bit j = j-th transmitted
     # position) above its q incoming bits.
     chan_bits: list[np.ndarray] = []
@@ -463,39 +471,31 @@ def _decode_block(
         chan = (chan_bits[-1].astype(np.int64) << np.arange(t.n_transmitted)).sum(axis=1)
         vn.keys[lo:hi] = chan << t.n_sockets
 
-    edge_totals = np.bincount(code.edge_type0[:per_trial], minlength=n_e).astype(float)
-    known_vc = np.zeros(n_trials * n_e, dtype=np.int64)
     # per trial, the last iteration that turned one of its messages known
     last_flip = np.zeros(n_trials, dtype=np.int64)
     msg_vc = np.zeros(code.n_edges, dtype=bool) if keep_history else None
-    trajectory: list[np.ndarray] = []
+    # per VN pass, the messages it turned known per (trial, edge type)
+    turned: list[np.ndarray] = []
     history: list[np.ndarray] = []
 
-    def note(sent: list[np.ndarray], iteration: int) -> int:
-        for flipped in sent:
-            last_flip[flipped // per_trial if n_trials > 1 else 0] = iteration
-        return sum(map(len, sent))
-
-    def vn_pass(iteration: int) -> int:
-        sent = vn.send(cn)
-        for flipped in sent:
-            if record_trajectory:
-                classes = code.edge_type0[flipped] + flipped // per_trial * n_e
-                known_vc[:] += np.bincount(classes, minlength=n_trials * n_e)
-            if keep_history:
-                msg_vc[flipped] = True
+    def vn_pass() -> np.ndarray:
+        flipped = vn.send(cn)
         if record_trajectory:
-            trajectory.append(known_vc.reshape(n_trials, n_e) / edge_totals)
+            classes = code.edge_type0[flipped] + flipped // per_trial * n_e
+            turned.append(np.bincount(classes, minlength=n_trials * n_e))
         if keep_history:
+            msg_vc[flipped] = True
             history.append(msg_vc.copy())
-        return note(sent, iteration)
+        return flipped
 
-    vn_pass(0)
+    vn_pass()
     iterations = 0
     while max_iters is None or iterations < max_iters:
         iterations += 1
-        if note(cn.send(vn), iterations) + vn_pass(iterations) == 0:
+        flipped = np.concatenate([cn.send(vn), vn_pass()])
+        if len(flipped) == 0:
             break
+        last_flip[flipped // per_trial if n_trials > 1 else 0] = iterations
 
     residual = np.zeros(n_trials, dtype=np.int64)
     for i, t in enumerate(spec.vn_types):
@@ -508,7 +508,8 @@ def _decode_block(
         residual == 0,
         residual,
         np.minimum(last_flip + 1, iterations),
-        np.array(trajectory) if record_trajectory else None,
+        np.cumsum(turned, axis=0).reshape(-1, n_trials, n_e)
+        / np.bincount(code.edge_type0[:per_trial], minlength=n_e) if record_trajectory else None,
         history if keep_history else None,
     )
 
@@ -528,11 +529,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _sample_block(spec, scale, seed, eps, trials, start, stop, maps, vn_wiring=None):
+def _sample_block(spec, scale, seed, eps, trials, start, stop, maps, wiring=None):
     """The block of flat trials [start, stop) and its erasure patterns, one
-    row per trial; eps holds the grid and vn_wiring is passed to
-    _new_block."""
-    code = _new_block(spec, scale, stop - start, maps, vn_wiring)
+    row per trial; eps holds the grid and wiring is passed to _new_block."""
+    code = _new_block(spec, scale, stop - start, maps, wiring)
     draws = np.empty((stop - start, code.n_transmitted // (stop - start)))
     for b, flat in enumerate(range(start, stop)):
         # each trial draws its code, then its erasures, from its own stream
@@ -557,13 +557,13 @@ def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_i
     wiring, wired = None, 0
     for start in starts:
         stop = min(start + size, total)
-        # Every block of one size wires its VN sockets the same way; only
-        # the last block can be smaller.
+        # Blocks of one size share a wiring; only the last can be smaller.
         if stop - start != wired:
-            wiring, wired = _vn_wiring(spec, scale, stop - start), stop - start
+            wiring, wired = _wiring(spec, scale, stop - start), stop - start
         code, erased = _sample_block(spec, scale, seed, eps, trials, start, stop, maps, wiring)
+        # Trajectories count every VN-to-CN message, so they keep flooding.
         success, residual, _, traj, _ = _decode_block(
-            code, erased, None, record_trajectory=record_exit_iters > 0
+            code, erased, None, record_exit_iters > 0, one_way=record_exit_iters == 0
         )
         points = np.arange(start, stop) // trials
         # Drop this block before the next one is sampled, so that memory

@@ -105,6 +105,16 @@ def test_pattern_length_validated():
         decode(code, np.zeros(3, dtype=bool))
 
 
+def test_decode_accepts_bools_and_01_integers_alike():
+    code = sample_code(ldpc_spec(3, 6), 50, seed=4)
+    pattern = np.random.default_rng(4).random(code.n_transmitted) < 0.42
+    want = decode(code, pattern)
+    for same in (pattern.tolist(), pattern.astype(np.uint8), pattern.astype(np.int64).tolist()):
+        got = decode(code, same)
+        assert (got.success, got.residual_erasures, got.iterations) == (
+            want.success, want.residual_erasures, want.iterations)
+
+
 def test_decoding_monotone_in_known_bits():
     spec = ldpc_spec(3, 6)
     code = sample_code(spec, 15, seed=11)
@@ -223,6 +233,16 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
     "call",
     [
         lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8, dtype=bool), max_iters=-5),
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8, dtype=bool), max_iters=1.5),
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8, dtype=bool), max_iters=True),
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8, dtype=bool), max_iters="3"),
+        # an erasure pattern is bools or 0/1 integers, never cast to bool
+        lambda spec: decode(sample_code(spec, 2, seed=0), [0.5] * 8),
+        lambda spec: decode(sample_code(spec, 2, seed=0), [2] * 8),
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.full(8, -1)),
+        lambda spec: decode(sample_code(spec, 2, seed=0), np.zeros(8)),
+        lambda spec: decode(sample_code(spec, 2, seed=0), ["0"] * 8),
+        lambda spec: decode(sample_code(spec, 2, seed=0), [[0]] * 7 + [[0, 1]]),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=0, record_exit_iters=-3),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=-1),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=1 << 64),
@@ -246,7 +266,11 @@ def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_metho
         lambda spec: sweep(ldpc_spec(3, 6, 2 * 10**20), scale=1, eps_grid=[0.3], trials=1, seed=0),
         lambda spec: sample_code(ldpc_spec(3, 6, 2 * 10**20), 1, seed=0),
     ],
-    ids=["decode-max-iters", "record-exit-iters", "sweep-seed-neg", "sweep-seed-big",
+    ids=["decode-max-iters", "decode-max-iters-float", "decode-max-iters-bool",
+         "decode-max-iters-str", "decode-pattern-half", "decode-pattern-two",
+         "decode-pattern-minus-one", "decode-pattern-float-zeros", "decode-pattern-str",
+         "decode-pattern-ragged",
+         "record-exit-iters", "sweep-seed-neg", "sweep-seed-big",
          "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sample-seed-bool",
          "sample-seed-numpy", "sweep-seed-bool", "sweep-seed-numpy", "sweep-scale-float",
          "sweep-scale-bool", "sweep-trials-float", "sweep-trials-bool", "sweep-jobs-float",
@@ -467,6 +491,43 @@ def test_block_decode_equals_each_trial_decoded_alone(max_iters):
             assert np.array_equal(traj[:passes, b], res.trajectory)
             # after its own fixpoint a trial's rows repeat its last one
             assert np.all(traj[passes:, b] == res.trajectory[-1])
+
+
+def test_one_message_per_edge_keeps_success_and_residual():
+    # one_way sends no message on a socket whose incoming message is known;
+    # per trial of a block it must decode exactly as flooding does
+    rng = np.random.default_rng(47)
+    eps_grid = np.array([0.1, 0.3, 0.45, 0.6, 0.75, 0.9])
+    trials = 4
+    specs = [(ldpc_spec(3, 6), 50)] + [(spec, 6) for spec in _decode_specs(rng)]
+    for seed, (spec, scale) in enumerate(specs):
+        maps = _local_maps(spec)
+        code, erased = _sample_block(spec, scale, seed, eps_grid, trials, 0, len(eps_grid) * trials, maps)
+        flood = _decode_block(code, erased, None, keep_history=True)
+        peel = _decode_block(code, erased, None, keep_history=True, one_way=True)
+        assert np.array_equal(peel[0], flood[0])
+        assert np.array_equal(peel[1], flood[1])
+        # the rule does drop VN-to-CN messages on every one of these blocks
+        assert peel[4][-1].sum() < flood[4][-1].sum()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unrecorded_sweep_rows_equal_trials_decoded_alone(jobs, monkeypatch):
+    # a sweep that records no trajectory passes one message per edge, in
+    # blocks of many trials; its rows must equal those of every trial
+    # decoded alone by decode(), which floods
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    for spec, scale, grid, trials in (
+        (dgldpc_spec(), 1, [0.3, 0.38, 0.42, 0.5], 5),
+        (ldpc_spec(3, 6), 40, [0.36, 0.42, 0.48], 6),
+    ):
+        result = sweep(spec, scale=scale, eps_grid=grid, trials=trials, seed=19, jobs=jobs)
+        alone = [res for _, res in _trials_alone(spec, scale, 19, grid, trials, range(len(grid) * trials))]
+        n_bits = scale * sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
+        for p, row in enumerate(result.rows):
+            point = alone[p * trials : (p + 1) * trials]
+            assert row["bler"] == sum(not r.success for r in point) / trials
+            assert row["ber"] == sum(r.residual_erasures for r in point) / (n_bits * trials)
 
 
 class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
