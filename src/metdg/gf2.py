@@ -10,8 +10,8 @@ a parity-check matrix, and the minimum distance from a walk over the span
 of the smaller of the code and its dual (at most 2**12 words for the 24
 sockets a component may have).
 
-The subset walk (`subset_slots`) eliminates every subset of a column list at
-once in numpy, for the information tables and the local decoding maps.
+The subset walk (`subset_ranks`) ranks every subset of a column list at once
+in numpy, for the information tables and the local decoding maps.
 """
 
 from __future__ import annotations
@@ -270,19 +270,19 @@ def _insert(slots: np.ndarray, v: np.ndarray) -> None:
         v ^= s * hit
 
 
-def subset_slots(
+def subset_ranks(
     columns: Sequence[int], n_rows: int, bases, free: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Echelon bases of the keys b | s, for each base key b (its `free` low
-    bits clear) and each s < 2**free, as (keys, slots) blocks in base-major
-    key order.
+    """GF(2) ranks of the keys b | s, for each base key b (its `free` low
+    bits clear) and each s < 2**free, as (keys, ranks) blocks in base-major
+    key order; key bit c selects columns[c], an n_rows-bit vector.
 
-    Key bit c selects columns[c], an n_rows-bit vector; slots[p, r] is the
-    basis vector with top bit p of the span of key r's columns, or 0, so
-    the rank of key r is its count of nonzero slots.  A base starts from
-    its own columns; its low columns come in by the subset recurrence (the
-    subsets with top bit c are the subsets below 2**c with column c
-    inserted).  A block holds at most 2**_FILL_MAX_LOW keys.
+    The walk keeps every key's echelon basis, slots[p] being the basis
+    vector with top bit p or 0, and a key's rank is its count of nonzero
+    slots.  A base starts from its own columns; its low columns come in by
+    the subset recurrence (the subsets with top bit c are the subsets below
+    2**c with column c inserted).  A block holds at most 2**_FILL_MAX_LOW
+    keys.
     """
     dt = _uint_dtype(n_rows)
     cols = np.array(columns, dtype=dt)
@@ -302,4 +302,5 @@ def subset_slots(
             grown = slots[:, :, 1 << c : 2 << c]
             grown[...] = slots[:, :, : 1 << c]
             _insert(grown, np.full(grown.shape[1:], cols[c], dtype=dt))
-        yield (block[:, None] | np.arange(1 << low, dtype=np.int64)).reshape(-1), slots.reshape(n_rows, -1)
+        keys = (block[:, None] | np.arange(1 << low, dtype=np.int64)).reshape(-1)
+        yield keys, np.count_nonzero(slots, axis=0).reshape(-1)

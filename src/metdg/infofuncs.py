@@ -9,9 +9,9 @@ walks the same key space (sockets, then channel bits) as its local decoding
 map in `peeling`.
 
 Tables hold exact integers.  They are the one place the toolkit is
-exponential in code size: `gf2.subset_slots` eliminates every column subset
-in blocks, each subset's rank is its count of nonzero echelon slots, and
-`np.bincount` sums the ranks into the cell of the subset's per-axis counts.
+exponential in code size: `gf2.subset_ranks` ranks every column subset in
+blocks, and `np.bincount` sums the ranks into the cell of the subset's
+per-axis counts.
 The walk is n_sockets wide for a CN and n_sockets + n_transmitted wide for a
 VN, and is checked against `gf2.WALK_BUDGET` before it starts.
 """
@@ -41,9 +41,8 @@ def _walk_table(columns: list[int], axes: list[int], shape: tuple[int, ...], n_r
     # a key's cell is the sum of the steps of its set bits, 12 bits at a time
     parts = [(i, _subset_sums(steps[i : i + 12])) for i in range(0, len(steps), 12)]
     table = np.zeros(math.prod(shape), dtype=np.int64)
-    for keys, slots in gf2.subset_slots(columns, n_rows, [0], len(columns)):
+    for keys, ranks in gf2.subset_ranks(columns, n_rows, [0], len(columns)):
         cell = sum(sums[(keys >> i) & 4095] for i, sums in parts)
-        ranks = np.count_nonzero(slots, axis=0)
         table += np.bincount(cell, weights=ranks, minlength=table.size).astype(np.int64)
     return table.reshape(shape)
 

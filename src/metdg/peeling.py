@@ -24,10 +24,10 @@ decode() and recorded trajectories keep flooding, whose counts they report.
 
 A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
-the due nodes of each type.  A map is filled on first use from the echelon
-bases of many keys at a time, which the subset walk shared with the
-information tables (`gf2.subset_slots`) provides; the codes of one trial
-loop share one set of maps, so each key is filled once per loop.
+the due nodes of each type.  A map holds each key's out mask and its rank,
+filled on first use by one rank walk over the keys a lookup misses (the
+subset walk of the information tables, `gf2.subset_ranks`); the codes of
+one trial loop share one set of maps, so each key is filled once per loop.
 
 A simulation decodes its trials in blocks: runs of consecutive trials of at
 most _BLOCK_EDGES edges in all, each sampled from its own stream into one
@@ -210,42 +210,40 @@ def _sample_code(code: SampledCode, trial: int, rng: np.random.Generator) -> Non
 
 # Edges in one block of trials decoded together (see sweep).
 _BLOCK_EDGES = 1 << 16
-# Array tables cap at 2 x 8 MiB; wider types fall back to a dict memo.
+# A map's array holds an out mask and a rank per key, 2 x 8 MiB at this
+# width; wider types fall back to a dict memo.
 _ARRAY_MAX_WIDTH = 20
 # Missing dict keys filled per vectorized call, each with its q neighbours.
 _DICT_FILL_CHUNK = 2048
 
 
-def _extrinsic(det: np.ndarray, cleared_rows) -> np.ndarray:
-    """Out masks: bit j is read from the determined-column masks det at the
-    row of the key with incoming bit j cleared; cleared_rows yields those
-    rows for j = 0, 1, ..."""
+def _out_masks(keys: np.ndarray, q: int, rank) -> np.ndarray:
+    """Out masks of keys, given rank(keys) for any keys: bit j is set when
+    column j adds no rank to the key with socket j cleared."""
     out = 0
-    for j, rows in enumerate(cleared_rows):
-        out = out | ((det[rows] >> j) & 1) << j
+    for j in range(q):
+        out = out | (rank(keys | 1 << j) == rank(keys & ~(1 << j))).astype(np.int64) << j
     return out
 
 
 class _LocalMaps:
     """Exact local erasure decoding for one component type.
 
-    Key layout: (channel-known mask << n_sockets) | incoming-known mask.
-    Values: extrinsic outgoing-known mask and (non-extrinsic) recovered
-    information-bit mask.  Out bit j of key S is "column j lies in the span
-    of S without socket j", a lookup of the determined-column mask of S with
-    incoming bit j cleared; so the keys sharing one channel mask (a block)
-    are filled together, from that block alone.
+    Key layout: (channel-known mask << n_sockets) | incoming-known mask, key
+    bit j selecting the j-th socket column, then the identity column of
+    each channel-known info bit.  Per key the map holds the extrinsic out
+    mask and the rank of the key's columns.  Out bit j of key S is "column j
+    lies in the span of S without socket j", that is rank(S | 1 << j) ==
+    rank(S & ~(1 << j)), so the keys sharing one channel mask (a block) get
+    their out masks from that block's ranks alone.  One subset walk ranks
+    the keys a lookup misses.
     """
 
     def __init__(self, column_bits: list[int], n_rows: int, chan_positions: tuple[int, ...]):
         self.q = len(column_bits)
         self.kb = len(chan_positions)
         self.n_rows = n_rows
-        # key bit j selects one of these: the socket columns, then the
-        # channel-known info bits
         self._columns = list(column_bits) + [1 << pos for pos in chan_positions]
-        # functionals tested against every span: the socket columns, then the info bits
-        self._tests = list(column_bits) + [1 << i for i in range(n_rows)]
         width = self.q + self.kb
         self._array_backed = width <= _ARRAY_MAX_WIDTH
         if self._array_backed:
@@ -255,14 +253,15 @@ class _LocalMaps:
             self._dict: dict[int, tuple[int, int]] = {}
 
     def lookup(self, keys: np.ndarray, row: int) -> np.ndarray:
-        """Row 0 (out masks) or row 1 (recovered-info masks) of the map at
-        keys, filled where missing."""
+        """Row 0 (out masks) or row 1 (ranks) of the map at keys, filled
+        where missing."""
         if self._array_backed:
             if not self._filled.all():
                 due = np.zeros_like(self._filled)
                 due[keys >> self.q] = True
-                for chan in np.flatnonzero(due & ~self._filled).tolist():
-                    self._fill_block(chan)
+                missing = np.flatnonzero(due & ~self._filled)
+                if len(missing):
+                    self._fill_blocks(missing)
             return self.table[row][keys]
         uniq, inv = np.unique(keys, return_inverse=True)
         missing = [key for key in uniq.tolist() if key not in self._dict]
@@ -270,45 +269,29 @@ class _LocalMaps:
             self._fill_dict(np.array(missing, dtype=np.int64))
         return np.array([self._dict[key][row] for key in uniq.tolist()], dtype=np.int64)[inv]
 
-    def _fill_block(self, chan: int) -> None:
-        base = chan << self.q
-        det, info = self._span_masks(np.array([base]), self.q)
-        inc = np.arange(1 << self.q, dtype=np.int64)
-        block = slice(base, base + len(inc))
-        self.table[0, block] = _extrinsic(det, (inc & ~(1 << j) for j in range(self.q)))
-        self.table[1, block] = info
-        self._filled[chan] = True
+    def _fill_blocks(self, chans: np.ndarray) -> None:
+        walked = []
+        for keys, ranks in gf2.subset_ranks(self._columns, self.n_rows, chans << self.q, self.q):
+            self.table[1, keys] = ranks
+            walked.append(keys)
+        # out masks read ranks across a channel block, which can span several
+        # walk blocks, so they wait for the whole walk
+        for keys in walked:
+            self.table[0, keys] = _out_masks(keys, self.q, self.table[1].take)
+        self._filled[chans] = True
 
     def _fill_dict(self, missing: np.ndarray) -> None:
         bits = np.int64(1) << np.arange(self.q, dtype=np.int64)
         for lo in range(0, len(missing), _DICT_FILL_CHUNK):
             chunk = missing[lo : lo + _DICT_FILL_CHUNK]
-            cleared = chunk[:, None] & ~bits
-            keys = np.unique(np.concatenate([chunk, cleared.reshape(-1)]))
-            det, info = self._span_masks(keys, 0)
-            out = _extrinsic(det, np.searchsorted(keys, cleared).T)
-            own = info[np.searchsorted(keys, chunk)]
-            self._dict.update(zip(chunk.tolist(), zip(out.tolist(), own.tolist())))
+            keys = np.unique(np.concatenate([chunk, (chunk[:, None] ^ bits).reshape(-1)]))
+            ranks = np.concatenate([r for _, r in gf2.subset_ranks(self._columns, self.n_rows, keys, 0)])
 
-    def _span_masks(self, bases: np.ndarray, free: int) -> tuple[np.ndarray, np.ndarray]:
-        """Determined-column and recovered-info masks of every key b | s, for
-        each base key b (its `free` low bits clear) and each s < 2**free,
-        ordered base-major.
+            def rank(at):
+                return ranks[np.searchsorted(keys, at)]
 
-        A functional is determined iff it reduces to zero against the key's
-        echelon basis from the subset walk.
-        """
-        blocks = []
-        for _, slots in gf2.subset_slots(self._columns, self.n_rows, bases, free):
-            det = np.zeros(slots.shape[1], dtype=np.int64)
-            for i, test in enumerate(self._tests):
-                v = np.full(slots.shape[1], test, dtype=slots.dtype)
-                for p in range(test.bit_length() - 1, -1, -1):
-                    v ^= slots[p] * ((v & (1 << p)) != 0)
-                det |= (v == 0).astype(np.int64) << i
-            blocks.append(det)
-        det = np.concatenate(blocks)
-        return det & ((1 << self.q) - 1), det >> self.q
+            out = _out_masks(chunk, self.q, rank)
+            self._dict.update(zip(chunk.tolist(), zip(out.tolist(), rank(chunk).tolist())))
 
 
 def _local_maps(spec: EnsembleSpec) -> tuple[list[_LocalMaps], list[_LocalMaps]]:
@@ -499,11 +482,14 @@ def _decode_block(code: SampledCode, erased: np.ndarray, max_iters, record_traje
 
     residual = np.zeros(n_trials, dtype=np.int64)
     for i, t in enumerate(spec.vn_types):
-        # every VN was last looked up at its current key, so this is a hit
-        lo, hi = vn.spans[i]
-        info = vn.maps[i].lookup(vn.keys[lo:hi], 1)
-        recovered = (info[:, None] >> np.array(t.transmitted_positions, dtype=np.int64)) & 1
-        residual += (~chan_bits[i] & (recovered == 0)).reshape(n_trials, -1).sum(axis=1)
+        # every VN was last looked up at its current key, so its rank is a
+        # hit; an erased bit is recovered when its identity column adds no rank
+        (lo, hi), maps = vn.spans[i], vn.maps[i]
+        keys = vn.keys[lo:hi]
+        rank = maps.lookup(keys, 1)
+        for c in range(t.n_transmitted):
+            lost = ~chan_bits[i][:, c] & (maps.lookup(keys | 1 << (maps.q + c), 1) != rank)
+            residual += lost.reshape(n_trials, -1).sum(axis=1)
     return (
         residual == 0,
         residual,

@@ -349,8 +349,10 @@ def classic_peeling_history(code, erased):
 
 def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=False, keep_history=False):
     """The flooding schedule with full passes: every pass rebuilds every
-    node's key from the message flags and looks it up, and the loop stops at
-    the first iteration that leaves the flag counts unchanged.
+    node's key from the message flags and looks up its out mask, and the
+    loop stops at the first iteration that leaves the flag counts unchanged.
+    The recovered transmitted bits come from `naive_local_map` at each VN's
+    last key, not from the maps.
 
     Same arguments and result as `metdg.decode`, which must agree with it
     exactly while touching only the nodes next to flipped edges.
@@ -375,7 +377,8 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
 
     msg_vc = np.zeros(code.n_edges, dtype=bool)
     msg_cv = np.zeros(code.n_edges, dtype=bool)
-    info_masks = [np.zeros(c, dtype=np.int64) for c in code.vn_counts]
+    # per VN type, the keys of its last pass
+    vn_keys = [np.zeros(c, dtype=np.int64) for c in code.vn_counts]
 
     edge_totals = np.bincount(code.edge_type0, minlength=n_e).astype(float)
 
@@ -388,8 +391,8 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
             shifts = np.arange(q, dtype=np.int64)
             inc = (msg_cv[eids].astype(np.int64) << shifts).sum(axis=1)
             keys = (chan_masks[i] << q) | inc
-            out, info = vn_maps[i].lookup(keys, 0), vn_maps[i].lookup(keys, 1)
-            info_masks[i] = info
+            vn_keys[i] = keys
+            out = vn_maps[i].lookup(keys, 0)
             msg_vc[eids] = ((out[:, None] >> shifts) & 1).astype(bool)
 
     def cn_pass() -> None:
@@ -434,8 +437,13 @@ def flooding_decode(code, erasure_pattern, max_iters=None, record_trajectory=Fal
     for i, vn in enumerate(spec.vn_types):
         if code.vn_counts[i] == 0 or vn.n_transmitted == 0:
             continue
+        # recovered info bits by codeword enumeration, once per distinct key
+        rows = vn.generator.to_rows()
+        info = {key: naive_local_map(rows, vn.transmitted_positions, key)[1]
+                for key in set(vn_keys[i].tolist())}
+        info_masks = np.array([info[key] for key in vn_keys[i].tolist()], dtype=np.int64)
         pos = np.array(vn.transmitted_positions, dtype=np.int64)
-        recovered = ((info_masks[i][:, None] >> pos) & 1).astype(bool)
+        recovered = ((info_masks[:, None] >> pos) & 1).astype(bool)
         residual += int(np.sum(~chan_bits[i] & ~recovered))
 
     return peeling.DecodeResult(

@@ -337,12 +337,23 @@ def test_frontier_decode_matches_flooding_oracle(max_iters):
 
 
 def _oracle_check(gen: GF2Matrix, chan_positions, keys):
+    # per key: the out mask of the codeword oracle, the rank of the key's
+    # columns, and a channel bit that adds no rank exactly where the oracle
+    # recovers its info bit
     maps = _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
+    q, columns = gen.n_cols, gen.column_bits() + [1 << p for p in chan_positions]
     keys_arr = np.asarray(keys, dtype=np.int64)
-    out, info = maps.lookup(keys_arr, 0), maps.lookup(keys_arr, 1)
+    out, rank = maps.lookup(keys_arr, 0).tolist(), maps.lookup(keys_arr, 1).tolist()
+    chan_ranks = [maps.lookup(keys_arr | 1 << (q + i), 1).tolist() for i in range(len(chan_positions))]
     rows = gen.to_rows()
-    for key, o, i in zip(keys, out.tolist(), info.tolist()):
-        assert (o, i) == naive_local_map(rows, chan_positions, key), (rows, chan_positions, key)
+    for r, key in enumerate(keys):
+        want_out, want_info = naive_local_map(rows, chan_positions, key)
+        assert out[r] == want_out, (rows, chan_positions, key)
+        picked = [c for j, c in enumerate(columns) if (key >> j) & 1]
+        assert rank[r] == GF2Matrix(len(picked), gen.n_rows, picked).rank(), (rows, chan_positions, key)
+        for i, p in enumerate(chan_positions):
+            recovered = (want_info >> p) & 1 == 1
+            assert (chan_ranks[i][r] == rank[r]) == recovered, (rows, chan_positions, key, i)
     return maps
 
 
@@ -377,8 +388,8 @@ def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positi
     # a second batch mixes memoized keys with new ones
     _oracle_check(gen, chan_positions, keys[::3] + rng.integers(0, 1 << width, size=40).tolist())
     # an empty batch
-    out, info = maps.lookup(np.zeros(0, dtype=np.int64), 0), maps.lookup(np.zeros(0, dtype=np.int64), 1)
-    assert out.shape == info.shape == (0,)
+    out, rank = maps.lookup(np.zeros(0, dtype=np.int64), 0), maps.lookup(np.zeros(0, dtype=np.int64), 1)
+    assert out.shape == rank.shape == (0,)
 
 
 def test_sweep_waterfall_brackets_threshold(ldpc36):
