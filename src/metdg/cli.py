@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -287,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="grid as a:b:step or comma-separated values")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=peeling.usable_cpus())
 
     return parser
 

@@ -35,20 +35,23 @@ disjoint-union graph (a larger code is a block of one).  One frontier run
 serves the whole block, and each trial's outcome is read off its own node
 and edge ranges, so it is the one that trial gets decoded alone.  The
 blocks are shared out among at most `jobs` workers, and never more workers
-than the machine has CPUs.
+than the CPUs this process may use.  Each worker is a child forked for its
+share, which sends its sums back pickled through a pipe; where os.fork does
+not exist, one process runs every block.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf2
 from .ensemble import EnsembleSpec
-from .errors import ValidationError, is_int
+from .errors import CapacityError, InternalError, ValidationError, is_int
 
 _RNG_NAME = "philox"
 # Stream derivation packs the grid index into 16 bits and the trial index
@@ -561,9 +564,77 @@ def _run_trials(spec, scale, seed, eps_grid, trials, starts, size, record_exit_i
             # Past the block's fixpoint, iterations repeat its last row.
             rows = np.minimum(np.arange(record_exit_iters + 1), len(traj) - 1)
             trajectories[start] = traj[rows].transpose(1, 0, 2)
-    # Plain ints: a pool's parent that unpickles arrays keeps about 50 KB
+    # Plain ints: a parent that unpickles a worker's arrays keeps about 50 KB
     # more heap in use for the rest of the process.
     return failures.tolist(), residuals.tolist(), trajectories
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_shares(shares: list[tuple]) -> list:
+    """_run_trials on each share of arguments, each in a child forked for
+    it; returns the parts in share order.
+
+    A child pickles (True, part) or (False, exception) into its own pipe and
+    leaves through os._exit, skipping atexit handlers and stdio flushes.  A
+    worker's exception is raised again here; a child that ends without a
+    result is an InternalError.  No exit path leaves a child running.
+    """
+    pipes, pids = [], []  # pids: the children not yet reaped
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as e:
+                os.close(read)
+                os.close(write)
+                raise CapacityError(f"cannot start a simulation worker: {e}") from None
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    try:
+                        reply = (True, _run_trials(*share))
+                    except BaseException as e:  # raised again in the parent
+                        reply = (False, e)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(os.fdopen(read, "rb"))
+        parts = []
+        for pipe in pipes:
+            data = pipe.read()
+            _, status = os.waitpid(pids.pop(0), 0)
+            try:
+                ok, part = pickle.loads(data)
+            except Exception:
+                raise InternalError("a simulation worker ended without a result (exit code "
+                                    f"{os.waitstatus_to_exitcode(status)})") from None
+            if not ok:
+                raise part
+            parts.append(part)
+        return parts
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            # Imported here: a run whose workers all return never pays for it.
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 @dataclass
@@ -592,8 +663,9 @@ def sweep(
     Each trial draws a fresh code and a fresh erasure pattern from a
     counter-based stream keyed by (seed, grid index, trial index), so results
     do not depend on scheduling or on the number of workers, which is at
-    most jobs and the machine's CPU count.  The key holds at most
-    MAX_GRID_POINTS grid points and MAX_TRIALS trials per point.
+    most jobs and the CPUs this process may use (see usable_cpus).  The
+    key holds at most MAX_GRID_POINTS grid points and MAX_TRIALS trials per
+    point.
     """
     eps_grid = [float(eps) for eps in eps_grid]
     _check_scale(spec, scale)
@@ -613,7 +685,7 @@ def sweep(
     total = len(eps_grid) * trials
     # Blocks hold at most _BLOCK_EDGES edges (a larger code is a block of
     # one), and each worker gets the same number of blocks, at least one.
-    n = min(jobs, total, os.cpu_count() or 1)
+    n = min(jobs, total, usable_cpus()) if hasattr(os, "fork") else 1
     rounds = -(-total // (n * max(1, _BLOCK_EDGES // (scale * sum(spec.edge_counts)))))
     size = -(-total // (n * rounds))
     n = min(n, -(-total // size))
@@ -621,19 +693,10 @@ def sweep(
     if n == 1:
         parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters)]
     else:
-        # Worker w runs blocks w, w + n, ... in one call: it receives the
-        # spec once, fills its own local maps on first use and keeps them for
-        # all of its blocks.  Imported here: set-up and single-process runs
-        # never pay for it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            futures = [
-                pool.submit(_run_trials, *run, range(w * size, total, n * size), size,
-                            record_exit_iters)
-                for w in range(n)
-            ]
-            parts = [f.result() for f in futures]
+        # Worker w runs blocks w, w + n, ... in one call: it fills its own
+        # local maps on first use and keeps them for all of its blocks.
+        parts = _fork_shares([(*run, range(w * size, total, n * size), size, record_exit_iters)
+                              for w in range(n)])
     failures, residuals = np.sum([part[:2] for part in parts], axis=0)
     if record_exit_iters > 0:
         traj = np.empty((total, record_exit_iters + 1, spec.n_edge_types))

@@ -1,6 +1,9 @@
-import concurrent.futures
-import multiprocessing
+import errno
+import json
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 
 from metdg import ExitEngine, ValidationError, decode, sample_code, sweep, wilson_interval
 from metdg import GF2Matrix
-from metdg import peeling
+from metdg import CapacityError, InternalError, peeling
+from metdg.cli import main
 from metdg.peeling import (
     _decode_block,
     _local_maps,
@@ -192,41 +196,144 @@ def test_sweep_is_reproducible_and_jobs_invariant():
 _DGLDPC_GRID = [0.30, 0.38, 0.45]
 
 
+@pytest.fixture()
+def forked(monkeypatch):
+    """Each call of peeling._fork_shares, recorded as (shares, parts)."""
+    calls = []
+    fork_shares = peeling._fork_shares
+
+    def record(shares):
+        calls.append((shares, fork_shares(shares)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(peeling, "_fork_shares", record)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "jobs, eps_grid, trials, start_method",
+    "jobs, eps_grid, trials",
     [
-        (2, _DGLDPC_GRID, 6, None),
-        (3, _DGLDPC_GRID, 6, None),
+        (2, _DGLDPC_GRID, 6),
+        (3, _DGLDPC_GRID, 6),
         # more jobs than tasks: one worker per task
-        (3, [0.38], 2, None),
-        # spawned workers import metdg afresh and inherit nothing
-        (2, _DGLDPC_GRID, 6, "spawn"),
+        (3, [0.38], 2),
     ],
-    ids=["jobs2", "jobs3", "jobs3-2tasks", "jobs2-spawn"],
+    ids=["jobs2", "jobs3", "jobs3-2tasks"],
 )
-def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, start_method, monkeypatch):
-    # one pool serves every grid point, each worker taking every n-th task;
+def test_sweep_jobs_invariant_on_dgldpc_grid(jobs, eps_grid, trials, monkeypatch, forked):
+    # one set of workers serves every grid point, each taking every n-th task;
     # rows and trajectories stay grouped by grid index and equal the serial run's
     # (as many CPUs as jobs, so that sweep's CPU cap leaves them all)
-    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
-    pool_class = concurrent.futures.ProcessPoolExecutor
-    pools = []
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return pool_class(max_workers, mp_context=multiprocessing.get_context(start_method))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: jobs)
     spec = dgldpc_spec()
     kwargs = dict(scale=1, eps_grid=eps_grid, trials=trials, seed=11, record_exit_iters=3)
     b = sweep(spec, jobs=jobs, **kwargs)
     a = sweep(spec, jobs=1, **kwargs)
-    assert pools == [min(jobs, len(eps_grid) * trials)]
+    assert [len(shares) for shares, _ in forked] == [min(jobs, len(eps_grid) * trials)]
     assert a.rows == b.rows
     assert list(a.trajectories) == list(b.trajectories) == eps_grid
     for eps, traj in a.trajectories.items():
         assert traj.shape == (trials, 4, spec.n_edge_types)
         assert np.array_equal(traj, b.trajectories[eps])
+
+
+def test_a_share_in_a_fresh_interpreter_equals_the_forked_part(monkeypatch, forked):
+    # a forked worker inherits the parent's memory; its part must be the one
+    # a fresh interpreter, which imports metdg afresh and inherits nothing,
+    # computes from the same share
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: 2)
+    sweep(dgldpc_spec(), scale=1, eps_grid=_DGLDPC_GRID, trials=6, seed=11, jobs=2, record_exit_iters=3)
+    [(shares, parts)] = forked
+    script = ("import pickle, sys; from metdg import peeling; "
+              "sys.stdout.buffer.write(pickle.dumps(peeling._run_trials(*pickle.load(sys.stdin.buffer))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(shares[1]),
+                           capture_output=True, check=True, env=env)
+    failures, residuals, trajectories = pickle.loads(fresh.stdout)
+    assert (failures, residuals) == parts[1][:2]
+    assert list(trajectories) == list(parts[1][2]) != []
+    for start, block in trajectories.items():
+        assert np.array_equal(block, parts[1][2][start])
+
+
+class _WorkerFailed(Exception):
+    pass
+
+
+def _raise_in_worker(*share):
+    raise _WorkerFailed("boom")
+
+
+def _exit_in_worker(*share):
+    os._exit(3)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# sweep arguments that start two workers on two CPUs
+_TWO_WORKERS = dict(scale=1, eps_grid=[0.3, 0.42], trials=4, seed=5, jobs=2)
+
+
+def _simulate_two_workers(tmp_path) -> int:
+    """The exit code of the CLI's simulate on the same call."""
+    path = tmp_path / "ldpc.json"
+    path.write_text(json.dumps(ldpc_spec(3, 6).to_dict()))
+    return main(["simulate", str(path), "--scale", "1", "--eps", "0.3,0.42", "--trials", "4", "--jobs", "2"])
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: 2)
+
+
+def test_a_worker_exception_is_raised_in_the_parent(monkeypatch, two_cpus):
+    monkeypatch.setattr(peeling, "_run_trials", _raise_in_worker)
+    with pytest.raises(_WorkerFailed, match="boom"):
+        sweep(ldpc_spec(3, 6), **_TWO_WORKERS)
+    _assert_no_child_left()
+
+
+def test_a_worker_without_a_result_is_an_internal_error(monkeypatch, two_cpus, tmp_path, capsys):
+    monkeypatch.setattr(peeling, "_run_trials", _exit_in_worker)
+    with pytest.raises(InternalError, match="exit code 3"):
+        sweep(ldpc_spec(3, 6), **_TWO_WORKERS)
+    _assert_no_child_left()
+    assert _simulate_two_workers(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_is_a_capacity_error(monkeypatch, two_cpus, tmp_path, capsys):
+    # the second fork of each run fails as it does when the process table is
+    # full; the first worker is killed and reaped
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) % 2 == 0:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(CapacityError, match="cannot start a simulation worker"):
+        sweep(ldpc_spec(3, 6), **_TWO_WORKERS)
+    _assert_no_child_left()
+    assert _simulate_two_workers(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot start a simulation worker") and "Traceback" not in err
+    assert len(forks) == 4
+    _assert_no_child_left()
+
+
+def test_sweep_runs_in_one_process_without_fork(monkeypatch, forked):
+    monkeypatch.delattr(os, "fork")
+    kwargs = dict(scale=1, eps_grid=[0.3, 0.42], trials=10, seed=5)
+    assert sweep(ldpc_spec(3, 6), jobs=2, **kwargs).rows == sweep(ldpc_spec(3, 6), jobs=1, **kwargs).rows
+    assert forked == []
 
 
 @pytest.mark.parametrize(
@@ -336,11 +443,11 @@ def test_frontier_decode_matches_flooding_oracle(max_iters):
             _assert_same_decoding(code, rng.random(code.n_transmitted) < eps, max_iters)
 
 
-def _oracle_check(gen: GF2Matrix, chan_positions, keys):
+def _oracle_check(gen: GF2Matrix, chan_positions, keys, maps=None):
     # per key: the out mask of the codeword oracle, the rank of the key's
     # columns, and a channel bit that adds no rank exactly where the oracle
-    # recovers its info bit
-    maps = _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
+    # recovers its info bit; maps, when given, are those of an earlier call
+    maps = maps or _LocalMaps(gen.column_bits(), gen.n_rows, tuple(chan_positions))
     q, columns = gen.n_cols, gen.column_bits() + [1 << p for p in chan_positions]
     keys_arr = np.asarray(keys, dtype=np.int64)
     out, rank = maps.lookup(keys_arr, 0).tolist(), maps.lookup(keys_arr, 1).tolist()
@@ -385,8 +492,11 @@ def test_wide_local_maps_match_codeword_oracle_on_sampled_keys(k, q, chan_positi
     keys = rng.integers(0, 1 << width, size=120).tolist()
     maps = _oracle_check(gen, chan_positions, keys)
     assert maps._array_backed == array_backed
-    # a second batch mixes memoized keys with new ones
-    _oracle_check(gen, chan_positions, keys[::3] + rng.integers(0, 1 << width, size=40).tolist())
+    # a second batch on the same maps mixes memoized keys with new ones
+    second = keys[::3] + rng.integers(0, 1 << width, size=40).tolist()
+    if not array_backed:
+        assert 0 < sum(key in maps._dict for key in second) < len(second)
+    assert _oracle_check(gen, chan_positions, second, maps) is maps
     # an empty batch
     out, rank = maps.lookup(np.zeros(0, dtype=np.int64), 0), maps.lookup(np.zeros(0, dtype=np.int64), 1)
     assert out.shape == rank.shape == (0,)
@@ -527,7 +637,7 @@ def test_unrecorded_sweep_rows_equal_trials_decoded_alone(jobs, monkeypatch):
     # a sweep that records no trajectory passes one message per edge, in
     # blocks of many trials; its rows must equal those of every trial
     # decoded alone by decode(), which floods
-    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: jobs)
     for spec, scale, grid, trials in (
         (dgldpc_spec(), 1, [0.3, 0.38, 0.42, 0.5], 5),
         (ldpc_spec(3, 6), 40, [0.36, 0.42, 0.48], 6),
@@ -541,37 +651,21 @@ def test_unrecorded_sweep_rows_equal_trials_decoded_alone(jobs, monkeypatch):
             assert row["ber"] == sum(r.residual_erasures for r in point) / (n_bits * trials)
 
 
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    submitted: list = []
-    max_workers: list = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.max_workers.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-    def submit(self, fn, *args, **kwargs):
-        self.submitted.append(args)
-        return super().submit(fn, *args, **kwargs)
-
-
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypatch):
+def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypatch, forked):
     # 4 points x 5 trials split into blocks of 10 (2 workers) or 7 (3
     # workers), which cross grid points; rows and trajectories must equal
     # those of every trial decoded alone (as many CPUs as jobs, so that
     # sweep's CPU cap leaves them all)
-    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
-    monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: jobs)
     spec, grid, trials, iters = dgldpc_spec(), [0.3, 0.38, 0.42, 0.5], 5, 4
     result = sweep(spec, scale=1, eps_grid=grid, trials=trials, seed=17, jobs=jobs,
                    record_exit_iters=iters)
 
     total = len(grid) * trials
-    blocks = sorted(
-        (start, min(start + args[6], total)) for args in _RecordingPool.submitted for start in args[5]
-    )
-    assert len(_RecordingPool.submitted) == jobs
+    [(shares, _)] = forked
+    blocks = sorted((start, min(start + share[6], total)) for share in shares for start in share[5])
+    assert len(shares) == jobs
     assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
     assert blocks[0][0] == 0 and blocks[-1][1] == total
     assert any(lo // trials != (hi - 1) // trials for lo, hi in blocks)
@@ -588,16 +682,22 @@ def test_sweep_blocks_straddle_grid_points_and_equal_trials_alone(jobs, monkeypa
             assert np.array_equal(result.trajectories[eps][t], want)
 
 
-def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch):
-    # 64 jobs on 2 CPUs start 2 workers, and the rows equal the serial run's
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def test_sweep_workers_are_capped_at_the_cpu_count(monkeypatch, forked):
+    # 64 jobs on 2 usable CPUs start 2 workers, and the rows equal the serial run's
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: 2)
     kwargs = dict(scale=1, eps_grid=[0.3, 0.42], trials=40, seed=5)
     capped = sweep(ldpc_spec(3, 6), jobs=64, **kwargs)
-    assert _RecordingPool.max_workers == [2] and len(_RecordingPool.submitted) == 2
+    assert [len(shares) for shares, _ in forked] == [2]
+    _assert_no_child_left()
     assert capped.rows == sweep(ldpc_spec(3, 6), jobs=1, **kwargs).rows
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert peeling.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert peeling.usable_cpus() == 64
 
 
 def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
