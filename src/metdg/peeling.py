@@ -37,7 +37,10 @@ and edge ranges, so it is the one that trial gets decoded alone.  The
 blocks are shared out among at most `jobs` workers, and never more workers
 than the CPUs this process may use.  Each worker is a child forked for its
 share, which sends its sums back pickled through a pipe; where os.fork does
-not exist, one process runs every block.
+not exist, one process runs every block.  A worker keeps the memory it frees
+until it exits (where the C library has glibc's mallopt), so its blocks
+reuse their pages and its RSS stays at its peak; the calling process's
+allocator is left as it is.
 """
 
 from __future__ import annotations
@@ -202,9 +205,11 @@ def _sample_code(code: SampledCode, trial: int, rng: np.random.Generator) -> Non
     for l0, blocks in enumerate(_socket_blocks(spec.cn_types, spec.n_edge_types, code.scale)):
         count = spec.edge_counts[l0] * code.scale
         perm = rng.permutation(count)
-        code.owners[1][0][first : first + count] = code.cn_slots[first : first + count][perm]
+        # perm is in range, and mode="raise" would gather into a temporary
+        np.take(code.cn_slots[first : first + count], perm, out=code.owners[1][0][first : first + count],
+                mode="clip")
         inv = np.empty(count, dtype=code.edge_type0.dtype)
-        inv[perm] = np.arange(first, first + count)
+        inv[perm] = np.arange(first, first + count, dtype=inv.dtype)
         for ti, pos, cnt in blocks:
             code.cn_edges[ti][trial * cnt : (trial + 1) * cnt, pos] = inv[:cnt]
             inv = inv[cnt:]
@@ -318,7 +323,10 @@ class DecodeResult:
 
 def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
     """(len(masks), width) bool matrix: row r, column j is bit j of masks[r]."""
-    as_bytes = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    if width <= 8:
+        as_bytes = masks.astype(np.uint8).reshape(-1, 1)
+    else:
+        as_bytes = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(as_bytes, axis=1, count=width, bitorder="little").view(bool)
 
 
@@ -577,15 +585,50 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# glibc mallopt settings of a worker, as (param, value) in the order they are
+# set: M_MMAP_THRESHOLD (-3) at 32 MiB serves every block-sized array from
+# the heap instead of a fresh mapping, and M_TRIM_THRESHOLD (-1) keeps the
+# heap top, so a block reuses the pages the last one freed instead of
+# faulting them in again.  Only the first can be refused (older glibc caps
+# it at 32 MiB, 512 KiB on 32-bit), and then nothing has changed.
+_WORKER_MALLOPT = ((-3, 32 << 20), (-1, (1 << 31) - 1))
+
+
+def _libc_mallopt():
+    """The C library's mallopt(int, int), or None where it has none."""
+    # numpy has imported ctypes already
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def _keep_heap(mallopt) -> None:
+    """Set _WORKER_MALLOPT through mallopt (see _libc_mallopt), stopping at
+    the first setting it refuses."""
+    if mallopt is not None:
+        for param, value in _WORKER_MALLOPT:
+            if mallopt(param, value) != 1:
+                return
+
+
 def _fork_shares(shares: list[tuple]) -> list:
     """_run_trials on each share of arguments, each in a child forked for
     it; returns the parts in share order.
+
+    A child first makes its allocator keep what it frees (see _keep_heap):
+    its blocks free and allocate arrays of the same sizes again and again.
+    mallopt is resolved here, as a child must not load libraries while the
+    parent has other threads, and the parent's allocator stays as it is.
 
     A child pickles (True, part) or (False, exception) into its own pipe and
     leaves through os._exit, skipping atexit handlers and stdio flushes.  A
     worker's exception is raised again here; a child that ends without a
     result is an InternalError.  No exit path leaves a child running.
     """
+    mallopt = _libc_mallopt()
     pipes, pids = [], []  # pids: the children not yet reaped
     try:
         for share in shares:
@@ -601,6 +644,7 @@ def _fork_shares(shares: list[tuple]) -> list:
                 try:
                     os.close(read)
                     try:
+                        _keep_heap(mallopt)
                         reply = (True, _run_trials(*share))
                     except BaseException as e:  # raised again in the parent
                         reply = (False, e)

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from metdg import ExitEngine, cn_info_table, decode, sample_code, sweep, vn_info_table
+from metdg import ExitEngine, cn_info_table, decode, peeling, sample_code, sweep, vn_info_table
 
 from conftest import random_eligible_spec
 
@@ -20,7 +20,7 @@ def _container_sizes() -> dict[str, int]:
     return sizes
 
 
-def test_no_module_level_container_grows_with_use():
+def test_no_module_level_container_grows_with_use(monkeypatch):
     before = _container_sizes()
     # fresh random codes, so no earlier test can have built their tables or maps
     rng = np.random.default_rng(8128)
@@ -35,4 +35,7 @@ def test_no_module_level_container_grows_with_use():
     code = sample_code(specs[1], 3, seed=5)
     decode(code, rng.random(code.n_transmitted) < 0.4)
     sweep(specs[0], scale=2, eps_grid=[0.3, 0.5], trials=3, seed=4, jobs=1)
+    # two forked workers, whatever the CPUs of the machine
+    monkeypatch.setattr(peeling, "usable_cpus", lambda: 2)
+    sweep(specs[0], scale=2, eps_grid=[0.3, 0.5], trials=3, seed=4, jobs=2)
     assert _container_sizes() == before

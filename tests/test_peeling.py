@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -334,6 +335,60 @@ def test_sweep_runs_in_one_process_without_fork(monkeypatch, forked):
     kwargs = dict(scale=1, eps_grid=[0.3, 0.42], trials=10, seed=5)
     assert sweep(ldpc_spec(3, 6), jobs=2, **kwargs).rows == sweep(ldpc_spec(3, 6), jobs=1, **kwargs).rows
     assert forked == []
+
+
+def _mallopt_recorder(log_dir, accepted: int):
+    """A mallopt stand-in that appends each call to a file per process and
+    accepts the first `accepted` calls of that process."""
+    made = []  # a forked child counts its own calls in its copy
+
+    def mallopt(param, value):
+        made.append((param, value))
+        with open(log_dir / str(os.getpid()), "a") as log:
+            log.write(f"{param} {value}\n")
+        return int(len(made) <= accepted)
+
+    return mallopt
+
+
+def _mallopt_calls(log_dir) -> dict[int, list[tuple[int, int]]]:
+    return {int(path.name): [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+            for path in log_dir.iterdir()}
+
+
+@pytest.mark.parametrize("accepted", [2, 0], ids=["accepted", "refused"])
+def test_only_the_workers_set_mallopt(accepted, monkeypatch, two_cpus, forked, tmp_path):
+    # every worker sets each setting in order and stops at the first one
+    # refused; neither the parent nor a one-process sweep calls mallopt
+    monkeypatch.setattr(peeling, "_libc_mallopt", lambda: _mallopt_recorder(tmp_path, accepted))
+    sweep(ldpc_spec(3, 6), **dict(_TWO_WORKERS, jobs=1))
+    assert _mallopt_calls(tmp_path) == {}
+    sweep(ldpc_spec(3, 6), **_TWO_WORKERS)
+    calls = _mallopt_calls(tmp_path)
+    [(shares, _)] = forked
+    assert len(calls) == len(shares) == 2 and os.getpid() not in calls
+    expected = list(peeling._WORKER_MALLOPT)[: accepted + 1]
+    assert all(worker == expected for worker in calls.values())
+
+
+def test_workers_without_mallopt_equal_one_process(monkeypatch, two_cpus, forked):
+    monkeypatch.setattr(peeling, "_libc_mallopt", lambda: None)
+    kwargs = dict(_TWO_WORKERS, record_exit_iters=2)
+    forked_run = sweep(dgldpc_spec(), **kwargs)
+    one = sweep(dgldpc_spec(), **dict(kwargs, jobs=1))
+    assert len(forked) == 1 and forked_run.rows == one.rows
+    for eps, traj in one.trajectories.items():
+        assert np.array_equal(traj, forked_run.trajectories[eps])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_glibc_accepts_every_worker_setting():
+    # in a fresh interpreter: the settings would change this process's allocator
+    script = ("from metdg import peeling; mallopt = peeling._libc_mallopt(); "
+              "print([mallopt(*setting) for setting in peeling._WORKER_MALLOPT])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, env=env, text=True)
+    assert out.stdout.strip() == str([1] * len(peeling._WORKER_MALLOPT))
 
 
 @pytest.mark.parametrize(
