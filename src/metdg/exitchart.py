@@ -124,9 +124,7 @@ class _Mixture:
     length one carry the weight 1 and are dropped when the part is built.
     One evaluation computes every distinct weight vector in a single
     vectorised power expression over exponents fixed at construction, then
-    contracts each part by a chain of 2-D vector-matrix products.  The
-    Jacobian contracts the same parts once per state axis, with that axis's
-    weight vector replaced by its derivative in x_l.
+    contracts each part by a chain of 2-D vector-matrix products.
     """
 
     def __init__(self, n_edge_types: int, terms):
@@ -223,19 +221,13 @@ class _Mixture:
             ]
         return "\n".join(head + body + [f"    return ({', '.join(outputs)},)", ""])
 
-    def _bases(self, x: np.ndarray, epsilon: float | None):
+    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
         up, down = 1.0 - x, x
         if epsilon is not None:
             up = np.append(up, epsilon)
             down = np.append(down, 1.0 - epsilon)
-        return up[self._source], down[self._source]
-
-    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[sl] for sl in self._slices]
-
-    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
-        up, down = self._bases(x, epsilon)
-        vectors = self._split(up**self._up * down**self._down)
+        flat = up[self._source] ** self._up * down[self._source] ** self._down
+        vectors = [flat[sl] for sl in self._slices]
         out = np.empty(self.n_edge_types)
         for e0, parts in enumerate(self.parts):
             total = 0.0
@@ -244,27 +236,6 @@ class _Mixture:
                 total += weight * _checked(value)
             out[e0] = total
         return out
-
-    def jacobian(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
-        """d out[e0] / d x[m], exact.  The derivative of (1-x)^t x^(n-t) is
-        (n-t)(1-x)^t x^(n-t-1) - t(1-x)^(t-1) x^(n-t); exponents are clamped
-        at 0, where their coefficient vanishes, so x in {0, 1} stays finite."""
-        up, down = self._bases(x, epsilon)
-        vectors = self._split(up**self._up * down**self._down)
-        slopes = self._split(
-            self._down * up**self._up * down ** np.maximum(self._down - 1, 0)
-            - self._up * up ** np.maximum(self._up - 1, 0) * down**self._down
-        )
-        jac = np.zeros((self.n_edge_types, self.n_edge_types))
-        for e0, parts in enumerate(self.parts):
-            for weight, _, n_sockets, arr, kept in parts:
-                for k in kept:
-                    m = self._axes[k][0]
-                    if m == self.n_edge_types:
-                        continue
-                    swapped = vectors[:k] + [slopes[k]] + vectors[k + 1 :]
-                    jac[e0, m] -= weight * _contract(arr, kept, swapped) / n_sockets
-        return jac
 
     def erasure_polynomials(
         self, scales: list[int], epsilon: Fraction | None = None
@@ -667,13 +638,6 @@ class ExitEngine:
         start = min(1.0, bound + tol_eps)
         unstable = stability.stability_verdict(sm, start) == "unstable"
         return start if unstable else 1.0
-
-    def jacobian(self, at, epsilon: float) -> np.ndarray:
-        """Exact Jacobian of the one-step map at a state: the VN half's
-        Jacobian at the CN output times the CN half's Jacobian."""
-        check_epsilon(epsilon)
-        x = self._state(at)
-        return self._vn.jacobian(self._cn(x), epsilon) @ self._cn.jacobian(x)
 
 
 def _advance_source(n_e: int) -> str:

@@ -133,11 +133,11 @@ def dgldpc_spec() -> EnsembleSpec:
     return build_spec(2, [vn1, vn2], [cn])
 
 
-def irregular_ldpc_spec(lambda2: float) -> tuple[EnsembleSpec, float, float]:
+def irregular_ldpc_spec(lambda2: float) -> tuple[EnsembleSpec, Fraction, Fraction]:
     """Single-edge-type irregular LDPC with the requested degree-2 edge fraction.
 
-    Returns (spec, lambda2, rho'(1)), the last two computed classically from
-    the degree counts rather than through the package.
+    Returns (spec, lambda2, rho'(1)), the last two exact rationals computed
+    classically from the degree counts rather than through the package.
     """
     if lambda2 == 0.0:
         a, b = 0, 4
@@ -158,10 +158,49 @@ def irregular_ldpc_spec(lambda2: float) -> tuple[EnsembleSpec, float, float]:
     spec = build_spec(1, vns, cn_types)
 
     edges = 2 * a + 3 * b
-    lam2 = 2 * a / edges
+    lam2 = Fraction(2 * a, edges)
     assert abs(lam2 - lambda2) < 1e-12
-    rho_prime = sum(count * gen.n_cols * (gen.n_cols - 1) for _, gen, count in cns) / edges
+    rho_prime = Fraction(sum(count * gen.n_cols * (gen.n_cols - 1) for _, gen, count in cns), edges)
     return spec, lam2, rho_prime
+
+
+def wide_spec() -> EnsembleSpec:
+    """CI's spec above the kernel cut-off: an 18-socket SPC CN spread over 6
+    edge types, 3 sockets each, and a repetition-2 VN per edge type.  Its CN
+    half holds 18,432 coefficient entries, so it keeps the numpy contraction."""
+    n_e, per = 6, 3
+    vns = [VnType(f"rep{l}", rep_gen(2), (1,), (l, l), per) for l in range(1, n_e + 1)]
+    sockets = tuple(l for l in range(1, n_e + 1) for _ in range(per))
+    return build_spec(n_e, vns, [CnType("spc18", spc_gen(18), sockets, 2)])
+
+
+def exact_jacobian_product(engine, epsilon) -> list[list[Fraction]]:
+    """J_V(epsilon) J_C, the Jacobian of the engine's step at the all-known
+    state in erasure coordinates, in rationals.
+
+    Column m of a half's Jacobian is the linear part of its exact erasure
+    polynomials along the unit vector e_m: entry l is p[0] / q of output
+    type l's polynomial.  epsilon is taken exactly, float or Fraction."""
+    n_e = engine.n_edge_types
+    units = [[int(l == m) for l in range(n_e)] for m in range(n_e)]
+
+    def jacobian(half, eps):
+        columns = [[Fraction(p[0], q) for p, q in half.erasure_polynomials(u, eps)] for u in units]
+        return [list(row) for row in zip(*columns)]
+
+    return _matmul(jacobian(engine._vn, Fraction(epsilon)), jacobian(engine._cn, None))
+
+
+def exact_stability_product(sm, epsilon) -> list[list[Fraction]]:
+    """P(epsilon) C in rationals, from the stability matrices' exact
+    coefficients; epsilon is taken exactly, float or Fraction."""
+    eps = Fraction(epsilon)
+    p = [[sum(a * eps**u for u, a in enumerate(coeffs)) for coeffs in row] for row in sm.p_coeffs]
+    return _matmul(p, sm.c)
+
+
+def _matmul(a, b) -> list[list[Fraction]]:
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
 
 
 def disjoint_support_spec() -> EnsembleSpec:

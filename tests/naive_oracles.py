@@ -562,25 +562,6 @@ def stall_only_threshold(step, n_edge_types, tol_eps=1e-6, max_iters=20000, tol=
     return 0.5 * (lo + hi), probes
 
 
-def central_difference_jacobian(step, at, eps, h=1e-5):
-    """Finite-difference Jacobian of a one-step map at a state: central
-    differences inside [0, 1], second-order one-sided differences at the
-    boundaries, so every evaluated state stays in the valid box."""
-    x = np.asarray(at, dtype=float)
-    jac = np.empty((x.size, x.size))
-    for m in range(x.size):
-        unit = np.zeros(x.size)
-        unit[m] = h
-        if x[m] + h <= 1.0 and x[m] - h >= 0.0:
-            col = (step(x + unit, eps) - step(x - unit, eps)) / (2.0 * h)
-        elif x[m] + h > 1.0:
-            col = (3.0 * step(x, eps) - 4.0 * step(x - unit, eps) + step(x - 2 * unit, eps)) / (2.0 * h)
-        else:
-            col = (-3.0 * step(x, eps) + 4.0 * step(x + unit, eps) - step(x + 2 * unit, eps)) / (2.0 * h)
-        jac[:, m] = col
-    return jac
-
-
 def _det(rows):
     """Determinant of a square rational matrix by Gaussian elimination."""
     a = [list(row) for row in rows]

@@ -26,6 +26,8 @@ from metdg import (
 from conftest import (
     chain_code_gen,
     disjoint_support_spec,
+    exact_jacobian_product,
+    exact_stability_product,
     example1_spec,
     example2_spec,
     irregular_ldpc_spec,
@@ -70,6 +72,8 @@ def test_criterion_1_fixed_point_at_all_known_state(announce):
 
 
 def test_criterion_2_jacobian_identity(announce):
+    # J_V(eps) J_C from the linear parts of the engine's exact polynomials
+    # against P(eps) C from the weight-2 construction, both in rationals
     t0 = time.perf_counter()
     rng = np.random.default_rng(2002)
     specs = [
@@ -79,23 +83,23 @@ def test_criterion_2_jacobian_identity(announce):
         example2_spec(pair_code_gen()),
     ]
     specs += [random_eligible_spec(rng, max_sockets=8) for _ in range(20)]
-    worst = 0.0
+    cases = mismatches = 0
     for spec in specs:
         engine = ExitEngine(spec)
         sm = build_matrices(spec)
-        ones = np.ones(spec.n_edge_types)
         for eps in np.arange(0.1, 0.95, 0.1):
-            jac = engine.jacobian(ones, float(eps))
-            dev = float(np.abs(jac - sm.product(float(eps))).max())
-            worst = max(worst, dev)
+            cases += 1
+            if exact_jacobian_product(engine, float(eps)) != exact_stability_product(sm, float(eps)):
+                mismatches += 1
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 120
+    ok = mismatches == 0 and elapsed < 120
     announce(
         "criterion 2 (Jacobian equals stability product at the fixed point)",
         ok,
-        f"{len(specs)} ensembles x 9 eps, max deviation {worst:.2e}, {elapsed:.1f}s",
+        f"{len(specs)} ensembles x 9 eps, {cases} cases, {mismatches} mismatches in rationals, "
+        f"{elapsed:.1f}s",
     )
-    assert worst <= 1e-6
+    assert mismatches == 0
     assert elapsed < 120
 
 

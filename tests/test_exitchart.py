@@ -1,4 +1,3 @@
-import itertools
 import time
 from fractions import Fraction
 
@@ -21,6 +20,8 @@ from metdg.stability import build_matrices
 
 from conftest import (
     dgldpc_spec,
+    exact_jacobian_product,
+    exact_stability_product,
     example1_spec,
     example2_spec,
     fig1_spec,
@@ -33,7 +34,6 @@ from conftest import (
     spc_gen,
 )
 from naive_oracles import (
-    central_difference_jacobian,
     fraction_certified_bound,
     scalar_de_converges,
     scalar_de_threshold,
@@ -284,10 +284,8 @@ def test_probe_convergence_matches_scalar_oracle_on_grid(ldpc36):
 def test_jacobian_example1_closed_form():
     spec = example1_spec(spc_gen(3), spc_gen(3))
     engine = ExitEngine(spec)
-    for eps in (0.1, 0.35, 0.8):
-        jac = engine.jacobian(np.ones(2), eps)
-        want = np.array([[0.0, 2 * eps], [2 * eps, 0.0]])
-        assert np.abs(jac - want).max() < 1e-6
+    for eps in (Fraction(1, 10), Fraction(7, 20), Fraction(4, 5)):
+        assert exact_jacobian_product(engine, eps) == [[0, 2 * eps], [2 * eps, 0]]
 
 
 def test_jacobian_matches_stability_product_example2():
@@ -295,24 +293,36 @@ def test_jacobian_matches_stability_product_example2():
     sm = build_matrices(spec)
     engine = ExitEngine(spec)
     for eps in (0.2, 0.5, 0.9):
-        jac = engine.jacobian(np.ones(2), eps)
-        assert np.abs(jac - sm.product(eps)).max() < 1e-6
+        assert exact_jacobian_product(engine, eps) == exact_stability_product(sm, eps)
 
 
 def test_jacobian_scalar_irregular_ldpc():
     spec, lam2, rho_prime = irregular_ldpc_spec(0.2)
     engine = ExitEngine(spec)
-    for eps in (0.1, 0.4, 0.7):
-        jac = engine.jacobian(np.ones(1), eps)
-        assert abs(jac[0, 0] - eps * lam2 * rho_prime) < 1e-6
+    for eps in (Fraction(1, 10), Fraction(2, 5), Fraction(7, 10)):
+        assert exact_jacobian_product(engine, eps) == [[eps * lam2 * rho_prime]]
 
 
 def test_jacobian_zero_column_when_no_weight2_paths():
     # bank1 CNs have distance 3, so no weight-2 path reacts to edge type 1
     spec = example1_spec(rep_gen(3), spc_gen(3))
-    jac = ExitEngine(spec).jacobian(np.ones(2), 0.5)
-    assert np.abs(jac[:, 0]).max() < 1e-6
-    assert jac[0, 1] > 0.1
+    jac = exact_jacobian_product(ExitEngine(spec), Fraction(1, 2))
+    assert jac[0][0] == jac[1][0] == 0
+    assert jac[0][1] > Fraction(1, 10)
+
+
+def _distance1_vn_spec():
+    vn = VnType("pass", GF2Matrix.from_rows([[1, 0], [0, 1]]), (1, 1), (1, 1), 3)
+    return build_spec(1, [vn], [CnType("spc3", spc_gen(3), (1, 1, 1), 2)])
+
+
+@pytest.mark.parametrize("make", [_distance1_vn_spec, fig1_spec], ids=["distance-1", "punctured"])
+def test_erasure_polynomials_require_a_fixed_all_known_state(make):
+    # a VN type whose output stays erased when every other socket is known
+    # moves the all-known state at eps > 0
+    spec = make()
+    with pytest.raises(InternalError, match="not a fixed point"):
+        ExitEngine(spec)._vn.erasure_polynomials([1] * spec.n_edge_types, Fraction(1, 4))
 
 
 @pytest.mark.parametrize(
@@ -321,47 +331,17 @@ def test_jacobian_zero_column_when_no_weight2_paths():
         lambda e: e.step([1.0], float("nan")),
         lambda e: e.step([1.0], 1.5),
         lambda e: e.step([1.0], -0.1),
-        lambda e: e.jacobian([1.0], float("nan")),
-        lambda e: e.jacobian([1.0], 1.5),
-        lambda e: e.jacobian([1.5], 0.3),
-        lambda e: e.jacobian([-0.5], 0.3),
-        lambda e: e.jacobian([float("nan")], 0.3),
         lambda e: e.step([2.0], 0.3),
         lambda e: e.step([float("nan")], 0.3),
         lambda e: e.step([0.5, 0.5], 0.3),
-        lambda e: e.jacobian([0.5, 0.5], 0.3),
         lambda e: e.step(["x"], 0.3),
     ],
-    ids=["step-nan", "step-high", "step-low", "jac-nan", "jac-high", "jac-state-high",
-         "jac-state-low", "jac-state-nan", "step-state-high", "step-state-nan",
-         "step-state-shape", "jac-state-shape", "step-state-text"],
+    ids=["step-nan", "step-high", "step-low", "step-state-high", "step-state-nan",
+         "step-state-shape", "step-state-text"],
 )
 def test_step_and_jacobian_reject_bad_inputs(call):
     with pytest.raises(ValidationError):
         call(ExitEngine(ldpc_spec(3, 6)))
-
-
-def test_jacobian_interior_point_positive():
-    spec = ldpc_spec(3, 6)
-    engine = ExitEngine(spec)
-    jac = engine.jacobian(np.array([0.5]), 0.3)
-    assert jac[0, 0] > 0
-
-
-def test_jacobian_matches_central_differences():
-    # interior points and every corner of the unit box, on the punctured
-    # fig1 ensemble, the D-GLDPC one and random eligible ones
-    rng = np.random.default_rng(93)
-    specs = [fig1_spec(), dgldpc_spec()] + [random_eligible_spec(rng) for _ in range(4)]
-    for spec in specs:
-        engine = ExitEngine(spec)
-        n_e = spec.n_edge_types
-        points = [rng.uniform(0.05, 0.95, n_e) for _ in range(4)]
-        points += [np.array(c, dtype=float) for c in itertools.product((0.0, 1.0), repeat=n_e)]
-        for x in points:
-            for eps in (0.0, float(rng.random()), 1.0):
-                want = central_difference_jacobian(engine.step, x, eps)
-                assert np.abs(engine.jacobian(x, eps) - want).max() <= 1e-6
 
 
 def test_threshold_never_exceeds_stability_bound():

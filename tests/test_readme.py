@@ -3,8 +3,6 @@
 import re
 from pathlib import Path
 
-import numpy as np
-
 from conftest import irregular_ldpc_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,4 +19,3 @@ def test_readme_python_api_block_runs(tmp_path):
     exec(compile(code.replace('"spec.json"', repr(str(spec_file))), "README.md", "exec"), namespace)
     assert 0.0 < namespace["eps_star"] < 1.0
     assert namespace["trajectory"].shape == (namespace["outcome"].iteration + 1, 1)
-    assert np.abs(namespace["jac"] - namespace["sm"].product(0.4)).max() <= 1e-12

@@ -20,7 +20,10 @@ from metdg.stability import _verdict
 
 from conftest import (
     close_eigenvalues_doc,
+    dgldpc_spec,
     disjoint_support_spec,
+    exact_jacobian_product,
+    exact_stability_product,
     example1_spec,
     example2_spec,
     fig1_spec,
@@ -29,6 +32,7 @@ from conftest import (
     random_eligible_spec,
     rep_gen,
     spc_gen,
+    wide_spec,
 )
 from naive_oracles import disjoint_support_by_pairs, principal_minor_verdict, weight_enumerator
 
@@ -246,15 +250,16 @@ def test_refusal_on_distance1_spec():
 
 
 def test_jacobian_identity_on_random_eligible_specs():
+    # criterion 2's exact identity on more specs: the D-GLDPC one, whose
+    # distance-3 codes make both sides vanish, CI's wide spec, an 18-socket
+    # CN over six edge types, and random ones
     rng = np.random.default_rng(77)
-    for _ in range(5):
-        spec = random_eligible_spec(rng)
+    specs = [dgldpc_spec(), wide_spec()] + [random_eligible_spec(rng) for _ in range(5)]
+    for spec in specs:
         sm = build_matrices(spec)
         engine = ExitEngine(spec)
-        ones = np.ones(spec.n_edge_types)
         for eps in (0.15, 0.55, 0.85):
-            jac = engine.jacobian(ones, eps)
-            assert np.abs(jac - sm.product(eps)).max() <= 1e-12
+            assert exact_jacobian_product(engine, eps) == exact_stability_product(sm, eps)
 
 
 def test_sigma_monotone_and_bound_is_unique_crossing():
