@@ -33,17 +33,23 @@ from .gf2 import (  # noqa: F401
     min_distance,
 )
 from .infofuncs import cn_info_table, vn_info_table  # noqa: F401
-from .peeling import (  # noqa: F401
-    DecodeResult,
-    SampledCode,
-    decode,
-    sample_code,
-    sweep,
-    wilson_interval,
-)
 from .stability import (  # noqa: F401
     StabilityMatrices,
     build_matrices,
     stability_bound,
     stability_verdict,
 )
+
+# The simulator's names, imported from metdg.peeling (and with it numpy) on
+# first use, so that the analyses load without either (PEP 562).
+_PEELING_NAMES = frozenset(
+    {"DecodeResult", "SampledCode", "decode", "sample_code", "sweep", "wilson_interval"}
+)
+
+
+def __getattr__(name: str):
+    if name in _PEELING_NAMES:
+        from . import peeling
+
+        return getattr(peeling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

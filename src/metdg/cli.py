@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 validation error, 2 capacity error, 3 refusal
 because an analysis assumption does not hold.  Diagnostics go to stderr;
 data goes to stdout or --out.  Every emitted document embeds the SHA-256 of
-the canonicalized spec so results stay traceable to their input.
+the canonicalized spec so results stay traceable to their input.  Only
+`simulate` imports the simulator, `metdg.peeling`, and with it numpy; the
+other subcommands import numpy only where they need floats in arrays: an
+exit-chart trajectory, a spectral radius, a table that walks, or a step
+half too wide for generated code.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, exitchart, peeling, stability
+from . import __version__, exitchart, stability
 from .ensemble import EnsembleSpec, VnType, load_spec
 from .errors import AssumptionError, CapacityError, MetdgError, ValidationError
-from .infofuncs import cn_info_table, vn_info_table
+from .infofuncs import cn_table, vn_table
 
 
 def _digest(spec: EnsembleSpec) -> str:
@@ -115,16 +119,10 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         raise ValidationError(f"no VN or CN type named {name!r}")
     axes = [f"edge_type_{l}" for l in range(1, spec.n_edge_types + 1)]
     if isinstance(node, VnType):
-        table, kind, axes = vn_info_table(node, spec.n_edge_types), "vn", axes + ["info_bits"]
+        (values, shape), kind, axes = vn_table(node, spec.n_edge_types), "vn", axes + ["info_bits"]
     else:
-        table, kind = cn_info_table(node, spec.n_edge_types), "cn"
-    results = {
-        "name": name,
-        "kind": kind,
-        "axes": axes,
-        "shape": list(table.shape),
-        "values": [int(v) for v in table.reshape(-1)],
-    }
+        (values, shape), kind = cn_table(node, spec.n_edge_types), "cn"
+    results = {"name": name, "kind": kind, "axes": axes, "shape": list(shape), "values": values}
     _emit_json(_report("inffunc", digest, {"type": name}, results, t0), args.out)
     return 0
 
@@ -188,7 +186,7 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     return 0
 
 
-def _parse_eps_grid(text: str) -> list[float]:
+def _parse_eps_grid(text: str, max_points: int) -> list[float]:
     is_range = ":" in text
     parts = text.split(":" if is_range else ",")
     if is_range and len(parts) != 3:
@@ -208,21 +206,23 @@ def _parse_eps_grid(text: str) -> list[float]:
     v = a
     # One point past the limit is enough for sweep to reject the grid; the
     # cap also ends ranges whose step is too small to move v.
-    while v <= b + 1e-12 and len(grid) <= peeling.MAX_GRID_POINTS:
+    while v <= b + 1e-12 and len(grid) <= max_points:
         grid.append(round(v, 12))
         v += step
     return grid
 
 
 def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
-    grid = _parse_eps_grid(args.eps)
+    from . import peeling
+
+    grid = _parse_eps_grid(args.eps, peeling.MAX_GRID_POINTS)
     result = peeling.sweep(
         spec,
         scale=args.scale,
         eps_grid=grid,
         trials=args.trials,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=peeling.usable_cpus() if args.jobs is None else args.jobs,
     )
     params = {
         "scale": args.scale,
@@ -286,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="grid as a:b:step or comma-separated values")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=peeling.usable_cpus())
+    # default: every CPU this process may use, counted when a simulation starts
+    p.add_argument("--jobs", type=int, default=None)
 
     return parser
 

@@ -1,6 +1,7 @@
 """Exception types and the parameter checks shared across the toolkit."""
 
-import numpy as np
+import math
+import sys
 
 
 class MetdgError(Exception):
@@ -42,5 +43,5 @@ def check_tol_eps(tol_eps: float) -> None:
     adjacent doubles, whose midpoint is one of them, and the search would
     never end.
     """
-    if not np.finfo(float).eps <= tol_eps < np.inf:
+    if not sys.float_info.epsilon <= tol_eps < math.inf:
         raise ValidationError(f"tol_eps must be a finite number >= 2**-52, got {tol_eps!r}")

@@ -31,15 +31,17 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
-from operator import le, sub
-
-import numpy as np
+from math import comb, factorial, lcm, prod
+from operator import le, mul, sub
+from typing import TYPE_CHECKING
 
 from . import stability
 from .ensemble import EnsembleSpec
 from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps
-from .infofuncs import cn_info_table, vn_info_table
+from .infofuncs import cn_table, vn_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BOUNDS_SLACK = 1e-9
 # A half whose parts hold more coefficient entries than this keeps the numpy
@@ -89,28 +91,30 @@ class ProbeOutcome:
         return _OUTCOME_OF[self.reason]
 
 
-def _exit_coefficients(table: np.ndarray, axis: int, n_axis: int) -> np.ndarray:
-    """Coefficient array for one (node type, edge type) pair.
+def _exit_coefficients(table: list[int], shape: tuple[int, ...], axis: int) -> list[int]:
+    """Coefficient array for one (node type, edge type) pair, flat in C
+    order, from an information table given flat in C order with its shape.
 
-    Index t along `axis` runs over 0..n_axis-1 (one socket of that type is
-    excluded as the output); the remaining axes keep the table layout but
-    reversed, so that position t reads table entry (dim - t).
+    Index t along `axis` runs over 0..n-1 for the n = shape[axis] - 1
+    sockets of that type (one socket is excluded as the output); the
+    remaining axes keep the table layout but reversed, so that position t
+    reads table entry (dim - t).  Reversing every axis of a C-order array
+    reverses its flat list.
     """
-    rev = table[tuple(slice(None, None, -1) for _ in table.shape)]
-    sl1 = [slice(None)] * rev.ndim
-    sl1[axis] = slice(0, n_axis)
-    sl2 = [slice(None)] * rev.ndim
-    sl2[axis] = slice(1, n_axis + 1)
-    shape = [1] * rev.ndim
-    shape[axis] = n_axis
-    dec = np.arange(n_axis, 0, -1, dtype=np.int64).reshape(shape)
-    inc = np.arange(1, n_axis + 1, dtype=np.int64).reshape(shape)
-    coeff = dec * rev[tuple(sl1)] - inc * rev[tuple(sl2)]
-    if coeff.min() < 0:
+    rev = table[::-1]
+    n = shape[axis] - 1
+    step = prod(shape[axis + 1 :])
+    coeff = []
+    for start in range(0, len(rev), (n + 1) * step):
+        for t in range(n):
+            at = start + t * step
+            pairs = zip(rev[at : at + step], rev[at + step : at + 2 * step])
+            coeff += [(n - t) * a - (t + 1) * b for a, b in pairs]
+    if min(coeff) < 0:
         raise InternalError("negative extrinsic coefficient; table construction is broken")
-    if coeff.max() > 2**53:
+    if max(coeff) > 2**53:
         raise InternalError("extrinsic coefficient exceeds exact float64 range")
-    return coeff.astype(np.float64)
+    return coeff
 
 
 class _Mixture:
@@ -122,48 +126,45 @@ class _Mixture:
     t = 0..n, for an axis of n sockets of edge type l, and eps^z
     (1-eps)^(b-z), z = 0..b, for the b transmitted bits of a VN.  Axes of
     length one carry the weight 1 and are dropped when the part is built.
-    One evaluation computes every distinct weight vector in a single
-    vectorised power expression over exponents fixed at construction, then
-    contracts each part by a chain of 2-D vector-matrix products.
+    The coefficient arrays are flat lists of ints, which the generated
+    kernel inlines and the exact polynomials read as they are; only the
+    numpy contraction of a wide half turns them into float arrays.
     """
 
     def __init__(self, n_edge_types: int, terms):
-        """terms: (info table, per-edge-type socket counts, transmitted bits
-        or None for a CN, output edge type e0, exact mixture weight) per
-        part."""
+        """terms: (info table flat in C order, its shape, per-edge-type
+        socket counts, transmitted bits or None for a CN, output edge type
+        e0, exact mixture weight) per part."""
         self.n_edge_types = n_edge_types
         self.parts: list[list] = [[] for _ in range(n_edge_types)]
         # (value index, n) -> position in the list of weight vectors; value
         # index n_edge_types stands for the channel.
         keys: dict[tuple[int, int], int] = {}
-        for table, counts, n_transmitted, e0, weight in terms:
-            arr = _exit_coefficients(table, e0, counts[e0])
+        for table, shape, counts, n_transmitted, e0, weight in terms:
+            arr = _exit_coefficients(table, shape, e0)
             axes = [(l0, counts[l0] - (1 if l0 == e0 else 0)) for l0 in range(n_edge_types)]
             if n_transmitted is not None:
                 axes.append((n_edge_types, n_transmitted))
             kept = tuple(keys.setdefault(ax, len(keys)) for ax in axes if ax[1] > 0)
-            self.parts[e0].append((float(weight), weight, counts[e0], arr.reshape(-1), kept))
-        order = sorted(keys, key=keys.get)
-        self._axes = order
-        self._source = np.array([src for src, n in order for _ in range(n + 1)], dtype=np.intp)
-        self._up = np.array([t for _, n in order for t in range(n + 1)], dtype=np.int64)
-        self._down = np.array([n - t for _, n in order for t in range(n + 1)], dtype=np.int64)
-        ends = np.cumsum([n + 1 for _, n in order]).tolist()
-        self._slices = [slice(e - n - 1, e) for (_, n), e in zip(order, ends)]
+            self.parts[e0].append((float(weight), weight, counts[e0], arr, kept))
+        self._axes = sorted(keys, key=keys.get)
 
     def kernel(self):
         """This half as a function of (state tuple, epsilon) that returns a
         tuple of floats: generated straight-line code, or the numpy
         contraction when the parts hold more than _KERNEL_MAX_ENTRIES
         coefficient entries."""
-        if sum(arr.size for parts in self.parts for *_, arr, _ in parts) > _KERNEL_MAX_ENTRIES:
-            return lambda x, epsilon: tuple(self(np.array(x), epsilon).tolist())
+        if sum(len(arr) for parts in self.parts for *_, arr, _ in parts) > _KERNEL_MAX_ENTRIES:
+            import numpy as np
+
+            contract = self.contraction()
+            return lambda x, epsilon: tuple(contract(np.array(x), epsilon).tolist())
         namespace = {"_checked": _checked}
         exec(compile(self._kernel_source(), "<exit kernel>", "exec"), namespace)
         return namespace["kernel"]
 
     def _kernel_source(self) -> str:
-        """Python source of kernel(x, eps), which computes what __call__
+        """Python source of kernel(x, eps), which computes what contraction
         does in the same order: the weights (1-x)^t x^(n-t) by pow, each
         part contracted axis by axis in kept order with zero coefficients
         skipped, then checked and clamped by _checked.  It holds numbers
@@ -183,8 +184,8 @@ class _Mixture:
             for i, (weight_f, _, n_sockets, arr, kept) in enumerate(parts):
                 # One expression (None where every coefficient is zero) per
                 # entry of what is left after contracting the leading axes,
-                # as _contract's chain of vector-matrix products does.
-                exprs = [repr(c) if c else None for c in arr.tolist()]
+                # as contraction's chain of vector-matrix products does.
+                exprs = [repr(float(c)) if c else None for c in arr]
                 for k in kept:
                     rest = len(exprs) // (self._axes[k][1] + 1)
                     exprs = [
@@ -221,27 +222,51 @@ class _Mixture:
             ]
         return "\n".join(head + body + [f"    return ({', '.join(outputs)},)", ""])
 
-    def __call__(self, x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
-        up, down = 1.0 - x, x
-        if epsilon is not None:
-            up = np.append(up, epsilon)
-            down = np.append(down, 1.0 - epsilon)
-        flat = up[self._source] ** self._up * down[self._source] ** self._down
-        vectors = [flat[sl] for sl in self._slices]
-        out = np.empty(self.n_edge_types)
-        for e0, parts in enumerate(self.parts):
-            total = 0.0
-            for weight, _, n_sockets, arr, kept in parts:
-                value = 1.0 - _contract(arr, kept, vectors) / n_sockets
-                total += weight * _checked(value)
-            out[e0] = total
-        return out
+    def contraction(self) -> Callable[[np.ndarray, float | None], np.ndarray]:
+        """This half in numpy, as a function of (state vector, epsilon or
+        None) that returns a float vector.  One evaluation computes every
+        distinct weight vector in a single vectorised power expression over
+        exponents fixed here, then contracts each part by a chain of 2-D
+        vector-matrix products."""
+        import numpy as np
+
+        order = self._axes
+        source = np.array([src for src, n in order for _ in range(n + 1)], dtype=np.intp)
+        ups = np.array([t for _, n in order for t in range(n + 1)], dtype=np.int64)
+        downs = np.array([n - t for _, n in order for t in range(n + 1)], dtype=np.int64)
+        ends = np.cumsum([n + 1 for _, n in order]).tolist()
+        slices = [slice(e - n - 1, e) for (_, n), e in zip(order, ends)]
+        halves = [
+            [(weight, n_sockets, np.array(arr, dtype=np.float64), kept) for weight, _, n_sockets, arr, kept in p]
+            for p in self.parts
+        ]
+
+        def contract(x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+            up, down = 1.0 - x, x
+            if epsilon is not None:
+                up = np.append(up, epsilon)
+                down = np.append(down, 1.0 - epsilon)
+            flat = up[source] ** ups * down[source] ** downs
+            vectors = [flat[sl] for sl in slices]
+            out = np.empty(len(halves))
+            for e0, parts in enumerate(halves):
+                total = 0.0
+                for weight, n_sockets, acc, kept in parts:
+                    for k in kept:
+                        v = vectors[k]
+                        acc = np.dot(v, acc.reshape(v.shape[0], -1))
+                    total += weight * _checked(1.0 - acc.item() / n_sockets)
+                out[e0] = total
+            return out
+
+        return contract
 
     def erasure_polynomials(
         self, scales: list[int], epsilon: Fraction | None = None
     ) -> list[tuple[list[int], int]]:
-        """Exact power-basis coefficients in c of (1 - self(1 - c*scales))_e0 / c,
-        per output edge type e0, as integers p over one positive integer q:
+        """Exact power-basis coefficients in c of (1 - h(1 - c*scales))_e0 / c
+        for this half h, per output edge type e0, as integers p over one
+        positive integer q:
         the polynomial is sum_k p[k] c^k / q.  scales are integers and epsilon
         a rational; the coefficient arrays are integers and the mixture
         weights exact, so only the channel weights and the mixture weights
@@ -250,8 +275,10 @@ class _Mixture:
         In erasure coordinates y = 1 - x an axis's weight vector reads
         y^t (1-y)^(n-t), so at y = c*a entry t is a polynomial of degree n
         in c; contracting the parts axis by axis keeps the degree at the
-        part's socket count.  The constant term vanishes on the types the
-        stability analysis accepts, since the all-known state is fixed."""
+        part's socket count.  The contraction runs on packed polynomials
+        (_pack), in a width that bounds every coefficient of the sum.  The
+        constant term vanishes on the types the stability analysis accepts,
+        since the all-known state is fixed."""
         vectors, dens = [], []
         for src, n in self._axes:
             if src == self.n_edge_types:
@@ -266,26 +293,57 @@ class _Mixture:
                     for j in range(n - t + 1):
                         vec[t][t + j] = comb(n - t, j) * (-a) ** j * a**t
                 dens.append(1)
-            vectors.append(np.array(vec, dtype=object))
+            vectors.append(vec)
+        # Contracting an axis multiplies the sum of the absolute values of
+        # the coefficients by at most its largest such sum among its entries.
+        norms = [max(sum(map(abs, poly)) for poly in vec) for vec in vectors]
         polys = []
         for parts in self.parts:
             terms = []
             for _, weight, n_sockets, arr, kept in parts:
-                acc = np.array([int(v) for v in arr], dtype=object).reshape(-1, 1)
-                den = 1
-                for k in kept:
-                    acc = _poly_dot(vectors[k], acc)
-                    den *= dens[k]
                 mix = weight / n_sockets
-                terms.append((acc[0].tolist(), mix.numerator, mix.denominator * den))
+                den = mix.denominator * prod(dens[k] for k in kept)
+                terms.append((arr, kept, mix.numerator, den))
             q = lcm(*(den for *_, den in terms))
-            total = [0]
-            for coeffs, num, den in terms:
-                total = _poly_add(total, [num * (q // den) * a for a in coeffs])
-            if total[0] != 0:
+            scaled = [(arr, kept, num * (q // den)) for arr, kept, num, den in terms]
+            bound = sum(f * sum(arr) * prod(norms[k] for k in kept) for arr, kept, f in scaled)
+            width = bound.bit_length() + 1
+            packed = [[_pack(poly, width) for poly in vec] for vec in vectors]
+            total = 0
+            for arr, kept, f in scaled:
+                acc = arr
+                for k in kept:
+                    rest = len(acc) // len(packed[k])
+                    acc = [sum(map(mul, packed[k], acc[r::rest])) for r in range(rest)]
+                total += f * acc[0]
+            length = max(1 + sum(len(vectors[k][0]) - 1 for k in kept) for _, kept, _ in scaled)
+            coeffs = _unpack(total, width, length)
+            if coeffs[0] != 0:
                 raise InternalError("the all-known state is not a fixed point of an eligible spec")
-            polys.append((total[1:] or [0], q))
+            polys.append((coeffs[1:] or [0], q))
         return polys
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The polynomial with these coefficients at 2**width (Kronecker
+    substitution): sums and products of packed polynomials are the packed
+    sums and products, and _unpack reads the coefficients back while each
+    lies in (-2**(width-1), 2**(width-1))."""
+    return sum(c << (i * width) for i, c in enumerate(coeffs))
+
+
+def _unpack(packed: int, width: int, length: int) -> list[int]:
+    """The first `length` coefficients of a packed polynomial, as signed
+    digits in base 2**width."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs = []
+    for _ in range(length):
+        c = ((packed + half) & mask) - half
+        coeffs.append(c)
+        packed = (packed - c) >> width
+    if packed:
+        raise InternalError("a packed polynomial has more coefficients than its degree allows")
+    return coeffs
 
 
 def _power(base: str, exponent: int) -> str | None:
@@ -300,35 +358,6 @@ def _times(a: str | None, b: str | None) -> str:
     if a is None or b is None:
         return a or b or "1.0"
     return f"{a}*({b})" if "*" in b or " " in b else f"{a}*{b}"
-
-
-def _poly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b) :]
-
-
-def _poly_dot(vec: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Contract the leading axis of acc, a flattened array of polynomials
-    (coefficients along its last axis), against vec, one polynomial per
-    index of that axis."""
-    m, d_v = vec.shape
-    rows = acc.reshape(m, -1, acc.shape[-1])
-    d_a = rows.shape[-1]
-    out = np.zeros((rows.shape[1], d_a + d_v - 1), dtype=object)
-    for t in range(m):
-        for j in range(d_v):
-            if vec[t, j]:
-                out[:, j : j + d_a] += vec[t, j] * rows[t]
-    return out
-
-
-def _contract(arr: np.ndarray, kept, vectors) -> float:
-    acc = arr
-    for k in kept:
-        v = vectors[k]
-        acc = np.dot(v, acc.reshape(v.shape[0], -1))
-    return acc.item()
 
 
 def _checked(value: float) -> float:
@@ -354,16 +383,16 @@ class ExitEngine:
         # VN tables first: only a VN walk can exceed the walk budget on a
         # valid spec, and it then fails before any table is built.
         for vi, vn in enumerate(spec.vn_types):
-            table, counts = vn_info_table(vn, n_e), spec.vn_socket_counts[vi]
+            (table, shape), counts = vn_table(vn, n_e), spec.vn_socket_counts[vi]
             vn_terms += [
-                (table, counts, vn.n_transmitted, e0, spec.vn_edge_fractions[vi][e0])
+                (table, shape, counts, vn.n_transmitted, e0, spec.vn_edge_fractions[vi][e0])
                 for e0 in range(n_e)
                 if counts[e0] > 0
             ]
         for ci, cn in enumerate(spec.cn_types):
-            table, counts = cn_info_table(cn, n_e), spec.cn_socket_counts[ci]
+            (table, shape), counts = cn_table(cn, n_e), spec.cn_socket_counts[ci]
             cn_terms += [
-                (table, counts, None, e0, spec.cn_edge_fractions[ci][e0])
+                (table, shape, counts, None, e0, spec.cn_edge_fractions[ci][e0])
                 for e0 in range(n_e)
                 if counts[e0] > 0
             ]
@@ -379,12 +408,16 @@ class ExitEngine:
         of floats; that skips the input checks and returns a tuple."""
         if _trusted:
             return self._vn_kernel(self._cn_kernel(i_ev, None), epsilon)
+        import numpy as np
+
         check_epsilon(epsilon)
         x = tuple(self._state(i_ev).tolist())
         return np.array(self._vn_kernel(self._cn_kernel(x, None), epsilon))
 
     def _state(self, i_ev) -> np.ndarray:
         """A caller's state as a float vector, or ValidationError."""
+        import numpy as np
+
         try:
             x = np.asarray(i_ev, dtype=float)
         except (TypeError, ValueError):
@@ -450,22 +483,34 @@ class ExitEngine:
         refuses, and specs whose P(eps)C vanishes, take only the
         super-solution test.
         """
+        import numpy as np
+
         check_epsilon(epsilon)
         _check_run_limits(max_iters, tol)
+        rows = [] if record else None
+        outcome = self._run(epsilon, max_iters, tol, rows)
+        trajectory = np.array(rows) if record else np.empty((0, self.n_edge_types))
+        return outcome.outcome == "converged", trajectory, outcome
+
+    def _run(self, epsilon: float, max_iters: int, tol: float, rows: list | None) -> ProbeOutcome:
+        """run on checked arguments, recording each state into rows unless
+        rows is None; threshold probes through it, so that no probe makes
+        an array."""
         n_e = self.n_edge_types
         basin = None
-        sm = None if record else self._stability
+        sm = None if rows is not None else self._stability
         if sm is not None:
             verdict = stability.stability_verdict(sm, epsilon)
             if verdict == "unstable":
-                return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
+                return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
                 basin = self._basin(sm, epsilon)
         # States are tuples of floats; the comparisons here and in _advance
         # are the same IEEE operations an array would take.
         x = self.step((0.0,) * n_e, epsilon, _trusted=True)
-        rows = [x] if record else None
-        next_check = max_iters + 1 if record else _CERT_FIRST
+        if rows is not None:
+            rows.append(x)
+        next_check = max_iters + 1 if rows is not None else _CERT_FIRST
         x_prev = x_prev2 = None
         it = 0
         reason = _settled(x, tol, basin)
@@ -484,10 +529,7 @@ class ExitEngine:
                 next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
                 if self._never_converges(x, x_prev, x_prev2, epsilon, tol):
                     reason = "super-solution"
-        reason = reason or "max_iters"
-        trajectory = np.array(rows) if record else np.empty((0, n_e))
-        outcome = ProbeOutcome(epsilon, reason, it)
-        return outcome.outcome == "converged", trajectory, outcome
+        return ProbeOutcome(epsilon, reason or "max_iters", it)
 
     @cached_property
     def _advance(self) -> Callable:
@@ -620,9 +662,9 @@ class ExitEngine:
         counts = dict.fromkeys(OUTCOMES, 0)
         while hi - lo > 2.0 * tol_eps:
             mid = 0.5 * (lo + hi)
-            converged, _, probe = self.run(mid, max_iters=max_iters, tol=tol_fp)
-            counts[probe.outcome] += 1
-            if converged:
+            outcome = self._run(mid, max_iters, tol_fp, None).outcome
+            counts[outcome] += 1
+            if outcome == "converged":
                 lo = mid
             else:
                 hi = mid

@@ -11,7 +11,9 @@ of the smaller of the code and its dual (at most 2**12 words for the 24
 sockets a component may have).
 
 The subset walk (`subset_ranks`) ranks every subset of a column list at once
-in numpy, for the information tables and the local decoding maps.
+in numpy, for the local decoding maps and for the information tables that
+`infofuncs` does not build by its rank programme.  It imports numpy when it
+is called; the rest of the module runs on Python ints alone.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import permutations
 from math import comb
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ValidationError, is_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The one enumeration limit: every exhaustive walk in the toolkit (the
 # subsets of an information table's columns, the span of the basis walked
@@ -252,6 +255,8 @@ def enumerate_weight2_pairs(
 
 def _uint_dtype(bits: int) -> type:
     """Narrowest unsigned integer dtype that holds `bits` bits."""
+    import numpy as np
+
     return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= np.iinfo(dt).bits)
 
 
@@ -261,6 +266,8 @@ def _insert(slots: np.ndarray, v: np.ndarray) -> None:
     slots[p, r] holds a basis vector whose top bit is p, or 0.  A zero or
     dependent v[r] leaves basis r unchanged.  Any trailing shape works.
     """
+    import numpy as np
+
     # reducing never raises a top bit, so rows above the largest v stay put
     for p in range(int(v.max(initial=0)).bit_length() - 1, -1, -1):
         s = slots[p]
@@ -284,6 +291,8 @@ def subset_ranks(
     2**c with column c inserted).  A block holds at most 2**_FILL_MAX_LOW
     keys.
     """
+    import numpy as np
+
     dt = _uint_dtype(n_rows)
     cols = np.array(columns, dtype=dt)
     low = min(free, _FILL_MAX_LOW)

@@ -26,8 +26,9 @@ A sampled code carries one local decoding map per component type, keyed by
 the known input pattern, so a pass is a few table lookups vectorized over
 the due nodes of each type.  A map holds each key's out mask and its rank,
 filled on first use by one rank walk over the keys a lookup misses (the
-subset walk of the information tables, `gf2.subset_ranks`); the codes of
-one trial loop share one set of maps, so each key is filled once per loop.
+subset walk `gf2.subset_ranks`, which also builds the information tables
+of codes whose rank programme would cost more); the codes of one trial
+loop share one set of maps, so each key is filled once per loop.
 
 A simulation decodes its trials in blocks: runs of consecutive trials of at
 most _BLOCK_EDGES edges in all, each sampled from its own stream into one

@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ensemble import EnsembleSpec
 from .errors import AssumptionError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,9 @@ class StabilityMatrices:
 
     c[l][m] and p_coeffs[l][m] are exact rationals; p_coeffs[l][m][u] is the
     coefficient of x^u (index 0 is always zero: weight-2 codewords need a
-    nonzero input).  No symmetry holds in general, in either factor.
+    nonzero input).  No symmetry holds in general, in either factor.  The
+    float matrices and their spectra are numpy's, imported when first asked
+    for; the exact verdict and bound need none of them.
     """
 
     n_edge_types: int
@@ -41,9 +45,13 @@ class StabilityMatrices:
     p_coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def c_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(v) for v in row] for row in self.c])
 
     def p_matrix(self, epsilon: float) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.n_edge_types, self.n_edge_types))
         for l0 in range(self.n_edge_types):
             for m0 in range(self.n_edge_types):
@@ -58,6 +66,8 @@ class StabilityMatrices:
 
     def sigma(self, epsilon: float) -> float:
         """Spectral radius of P(eps)C, in floats."""
+        import numpy as np
+
         check_epsilon(epsilon)
         return float(np.max(np.abs(np.linalg.eigvals(self.product(epsilon)))))
 
@@ -70,6 +80,8 @@ class StabilityMatrices:
         # Collatz-Wielandt ratios of a power iteration on the matrix shifted
         # by the identity, as a positive diagonal makes any irreducible
         # nonnegative matrix primitive.
+        import numpy as np
+
         b = self.product(epsilon) + shift + np.eye(self.n_edge_types)
         x = np.ones(self.n_edge_types)
         hi = 0.0

@@ -295,6 +295,35 @@ def _solve_rational(matrix, rhs):
     return [a[r][n] for r in range(n)]
 
 
+def random_code(rng, n: int, k: int) -> GF2Matrix:
+    """A random full-rank (n, k) generator with no all-zero column."""
+    while True:
+        rows = rng.integers(0, 2, size=(k, n))
+        # an all-zero column gets one bit in a random row
+        zero = np.flatnonzero(~rows.any(axis=0))
+        rows[rng.integers(0, k, size=len(zero)), zero] = 1
+        g = GF2Matrix.from_rows(rows.tolist())
+        if g.rank() == k:
+            return g
+
+
+def spec_around(node, n_edge_types: int) -> EnsembleSpec:
+    """A valid spec holding node (count 2), closed on every edge type l by a
+    VN and a CN repetition code of two type-l sockets."""
+    sockets = [node.sockets_of_type(l) for l in range(1, n_edge_types + 1)]
+    own = [1] * n_edge_types
+    other = [s + 1 for s in sockets]
+    if isinstance(node, CnType):
+        own, other = other, own
+    vns = [VnType(f"v{l}", rep_gen(2), (1,), (l, l), own[l - 1]) for l in range(1, n_edge_types + 1)]
+    cns = [CnType(f"c{l}", rep_gen(2), (l, l), other[l - 1]) for l in range(1, n_edge_types + 1)]
+    if isinstance(node, CnType):
+        cns.append(CnType(node.name, node.generator, node.socket_types, 2))
+    else:
+        vns.append(VnType(node.name, node.generator, node.puncture, node.socket_types, 2))
+    return build_spec(n_edge_types, vns, cns)
+
+
 def random_eligible_spec(rng, n_edge_types=None, max_sockets=8) -> EnsembleSpec:
     """A random balanced, unpunctured ensemble whose codes all have distance >= 2.
 

@@ -509,7 +509,9 @@ def tensordot_step(spec, x, eps):
                 q = counts[i][e0]
                 if q == 0:
                     continue
-                arr = _exit_coefficients(table, e0, q)
+                shape = table.shape[:e0] + (q,) + table.shape[e0 + 1 :]
+                arr = np.array(_exit_coefficients(table.reshape(-1).tolist(), table.shape, e0), float)
+                arr = arr.reshape(shape)
                 vectors = [
                     socket_weights(state[l0], counts[i][l0] - (1 if l0 == e0 else 0))
                     for l0 in range(n_e)
@@ -639,7 +641,7 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
         for parts in half.parts:
             total = [Fraction(0)]
             for _, weight, n_sockets, arr, kept in parts:
-                acc = np.array([int(x) for x in arr], dtype=object).reshape(-1, 1)
+                acc = np.array(arr, dtype=object).reshape(-1, 1)
                 for k in kept:
                     acc = poly_dot(vectors[k], acc)
                 total = poly_add(total, (weight / n_sockets * acc[0]).tolist())

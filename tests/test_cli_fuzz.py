@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metdg import CnType, VnType
 from metdg.cli import main
+from metdg.gf2 import WALK_BUDGET
 
-from conftest import fig1_doc, random_eligible_spec
+from conftest import fig1_doc, random_code, random_eligible_spec, spec_around
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -82,6 +84,52 @@ def test_exit_chart_and_inffunc_on_random_specs(seed, eps, pick):
             _check_trajectory_csv(out.read_text(), spec.n_edge_types)
         name = names[pick % len(names)]
         assert _run(["inffunc", str(path), "--type", name], out) == (1 if name == names[-1] else 0)
+
+
+@_SETTINGS
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    near=st.sampled_from(["budget", "crossover"]),
+    role=st.sampled_from(["cn", "vn"]),
+)
+def test_components_near_the_walk_budget_and_the_crossover(seed, near, role):
+    """A component of WALK_BUDGET - 1 to WALK_BUDGET + 1 sockets, of rank
+    or co-rank 1 or 2 (the rank programme builds its table), or of 8 to 14
+    sockets and any rank (either way may), in a spec closed by repetition
+    codes: validate, inffunc and threshold accept it, or refuse it with
+    exit 2 when the component or its table is wider than the budget."""
+    rng = np.random.default_rng(seed)
+    if near == "budget":
+        n = int(rng.integers(WALK_BUDGET - 1, WALK_BUDGET + 2))
+        k = int(rng.choice([1, 2, n - 2, n - 1]))
+        w = int(rng.integers(0, 3))
+    else:
+        n = int(rng.integers(8, 15))
+        k = int(rng.integers(1, n))
+        # at most 16 table columns, so a walk stays quick
+        w = int(rng.integers(0, min(k, 16 - n) + 1))
+    n_e = int(rng.integers(1, 3))
+    st_ = tuple(int(t) for t in rng.integers(1, n_e + 1, size=n))
+    g = random_code(rng, n, k)
+    if role == "cn":
+        node, width = CnType("wide", g, st_, 2), n
+    else:
+        tx = rng.permutation(k)[:w]
+        node = VnType("wide", g, tuple(int(i in tx) for i in range(k)), st_, 2)
+        width = n + node.n_transmitted
+    # spec_around validates; a component over the budget is built unchecked
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("metdg.ensemble.gf2.check_walk", lambda *args, **kwargs: None)
+        doc = spec_around(node, n_e).to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "report.json"
+        loads = 2 if n > WALK_BUDGET else 0
+        assert _run(["validate", str(path)], out) == loads
+        table = loads or (2 if width > WALK_BUDGET else 0)
+        assert _run(["inffunc", str(path), "--type", "wide"], out) == table
+        assert _run(["threshold", str(path), "--max-iters", "200"], out) == table
 
 
 def _check_trajectory_csv(text: str, n_edge_types: int) -> None:

@@ -174,12 +174,12 @@ def test_coefficient_array_vanishes_at_full_selection_for_unpunctured_types():
         for i, vn in enumerate(spec.vn_types):
             table = vn_info_table(vn, spec.n_edge_types)
             for e0 in range(spec.n_edge_types):
-                q_e = spec.vn_socket_counts[i][e0]
-                if q_e == 0:
+                if spec.vn_socket_counts[i][e0] == 0:
                     continue
-                arr = _exit_coefficients(table, e0, q_e)
-                first = arr[(0,) * spec.n_edge_types]
-                assert np.all(first == 0.0)
+                arr = _exit_coefficients(table.reshape(-1).tolist(), table.shape, e0)
+                # the entries whose indices on every edge-type axis are 0
+                first = arr[: table.shape[-1]]
+                assert first == [0] * table.shape[-1]
 
 
 def test_step_fixed_point_at_one():
@@ -426,19 +426,21 @@ def _check_stability_limited_search(engine, max_iters):
     and grid point further away must agree with the oracle, which decides
     each of them within max_iters."""
     probes = []
-    run = engine.run
+    probe = engine._run
 
-    def recording_run(eps, **kwargs):
-        result = run(eps, **kwargs)
-        probes.append((eps, result[2]))
-        return result
+    def recording_probe(eps, *args):
+        outcome = probe(eps, *args)
+        probes.append((eps, outcome))
+        return outcome
 
-    engine.run = recording_run
+    # threshold's probes, through the run that makes no array
+    engine._run = recording_probe
     (lo, hi), counts = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
+    del engine._run
     assert lo < 0.5 < hi and hi - lo <= 2e-5
     assert counts["undecided"] == 0 and sum(counts.values()) == len(probes)
     grid = [float(e) for e in np.linspace(0.05, 0.95, 7)] + [0.499, 0.501]
-    probes += [(eps, run(eps, max_iters=max_iters)[2]) for eps in grid]
+    probes += [(eps, engine.run(eps, max_iters=max_iters)[2]) for eps in grid]
     far = [(eps, outcome) for eps, outcome in probes if abs(eps - 0.5) >= 1e-3]
     assert {outcome.reason for _, outcome in far} >= {"basin", "unstable"}
     for eps, outcome in far:
@@ -641,7 +643,7 @@ def _spc_spec(n_sockets: int, n_edge_types: int):
 
 
 def _entries(half) -> int:
-    return sum(arr.size for parts in half.parts for _, _, _, arr, _ in parts)
+    return sum(len(arr) for parts in half.parts for _, _, _, arr, _ in parts)
 
 
 def test_compiled_halves_match_the_numpy_contraction():
@@ -664,7 +666,7 @@ def test_compiled_halves_match_the_numpy_contraction():
                     eps = float(rng.random())
                 got = kernel(tuple(x.tolist()), eps)
                 assert type(got) is tuple and all(type(v) is float for v in got)
-                assert np.max(np.abs(np.array(got) - half(x, eps))) <= 1e-15, spec
+                assert np.max(np.abs(np.array(got) - half.contraction()(x, eps))) <= 1e-15, spec
     # the SPC(12) CN over 4 edge types is generated, the SPC(16) one is not
     assert _entries(ExitEngine(below)._cn) <= _KERNEL_MAX_ENTRIES < _entries(ExitEngine(above)._cn)
     assert sizes[True] > 700 and sizes[False] > _KERNEL_MAX_ENTRIES
@@ -679,7 +681,7 @@ def test_corrupted_coefficient_still_raises(numpy_side, monkeypatch):
     engine = ExitEngine(ldpc_spec(3, 6))
     assert engine._cn.kernel()((0.0,), None) == (0.0,)
     arr = engine._cn.parts[0][0][3]
-    arr *= 3.0
+    arr[:] = [3 * c for c in arr]
     with pytest.raises(InternalError, match="left \\[0,1\\]"):
         engine._cn.kernel()((0.0,), None)
 
@@ -706,15 +708,15 @@ def _probe_log(engine, certified):
     """The threshold search's probes, each with the number of exact basin
     proofs its run made (the length of certified grows by one per proof)."""
     log = []
-    run = engine.run
+    probe = engine._run
 
-    def recording_run(eps, **kwargs):
+    def recording_probe(eps, *args):
         before = len(certified)
-        result = run(eps, **kwargs)
-        log.append((result[2], len(certified) - before))
-        return result
+        outcome = probe(eps, *args)
+        log.append((outcome, len(certified) - before))
+        return outcome
 
-    engine.run = recording_run
+    engine._run = recording_probe
     engine.threshold()
     return log
 

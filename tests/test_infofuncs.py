@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from metdg import CapacityError, CnType, GF2Matrix, VnType, cn_info_table, vn_info_table
+from metdg import CapacityError, CnType, GF2Matrix, VnType, cn_info_table, infofuncs, vn_info_table
+from metdg.cli import main
 from metdg.gf2 import WALK_BUDGET
 
-from conftest import random_component_code, rep_gen, spc_gen
+from conftest import random_code, random_component_code, rep_gen, spc_gen, spec_around
 from naive_oracles import naive_info_table, rank_table_recursion, select_columns
 
 
@@ -168,32 +169,78 @@ def test_vn_tables_match_naive_enumeration(punctured):
         assert np.array_equal(table, oracle)
 
 
-def _recursion_table(g, socket_types, n_edge_types, puncture=None):
-    """The depth-first oracle on the package's column and axis layout."""
-    cols = g.column_bits()
-    columns = [(bits, t - 1) for bits, t in zip(cols, socket_types)]
+def _layout(g, socket_types, n_edge_types, puncture=None):
+    """The package's columns as (bits, axis) pairs, and the table's shape:
+    the generator columns on their edge-type axes, then, for a VN, the
+    identity columns of the transmitted bits on one more axis."""
+    columns = [(bits, t - 1) for bits, t in zip(g.column_bits(), socket_types)]
     shape = tuple(list(socket_types).count(l) + 1 for l in range(1, n_edge_types + 1))
     if puncture is not None:
         tx = [i for i, b in enumerate(puncture) if b]
         columns += [(1 << i, n_edge_types) for i in tx]
         shape += (len(tx) + 1,)
-    return rank_table_recursion(columns, shape)
+    return columns, shape
 
 
-def test_subset_walk_tables_match_recursion_and_naive_enumeration():
+def _recursion_table(g, socket_types, n_edge_types, puncture=None):
+    """The depth-first oracle on the package's column and axis layout."""
+    return rank_table_recursion(*_layout(g, socket_types, n_edge_types, puncture))
+
+
+def _inffunc_json(spec_file, name, out) -> list[str]:
+    assert main(["inffunc", str(spec_file), "--type", name, "--out", str(out)]) == 0
+    return [line for line in out.read_text().splitlines() if '"duration_s"' not in line]
+
+
+def test_subset_walk_tables_match_recursion_and_naive_enumeration(tmp_path, monkeypatch):
     # seeded sweep over 1-3 edge types, CNs and VNs with random puncture
     rng = np.random.default_rng(707)
+    cases = []
     for trial in range(24):
         n_e = 1 + trial % 3
         g = random_component_code(rng, max_sockets=6, max_k=4)
         st = _random_socket_types(rng, g.n_cols, n_e)
-        cn = cn_info_table(CnType("c", g, tuple(st), 1), n_e)
-        assert np.array_equal(cn, _recursion_table(g, st, n_e))
-        assert np.array_equal(cn, naive_info_table(g.to_rows(), st, n_e))
         punct = tuple(int(b) for b in rng.integers(0, 2, size=g.n_rows))
-        vn = vn_info_table(VnType("v", g, punct, tuple(st), 1), n_e)
-        assert np.array_equal(vn, _recursion_table(g, st, n_e, punct))
-        assert np.array_equal(vn, naive_info_table(g.to_rows(), st, n_e, puncture=list(punct)))
+        cases.append((g, st, n_e, punct))
+    # wider codes: of low rank and of high rank, whose tables the rank
+    # programme builds on the code and on its dual, and of half rank, whose
+    # tables the walk builds; each VN transmits at most 12 - n bits
+    rng = np.random.default_rng(708)
+    for n, k, n_e in ((10, 1, 2), (10, 2, 1), (10, 9, 2), (9, 7, 1), (10, 5, 2), (8, 5, 1)):
+        g = random_code(rng, n, k)
+        st = _random_socket_types(rng, n, n_e)
+        tx = rng.permutation(k)[: 12 - n]
+        cases.append((g, st, n_e, tuple(int(i in tx) for i in range(k))))
+    sides = set()
+    for g, st, n_e, punct in cases:
+        for node, public, oracle_punct in (
+            (CnType("c", g, tuple(st), 1), cn_info_table, None),
+            (VnType("v", g, punct, tuple(st), 1), vn_info_table, punct),
+        ):
+            table = public(node, n_e)
+            assert isinstance(table, np.ndarray) and table.dtype == np.int64
+            columns, shape = _layout(g, st, n_e, oracle_punct)
+            bits, axes = [b for b, _ in columns], [a for _, a in columns]
+            assert np.array_equal(table, infofuncs._walk_table(bits, axes, shape, g.n_rows))
+            assert np.array_equal(table, _recursion_table(g, st, n_e, oracle_punct))
+            assert np.array_equal(table, naive_info_table(g.to_rows(), st, n_e, puncture=oracle_punct))
+            # the columns have rank k: the generator's rows are independent
+            n, k = len(columns), g.n_rows
+            method = "walk"
+            if infofuncs._programme_pays(n, k, shape):
+                method = "dual programme" if k > n - k else "programme"
+            sides.add((type(node).__name__, method, 0 in punct and oracle_punct is not None))
+            # the same report whichever way the table is built
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(spec_around(node, n_e).to_json())
+            built = _inffunc_json(spec_file, node.name, tmp_path / "built.json")
+            with monkeypatch.context() as m:
+                m.setattr(infofuncs, "_programme_pays", lambda *args: False)
+                assert _inffunc_json(spec_file, node.name, tmp_path / "walked.json") == built
+    for kind in ("CnType", "VnType"):
+        for method in ("walk", "programme", "dual programme"):
+            assert (kind, method, False) in sides or (kind, method, True) in sides, (kind, method)
+    assert {("VnType", "programme", True), ("VnType", "dual programme", True)} <= sides
 
 
 def test_walk_wider_than_a_block_matches_recursion():
@@ -207,6 +254,11 @@ def test_walk_wider_than_a_block_matches_recursion():
     table = vn_info_table(VnType("wide", g, (1,) * 5, tuple(st), 1), 2)
     assert table.dtype == np.int64
     assert np.array_equal(table, _recursion_table(g, st, 2, (1,) * 5))
+    # the rank programme builds the public table of this rank-5 code, so
+    # the walk is run directly
+    columns, shape = _layout(g, st, 2, (1,) * 5)
+    walked = infofuncs._walk_table([b for b, _ in columns], [a for _, a in columns], shape, 5)
+    assert np.array_equal(walked, table)
 
 
 def test_walk_over_the_budget_raises_before_walking():
