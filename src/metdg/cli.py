@@ -5,9 +5,9 @@ because an analysis assumption does not hold.  Diagnostics go to stderr;
 data goes to stdout or --out.  Every emitted document embeds the SHA-256 of
 the canonicalized spec so results stay traceable to their input.  Only
 `simulate` imports the simulator, `metdg.peeling`, and with it numpy; the
-other subcommands import numpy only where they need floats in arrays: an
-exit-chart trajectory, a spectral radius, a table that walks, or a step
-half too wide for generated code.
+other subcommands import numpy only where they need floats in arrays: the
+spectral radius that `stability --epsilon` reports, a table that walks, or
+a step half too wide for generated code.
 """
 
 from __future__ import annotations
@@ -128,19 +128,19 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 
 def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
-    converged, trajectory, _ = exitchart.ExitEngine(spec).run(
-        args.epsilon, max_iters=args.max_iters, tol=args.tol, record=True
-    )
+    # the rows of ExitEngine.run's trajectory, as tuples of floats
+    trajectory: list[tuple[float, ...]] = []
+    outcome = exitchart.ExitEngine(spec)._run(args.epsilon, args.max_iters, args.tol, trajectory)
     params = {"epsilon": args.epsilon, "max_iters": args.max_iters, "tol": args.tol}
     if args.format == "json":
         results = {
-            "converged": converged,
-            "trajectory": trajectory.tolist(),
+            "converged": outcome.outcome == "converged",
+            "trajectory": trajectory,
         }
         _emit_json(_report("exit-chart", digest, params, results, t0), args.out)
         return 0
     columns = ["iter"] + [f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1)]
-    rows = ((it, *row) for it, row in enumerate(trajectory.tolist()))
+    rows = ((it, *row) for it, row in enumerate(trajectory))
     _emit_csv("exit-chart", digest, params, columns, rows, args.out)
     return 0
 

@@ -485,26 +485,26 @@ class ExitEngine:
         """
         import numpy as np
 
-        check_epsilon(epsilon)
-        _check_run_limits(max_iters, tol)
         rows = [] if record else None
         outcome = self._run(epsilon, max_iters, tol, rows)
         trajectory = np.array(rows) if record else np.empty((0, self.n_edge_types))
         return outcome.outcome == "converged", trajectory, outcome
 
     def _run(self, epsilon: float, max_iters: int, tol: float, rows: list | None) -> ProbeOutcome:
-        """run on checked arguments, recording each state into rows unless
-        rows is None; threshold probes through it, so that no probe makes
-        an array."""
+        """run with its checks, recording each state as a tuple into rows
+        unless rows is None; threshold probes and the exit-chart command
+        run through it, so that neither makes an array."""
+        check_epsilon(epsilon)
+        _check_run_limits(max_iters, tol)
         n_e = self.n_edge_types
         basin = None
         sm = None if rows is not None else self._stability
         if sm is not None:
-            verdict = stability.stability_verdict(sm, epsilon)
+            verdict, v = stability._verdict(sm, epsilon, solve=True)
             if verdict == "unstable":
                 return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
-                basin = self._basin(sm, epsilon)
+                basin = self._basin(sm, epsilon, v)
         # States are tuples of floats; the comparisons here and in _advance
         # are the same IEEE operations an array would take.
         x = self.step((0.0,) * n_e, epsilon, _trusted=True)
@@ -550,17 +550,20 @@ class ExitEngine:
         sm = stability.build_matrices(self.spec)
         return None if sm.vanishes() else sm
 
-    def _basin(self, sm: stability.StabilityMatrices, epsilon: float) -> _Basin | None:
+    def _basin(
+        self, sm: stability.StabilityMatrices, epsilon: float, v: list[Fraction]
+    ) -> _Basin | None:
         """A basin {y <= c0 v} of the all-known state at a stable epsilon,
-        certified by the test below, or None when the float sigma is not
-        below 1.
+        certified by the test below, or None when r rounds to 1.
 
         In erasure coordinates y = 1 - x the step is g = h_V . h_C, its CN
         and VN halves, both nondecreasing with h(0) = 0 and with Jacobians
-        C and P(eps) at 0.  v is the Perron vector of P(eps)C + tau J (J all
-        ones, tau small), so v > 0 even when P(eps)C is reducible; r lies
-        halfway between a bound on its Perron root and 1, and w = C v + eta
-        with eta > 0 small enough that P(eps) w < r v.  The test proves
+        C and P(eps) at 0.  The exact verdict's v > 0 solves
+        (I - P(eps)C) v = 1, so P(eps)C v = v - 1.  Scaled by top = max(v),
+        it gives r = 1 - 7 / (16 top) and w = C v + eta, where
+        eta = 7 / (32 top spread) and spread is the largest row sum of
+        P(eps), so that P(eps) w <= v - 25 / (32 top) < r v.  The three are
+        rounded to floats, which the exact test reads as they are.  It proves
 
             h_C(c v) <= c w   and   h_V(c w) <= r c v   for c in (0, c0]
 
@@ -578,20 +581,20 @@ class ExitEngine:
         _CERT_SLACK, so it also holds every state within twice the rounding
         error of one computed step of the one tested.
 
-        Only the float part (v, w, r) is computed here.  The exact test runs
-        when a state first comes near the basin (_Basin.certified), so a
-        probe that never does, such as a stuck one, spends nothing on it.
+        Only (v, w, r) is computed here.  The exact test runs when a state
+        first comes near the basin (_Basin.certified), so a probe that never
+        does, such as a stuck one, spends nothing on it.
         """
-        gap = 1.0 - sm.sigma(epsilon)
-        if gap <= 0.0:
+        top = max(v)
+        r = float(1 - Fraction(7, 16) / top)
+        if r == 1.0:
             return None
-        rho, v = sm.perron(epsilon, gap / (8 * self.n_edge_types), gap / 8)
-        if not (rho < 1.0 and v.min() > 0.0):
-            return None
-        r = 0.5 * (1.0 + rho)
-        spread = float(sm.p_matrix(epsilon).sum(axis=1).max())
-        eta = 0.5 * (r - rho) * v.min() / spread if spread > 0.0 else 1.0
-        v, w = v.tolist(), (sm.c_matrix() @ v + eta).tolist()
+        spread = max(map(sum, stability._p_at(sm, Fraction(float(epsilon)))))
+        # any eta > 0 serves where P(eps) vanishes
+        eta = Fraction(7, 32) / (top * spread) if spread else 1
+        v = [t / top for t in v]
+        w = [float(sum(map(mul, row, v)) + eta) for row in sm.c]
+        v = [float(t) for t in v]
         # Every bound below lies under c_max v; the factor covers rounding.
         screen = [min(1.0, 1.0 / max(w)) * t * (1.0 + 1e-9) for t in v]
         return _Basin(screen, lambda: self._certified_bound(v, w, r, epsilon))

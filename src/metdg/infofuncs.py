@@ -110,23 +110,25 @@ def _gaussian_binomial(d: int, j: int) -> int:
     return num // den
 
 
-def _programme_pays(n: int, rank: int, shape: tuple[int, ...]) -> bool:
+def _programme_pays(side: list[int], d: int, shape: tuple[int, ...]) -> bool:
     """Whether the rank programme is estimated to take less time than the
-    subset walk on n columns of this rank, for a table of this shape.
+    subset walk, for a table of this shape, where the programme would run
+    on the columns `side` of rank d: the code's columns, or its dual's when
+    that has the smaller rank.
 
-    The programme runs on the side of dimension d = min(rank, n - rank).
-    After i columns its spans are at most 2**i, and at most
-    sum_j min(C(i, j), [d choose j]_2): a span of dimension j is spanned by
-    j of the columns, and is a j-dimensional subspace of GF(2)^d.  Each
-    span costs one step per column, about 1.5 us plus the time to shift
-    its packed counts, which grows with the table's cells times their
-    width.  The walk costs about 0.15 us per subset plus about 0.45 ms per
-    table.  (Measured on a 2-core Xeon, Python 3.11, numpy 2.4.)"""
-    d = min(rank, n - rank)
+    After i columns of which u are distinct, its spans are at most 2**u,
+    and at most sum_j min(C(u, j), [d choose j]_2): a span of dimension j
+    is spanned by j distinct columns, and is a j-dimensional subspace of
+    GF(2)^d.  Each span costs one step per column, about 1.5 us plus the
+    time to shift its packed counts, which grows with the table's cells
+    times their width.  The walk costs about 0.15 us per subset plus about
+    0.45 ms per table.  (Measured on a 2-core Xeon, Python 3.11, numpy
+    2.4.)"""
+    n = len(side)
     limits = [_gaussian_binomial(d, j) for j in range(d + 1)]
-    spans = sum(min(1 << i, sum(map(min, (math.comb(i, j) for j in range(d + 1)), limits)))
-                for i in range(1, n + 1))
-    packed_bits = math.prod(shape) * (n + rank.bit_length() + 1)
+    distinct = (len(set(side[:i])) for i in range(1, n + 1))
+    spans = sum(min(1 << u, sum(map(min, (math.comb(u, j) for j in range(d + 1)), limits))) for u in distinct)
+    packed_bits = math.prod(shape) * (n + d.bit_length() + 1)
     # both sides in units of 0.15 us
     return 10 * spans * (1 + packed_bits / 8192) <= (1 << n) + 3000
 
@@ -147,12 +149,13 @@ def _rank_table(columns: list[int], axes: list[int], shape: tuple[int, ...], n_r
     rows = [sum((v >> i & 1) << c for c, v in enumerate(columns)) for i in range(n_rows)]
     matrix = gf2.GF2Matrix(n_rows, n, rows)
     rank = matrix.rank()
-    if not _programme_pays(n, rank, shape):
+    d = min(rank, n - rank)
+    side = columns if rank == d else gf2.generator_from_parity(matrix).column_bits()
+    if not _programme_pays(side, d, shape):
         return _walk_table(columns, axes, shape, n_rows).reshape(-1).tolist()
-    if rank <= n - rank:
+    if rank == d:
         return _programme_table(columns, axes, shape, rank)
-    dual = gf2.generator_from_parity(matrix).column_bits()
-    reverse = _programme_table(dual, axes, shape, n - rank)[::-1]
+    reverse = _programme_table(side, axes, shape, d)[::-1]
     return [
         math.prod(map(math.comb, (s - 1 for s in shape), g)) * (sum(g) - (n - rank)) + t
         for g, t in zip(product(*map(range, shape)), reverse)

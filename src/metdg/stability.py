@@ -5,8 +5,10 @@ analysis collects them into an n_e x n_e constant matrix (CN side) and a
 matching matrix of polynomials in the erasure probability (VN side, one
 power per input weight); the fixed point attracts if and only if the
 spectral radius of their product is below one.  That condition is decided
-exactly, in rationals; the float spectral radius, `StabilityMatrices.sigma`,
-is only reported.  The verdict and the bound take the matrices that
+exactly, in rationals, and a "stable" verdict can also give the positive
+vector v with P(eps)C v = v - 1 that the EXIT engine builds its basin
+certificate from; the float spectral radius, `StabilityMatrices.sigma`, is
+only reported.  The verdict and the bound take the matrices that
 `build_matrices` assembles once per spec.
 
 Everything here requires an unpunctured ensemble whose component codes all
@@ -19,14 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import reduce
 
 from .ensemble import EnsembleSpec
 from .errors import AssumptionError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,64 +34,24 @@ class StabilityMatrices:
 
     c[l][m] and p_coeffs[l][m] are exact rationals; p_coeffs[l][m][u] is the
     coefficient of x^u (index 0 is always zero: weight-2 codewords need a
-    nonzero input).  No symmetry holds in general, in either factor.  The
-    float matrices and their spectra are numpy's, imported when first asked
-    for; the exact verdict and bound need none of them.
+    nonzero input).  No symmetry holds in general, in either factor.  Only
+    the reported float spectral radius needs numpy, imported when first
+    asked for; the exact verdict, its solution v and the bound need none.
     """
 
     n_edge_types: int
     c: tuple[tuple[Fraction, ...], ...]
     p_coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def c_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[float(v) for v in row] for row in self.c])
-
-    def p_matrix(self, epsilon: float) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros((self.n_edge_types, self.n_edge_types))
-        for l0 in range(self.n_edge_types):
-            for m0 in range(self.n_edge_types):
-                acc = 0.0
-                for coeff in reversed(self.p_coeffs[l0][m0]):
-                    acc = acc * epsilon + coeff
-                out[l0, m0] = acc
-        return out
-
-    def product(self, epsilon: float) -> np.ndarray:
-        return self.p_matrix(epsilon) @ self.c_matrix()
-
     def sigma(self, epsilon: float) -> float:
-        """Spectral radius of P(eps)C, in floats."""
+        """Spectral radius of P(eps)C, in floats, P(eps) by Horner's rule."""
         import numpy as np
 
         check_epsilon(epsilon)
-        return float(np.max(np.abs(np.linalg.eigvals(self.product(epsilon)))))
-
-    def perron(self, epsilon: float, shift: float, tol: float) -> tuple[float, np.ndarray]:
-        """(rho, v) with (P(eps)C + shift J) v <= rho v componentwise, J the
-        all-ones matrix: rho bounds the Perron root from above, within tol
-        of it once the power iteration converges, and v > 0 approximates
-        the Perron vector, scaled to max 1.  shift > 0 makes the matrix
-        positive, so that v is positive even when P(eps)C is reducible."""
-        # Collatz-Wielandt ratios of a power iteration on the matrix shifted
-        # by the identity, as a positive diagonal makes any irreducible
-        # nonnegative matrix primitive.
-        import numpy as np
-
-        b = self.product(epsilon) + shift + np.eye(self.n_edge_types)
-        x = np.ones(self.n_edge_types)
-        hi = 0.0
-        for _ in range(100000):
-            y = b @ x
-            ratios = y / x
-            hi = ratios.max()
-            if hi - ratios.min() < tol:
-                break
-            x = y / y.max()
-        return hi - 1.0, x
+        p = [[reduce(lambda acc, a: acc * epsilon + a, reversed(cell), 0.0) for cell in row]
+             for row in self.p_coeffs]
+        c = [[float(x) for x in row] for row in self.c]
+        return float(np.max(np.abs(np.linalg.eigvals(np.array(p) @ np.array(c)))))
 
     def vanishes(self) -> bool:
         """Whether P(eps)C is the zero matrix at every eps.  Its entries are
@@ -151,44 +110,69 @@ def build_matrices(spec: EnsembleSpec) -> StabilityMatrices:
     )
 
 
-def _verdict(sm: StabilityMatrices, epsilon: float) -> str:
-    """"stable", "marginal" or "unstable" as rho(P(eps)C) is <, = or > 1,
-    decided exactly on the Z-matrix A = I - P(eps)C, eps taken as the dyadic
-    rational it is.  rho < 1 exactly when A is a nonsingular M-matrix, and
-    rho <= 1 exactly when A is an M-matrix (Berman & Plemmons, Nonnegative
-    Matrices in the Mathematical Sciences, ch. 6).  Eliminating an index
-    with a positive diagonal entry keeps both properties, and leaves a
-    Z-matrix.  A rest with no positive diagonal entry is an M-matrix only
-    when it is nilpotent: its digraph has no cycle and no loop.
+def _p_at(sm: StabilityMatrices, eps: Fraction) -> list[list[Fraction]]:
+    """P(eps) in rationals."""
+    return [[sum(x * eps**u for u, x in enumerate(cell) if x) for cell in row] for row in sm.p_coeffs]
+
+
+def _verdict(
+    sm: StabilityMatrices, epsilon: float, solve: bool = False
+) -> tuple[str, list[Fraction] | None]:
+    """(verdict, v): the verdict is "stable", "marginal" or "unstable" as
+    rho(P(eps)C) is <, = or > 1, decided exactly on the Z-matrix
+    A = I - P(eps)C, eps taken as the dyadic rational it is.  rho < 1
+    exactly when A is a nonsingular M-matrix, and rho <= 1 exactly when A is
+    an M-matrix (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6).  Eliminating an index with a positive diagonal entry
+    keeps both properties, and leaves a Z-matrix.  A rest with no positive
+    diagonal entry is an M-matrix only when it is nilpotent: its digraph has
+    no cycle and no loop.
+
+    With solve, a "stable" verdict also gives v = A^-1 1 in rationals,
+    otherwise v is None.  The inverse of a nonsingular M-matrix is
+    nonnegative with no zero row, so v > 0 and P(eps)C v = v - 1.
 
     A is scaled to integers, and the elimination is Bareiss's: an entry is
-    its Schur complement entry times the last pivot, which is positive."""
+    its Schur complement entry times the last pivot, which is positive.
+    With solve it also carries the right-hand side, and back-substitutes
+    fraction-free: the last pivot is the determinant D of the scaled A, and
+    D v is integral (Cramer's rule), so every division is exact."""
     n, eps = sm.n_edge_types, Fraction(float(epsilon))
-    p = [[sum(x * eps**u for u, x in enumerate(cell) if x) for cell in row] for row in sm.p_coeffs]
+    p = _p_at(sm, eps)
     d_p, d_c = (math.lcm(*(x.denominator for row in m for x in row)) for m in (p, sm.c))
     p, c = [[int(d_p * x) for x in row] for row in p], [[int(d_c * x) for x in row] for row in sm.c]
-    a = [[d_p * d_c * (l0 == m0) - sum(p[l0][e0] * c[e0][m0] for e0 in range(n)) for m0 in range(n)]
+    d = d_p * d_c
+    # column n holds the right-hand side of the scaled system d A v = d 1
+    a = [[d * (l0 == m0) - sum(p[l0][e0] * c[e0][m0] for e0 in range(n)) for m0 in range(n)] + [d]
          for l0 in range(n)]
-    live, last = list(range(n)), 1
+    live, order, last = list(range(n)), [], 1
     while pivots := [i for i in live if a[i][i] > 0]:
         i = pivots[0]
         live.remove(i)
+        order.append(i)
+        columns = live + [n] * solve
         for j in live:
-            for k in live:
+            for k in columns:
                 a[j][k] = (a[i][i] * a[j][k] - a[j][i] * a[i][k]) // last
         last = a[i][i]
-    if not live:
-        return "stable"
-    while sinks := [i for i in live if not any(a[i][k] for k in live)]:
-        live = [i for i in live if i not in sinks]
-    return "unstable" if live else "marginal"
+    if live:
+        while sinks := [i for i in live if not any(a[i][k] for k in live)]:
+            live = [i for i in live if i not in sinks]
+        return "unstable" if live else "marginal", None
+    if not solve:
+        return "stable", None
+    x = [0] * n
+    for k in reversed(range(n)):
+        i = order[k]
+        x[i] = (last * a[i][n] - sum(a[i][j] * x[j] for j in order[k + 1 :])) // a[i][i]
+    return "stable", [Fraction(t, last) for t in x]
 
 
 def stability_verdict(sm: StabilityMatrices, epsilon: float) -> str:
     """"stable", "marginal" or "unstable" as the spectral radius of P(eps)C
     is below, at or above one, decided exactly."""
     check_epsilon(epsilon)
-    return _verdict(sm, epsilon)
+    return _verdict(sm, epsilon)[0]
 
 
 def stability_bound(sm: StabilityMatrices, tol_eps: float = 1e-6) -> float | None:
@@ -200,12 +184,12 @@ def stability_bound(sm: StabilityMatrices, tol_eps: float = 1e-6) -> float | Non
     erasure probability.
     """
     check_tol_eps(tol_eps)
-    if _verdict(sm, 1.0) != "unstable":
+    if _verdict(sm, 1.0)[0] != "unstable":
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > 2.0 * tol_eps:
         mid = 0.5 * (lo + hi)
-        if _verdict(sm, mid) == "stable":
+        if _verdict(sm, mid)[0] == "stable":
             lo = mid
         else:
             hi = mid

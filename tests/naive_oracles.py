@@ -699,17 +699,17 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
         _STALL_TOL,
         ProbeOutcome,
     )
-    from metdg.stability import stability_verdict
+    from metdg.stability import _verdict
 
     n_e = engine.n_edge_types
     basin = None
     sm = None if record else engine._stability
     if sm is not None:
-        verdict = stability_verdict(sm, epsilon)
+        verdict, v = _verdict(sm, epsilon, solve=True)
         if verdict == "unstable":
             return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
         if verdict == "stable":
-            basin = engine._basin(sm, epsilon)
+            basin = engine._basin(sm, epsilon, v)
 
     def settled(x):
         if min(x) >= 1.0 - tol:

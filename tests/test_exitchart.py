@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from metdg import (
     stability_bound,
     stability_verdict,
 )
-from metdg.stability import build_matrices
+from metdg.stability import _verdict, build_matrices
 
 from conftest import (
     dgldpc_spec,
@@ -485,7 +486,7 @@ def test_every_state_in_a_certified_basin_converges():
         for eps in np.linspace(0.05, 0.95, 37):
             if sm.sigma(float(eps)) > 0.99:
                 continue
-            basin = engine._basin(sm, float(eps))
+            basin = engine._basin(sm, float(eps), _verdict(sm, float(eps), solve=True)[1])
             if basin is None or basin.certified() is None:
                 continue
             built += 1
@@ -496,6 +497,37 @@ def test_every_state_in_a_certified_basin_converges():
                     break
             assert x.min() >= 1.0 - 1e-10, (spec, eps)
     assert built >= 50
+
+
+def test_basin_vectors_satisfy_the_certificate_inequalities(monkeypatch):
+    # the floats (v, w, r) that _basin hands to the exact test satisfy
+    # C v < w, P(eps) w < r v and r < 1 in rationals, the conditions its
+    # docstring derives them from
+    handed = []
+    monkeypatch.setattr(ExitEngine, "_certified_bound", lambda self, *args: handed.append(args))
+    rng = np.random.default_rng(23)
+    specs = [example1_spec(spc_gen(3), spc_gen(3)), example2_spec(rep_gen(3))]
+    specs += [spec for spec in (random_eligible_spec(rng) for _ in range(12))
+              if not build_matrices(spec).vanishes()]
+    checked = 0
+    for spec in specs:
+        engine, sm = ExitEngine(spec), build_matrices(spec)
+        for eps in np.linspace(0.02, 1.0, 50):
+            eps = float(eps)
+            verdict, v = _verdict(sm, eps, solve=True)
+            basin = None if verdict != "stable" else engine._basin(sm, eps, v)
+            if basin is None:
+                continue
+            basin.certified()
+            v, w, r, _ = handed.pop()
+            v, w, r = [Fraction(t) for t in v], [Fraction(t) for t in w], Fraction(r)
+            p = [[sum(a * Fraction(eps) ** u for u, a in enumerate(cell)) for cell in row]
+                 for row in sm.p_coeffs]
+            assert r < 1 and min(v) > 0
+            assert all(sum(map(mul, row, v)) < b for row, b in zip(sm.c, w)), (spec, eps)
+            assert all(sum(map(mul, row, w)) < r * a for row, a in zip(p, v)), (spec, eps)
+            checked += 1
+    assert checked >= 300
 
 
 def test_recorded_runs_take_no_early_exit():
@@ -532,13 +564,14 @@ def test_probes_next_to_the_bound_end_in_the_basin():
     ids=["ex1_spc3_spc4", "ex2_pair"],
 )
 def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
-    # stable by the exact verdict, yet float sigma reads 1: no gap to build
-    # a basin on, so the run goes without one instead of spending 100,000
-    # power-iteration steps
+    # stable by the exact verdict, yet float sigma reads 1: the solution v
+    # of (I - P(eps)C) v = 1 is so large that the basin's contraction factor
+    # r = 1 - 7 / (16 max(v)) rounds to 1, so the run goes without a basin
+    # and ends at its cap
     sm = build_matrices(spec)
     assert stability_verdict(sm, eps) == "stable" and sm.sigma(eps) >= 1.0
     engine = ExitEngine(spec)
-    assert engine._basin(sm, eps) is None
+    assert engine._basin(sm, eps, _verdict(sm, eps, solve=True)[1]) is None
     start = time.perf_counter()
     assert engine.run(eps, max_iters=2000)[2].reason == "max_iters"
     assert time.perf_counter() - start < 0.5
@@ -735,8 +768,8 @@ def test_exact_basin_is_built_only_when_a_state_comes_near_it(monkeypatch):
     # the same probes with every basin certified at the start of its probe
     basin = ExitEngine._basin
 
-    def eager_basin(self, sm, epsilon):
-        b = basin(self, sm, epsilon)
+    def eager_basin(self, *args):
+        b = basin(self, *args)
         if b is not None:
             b.certified()
         return b

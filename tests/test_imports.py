@@ -26,7 +26,10 @@ _CLI = [
     ["validate", "dgldpc.json"],
     ["threshold", "ldpc36.json"],
     ["threshold", "dgldpc.json"],
+    ["threshold", "ex1_spc3.json"],
+    ["threshold", "ex2_rep3.json"],
     ["stability", "ex1_spc3.json", "--bound"],
+    ["exit-chart", "ldpc36.json", "--epsilon", "0.42"],
 ]
 
 

@@ -204,14 +204,22 @@ def test_subset_walk_tables_match_recursion_and_naive_enumeration(tmp_path, monk
         cases.append((g, st, n_e, punct))
     # wider codes: of low rank and of high rank, whose tables the rank
     # programme builds on the code and on its dual, and of half rank, whose
-    # tables the walk builds; each VN transmits at most 12 - n bits
+    # tables the walk builds unless repeated columns keep the spans few;
+    # each VN transmits at most 12 - n bits
     rng = np.random.default_rng(708)
-    for n, k, n_e in ((10, 1, 2), (10, 2, 1), (10, 9, 2), (9, 7, 1), (10, 5, 2), (8, 5, 1)):
+    for n, k, n_e in ((10, 1, 2), (10, 2, 1), (10, 9, 2), (9, 7, 1), (10, 5, 2), (8, 5, 1), (12, 6, 2)):
         g = random_code(rng, n, k)
         st = _random_socket_types(rng, n, n_e)
         tx = rng.permutation(k)[: 12 - n]
         cases.append((g, st, n_e, tuple(int(i in tx) for i in range(k))))
     sides = set()
+    pays, decisions = infofuncs._programme_pays, []
+
+    def recorded(*args):
+        decisions.append(pays(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(infofuncs, "_programme_pays", recorded)
     for g, st, n_e, punct in cases:
         for node, public, oracle_punct in (
             (CnType("c", g, tuple(st), 1), cn_info_table, None),
@@ -227,7 +235,7 @@ def test_subset_walk_tables_match_recursion_and_naive_enumeration(tmp_path, monk
             # the columns have rank k: the generator's rows are independent
             n, k = len(columns), g.n_rows
             method = "walk"
-            if infofuncs._programme_pays(n, k, shape):
+            if decisions[-1]:  # the decision the public table took
                 method = "dual programme" if k > n - k else "programme"
             sides.add((type(node).__name__, method, 0 in punct and oracle_punct is not None))
             # the same report whichever way the table is built

@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ from metdg import (
 )
 from metdg.ensemble import spec_from_dict
 from metdg.gf2 import enumerate_weight2_pairs
-from metdg.stability import _verdict
+from metdg.stability import _p_at, _verdict
 
 from conftest import (
+    _solve_rational,
     close_eigenvalues_doc,
     dgldpc_spec,
     disjoint_support_spec,
@@ -48,7 +50,7 @@ def test_example1_matrices():
     assert sm.c[0][0] == Fraction(2 * a2, 3)
     assert sm.c[1][1] == Fraction(2 * a2, 3)
     assert sm.c[0][1] == 0 and sm.c[1][0] == 0
-    assert np.allclose(sm.p_matrix(0.4), [[0, 0.4], [0.4, 0]])
+    assert _p_at(sm, Fraction(2, 5)) == [[0, Fraction(2, 5)], [Fraction(2, 5), 0]]
 
 
 def test_example2_matrices():
@@ -282,7 +284,8 @@ def test_reversed_product_has_same_spectral_radius():
         spec = random_eligible_spec(rng)
         sm = build_matrices(spec)
         for eps in (0.3, 0.8):
-            reversed_product = sm.c_matrix() @ sm.p_matrix(eps)
+            c, p = ([[float(x) for x in row] for row in m] for m in (sm.c, _p_at(sm, Fraction(eps))))
+            reversed_product = np.array(c) @ np.array(p)
             assert abs(sm.sigma(eps) - np.abs(np.linalg.eigvals(reversed_product)).max()) < 1e-9
 
 
@@ -320,9 +323,41 @@ def test_verdict_matches_principal_minors_on_random_rational_matrices():
     for _ in range(2400):
         m = _random_rational_matrix(rng, int(rng.integers(1, 6)))
         want = principal_minor_verdict(m)
-        assert _verdict(_as_product(m), 1.0) == want, m
+        assert _verdict(_as_product(m), 1.0)[0] == want, m
         counts[want] += 1
     assert min(counts.values()) >= 400, counts
+
+
+def _checked_solve(sm, eps) -> str:
+    """The verdict at eps, checked against the system (I - P(eps)C) v = 1
+    solved by plain Gaussian elimination in Fractions: for the Z-matrix
+    I - P(eps)C, a positive solution exists exactly when rho(P(eps)C) < 1
+    (Berman & Plemmons, ch. 6), and then the verdict's solve returns it."""
+    verdict, v = _verdict(sm, eps, solve=True)
+    n, product = sm.n_edge_types, exact_stability_product(sm, eps)
+    a = [[(l0 == m0) - product[l0][m0] for m0 in range(n)] for l0 in range(n)]
+    want = _solve_rational(a, [1] * n)
+    positive = want is not None and min(want) > 0
+    assert (verdict == "stable") == positive, (verdict, want)
+    if positive:
+        assert min(v) > 0 and [sum(map(operator.mul, row, v)) for row in a] == [1] * n
+        assert v == want
+    else:
+        assert v is None
+    return verdict
+
+
+def test_stable_verdict_iff_positive_exact_solution():
+    rng = np.random.default_rng(88)
+    counts = dict.fromkeys(("stable", "marginal", "unstable"), 0)
+    for _ in range(600):
+        m = _random_rational_matrix(rng, int(rng.integers(1, 6)))
+        counts[_checked_solve(_as_product(m), 1.0)] += 1
+    for _ in range(12):
+        sm = build_matrices(random_eligible_spec(rng))
+        for eps in np.linspace(0.05, 1.0, 20):
+            counts[_checked_solve(sm, float(eps))] += 1
+    assert counts["stable"] >= 200 and counts["unstable"] >= 100 and counts["marginal"] >= 50, counts
 
 
 def test_verdict_agrees_with_float_sigma_away_from_one():
@@ -356,7 +391,7 @@ def test_verdict_on_40_edge_types_is_fast():
     sm = StabilityMatrices(n, tuple(tuple(x * scale for x in row) for row in c), p)
     assert abs(sm.sigma(0.3) - 0.95) < 1e-3
     start = time.perf_counter()
-    assert _verdict(sm, 0.3) == "stable"
+    assert _verdict(sm, 0.3)[0] == "stable"
     assert time.perf_counter() - start < 1.0
 
 
