@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 
 from . import __version__, exitchart, stability
 from .ensemble import EnsembleSpec, VnType, load_spec
@@ -64,7 +65,7 @@ def _emit_json(report: dict, out_path: str | None) -> None:
 def _emit_csv(
     subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
 ) -> None:
-    """A commented header, the column line, then one line per row with each
+    """A commented header, the column line, then one line per row tuple, each
     value written as its repr (%r is repr for ints and floats alike)."""
     params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
     head = [
@@ -74,7 +75,7 @@ def _emit_csv(
         ",".join(columns),
     ]
     line = ",".join(["%r"] * len(columns)) + "\n"
-    body = "".join([line % tuple(row) for row in rows])
+    body = "".join([line % row for row in rows])
     _emit("\n".join(head) + "\n" + body, out_path)
 
 
@@ -204,10 +205,13 @@ def _parse_eps_grid(text: str, max_points: int) -> list[float]:
         raise ValidationError("eps step must be positive")
     grid = []
     v = a
-    # One point past the limit is enough for sweep to reject the grid; the
-    # cap also ends ranges whose step is too small to move v.
+    # One point past the limit is enough for sweep to reject the grid.
     while v <= b + 1e-12 and len(grid) <= max_points:
         grid.append(round(v, 12))
+        if v + step == v:  # the range ends here, as a:a:step does, or never reaches b
+            if v < b:
+                raise ValidationError(f"eps step {step!r} is too small to move {v!r} towards {b!r}")
+            break
         v += step
     return grid
 
@@ -236,8 +240,7 @@ def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         _emit_json(_report("simulate", digest, params, {"rows": result.rows}, t0), args.out)
         return 0
     columns = ("eps", "ber", "bler", "ci_lo", "ci_hi", "trials")
-    rows = ([row[c] for c in columns] for row in result.rows)
-    _emit_csv("simulate", digest, params, columns, rows, args.out)
+    _emit_csv("simulate", digest, params, columns, map(itemgetter(*columns), result.rows), args.out)
     return 0
 
 

@@ -16,29 +16,26 @@ bit is a Python int that is not a bool.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import gf2
 from .errors import ValidationError, is_int
 from .gf2 import GF2Matrix
 
 
-class _Node:
-    """What VN and CN types share: a generator whose columns (sockets) carry
-    edge-type labels, and a count."""
-
-    @property
-    def n_sockets(self) -> int:
-        return self.generator.n_cols
-
-    def sockets_of_type(self, edge_type: int) -> int:
-        return self.socket_types.count(edge_type)
+# What VN and CN types share, a generator whose columns (sockets) carry
+# edge-type labels: both classes take these two members.
+@property
+def _n_sockets(node) -> int:
+    return node.generator.n_cols
 
 
-@dataclass(frozen=True)
-class VnType(_Node):
+def _sockets_of_type(node, edge_type: int) -> int:
+    return node.socket_types.count(edge_type)
+
+
+class VnType(NamedTuple):
     """A variable-node type: encoder, puncturing pattern, socket labels, count.
 
     The generator matters bit for bit (it is the local encoder), so it is
@@ -51,6 +48,9 @@ class VnType(_Node):
     puncture: tuple[int, ...]
     socket_types: tuple[int, ...]
     count: int
+
+    n_sockets = _n_sockets
+    sockets_of_type = _sockets_of_type
 
     @property
     def n_info_bits(self) -> int:
@@ -65,8 +65,7 @@ class VnType(_Node):
         return tuple(i for i, b in enumerate(self.puncture) if b)
 
 
-@dataclass(frozen=True)
-class CnType(_Node):
+class CnType(NamedTuple):
     """A check-node type: component code, socket labels, count.
 
     The code may be given by a generator or a parity-check matrix; a
@@ -78,13 +77,15 @@ class CnType(_Node):
     socket_types: tuple[int, ...]
     count: int
 
+    n_sockets = _n_sockets
+    sockets_of_type = _sockets_of_type
+
     @property
     def dimension(self) -> int:
         return self.generator.n_rows
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(NamedTuple):
     """A validated ensemble with all derived quantities populated.
 
     Edge types are numbered 1..n_edge_types in the file format; derived
@@ -137,7 +138,7 @@ class EnsembleSpec:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _node_dict(node: _Node, **extra) -> dict:
+def _node_dict(node: VnType | CnType, **extra) -> dict:
     return {
         "name": node.name,
         "generator": node.generator.to_rows(),
@@ -161,7 +162,7 @@ def _parse_matrix(raw, what: str) -> GF2Matrix:
         raise ValidationError(f"{what}: {e}") from None
 
 
-def _check_node(node: _Node, n_edge_types: int, what: str) -> None:
+def _check_node(node: VnType | CnType, n_edge_types: int, what: str) -> None:
     """The rules VN and CN types share: a string name, a positive integer
     count, a full-rank generator with no idle column within the walk budget,
     and one edge type in 1..n_edge_types per generator column."""

@@ -28,12 +28,11 @@ reads.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm, prod
 from operator import le, mul, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import stability
 from .ensemble import EnsembleSpec
@@ -76,8 +75,7 @@ _OUTCOME_OF = {
 }
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """How a DE run ended: why it stopped, and after how many steps after
     the first (the index of the last trajectory row of a recorded run)."""
 

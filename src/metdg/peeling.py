@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def _trial_rng(seed: int, eps_index: int, trial_index: int) -> np.random.Generat
     return _philox(seed, (1 << 63) | (eps_index << 32) | trial_index)
 
 
-@dataclass
-class SampledCode:
+class SampledCode(NamedTuple):
     """One Tanner-graph realization at a given scale, or a block: the
     disjoint union of `trials` of them.  Trial b of a block owns edges
     [b E, (b + 1) E) of its E edges per trial and, in each node type of c
@@ -114,11 +113,11 @@ class SampledCode:
     n_transmitted: int
     # Local maps of the VN types and of the CN types, which decode fills and
     # reads; the blocks of one trial loop share them.
-    maps: tuple[list[_LocalMaps], list[_LocalMaps]] = field(compare=False, repr=False)
+    maps: tuple[list[_LocalMaps], list[_LocalMaps]]
     # Owner maps (see _owner_map) of the VN side, shared by the blocks of one
     # size as cn_slots is (see _wiring), and of the CN side, gathered from it.
-    owners: tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]] = field(compare=False, repr=False)
-    cn_slots: np.ndarray = field(compare=False, repr=False)
+    owners: tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]
+    cn_slots: np.ndarray
     trials: int = 1
 
 
@@ -313,8 +312,7 @@ def _local_maps(spec: EnsembleSpec) -> tuple[list[_LocalMaps], list[_LocalMaps]]
     return vn_maps, cn_maps
 
 
-@dataclass
-class DecodeResult:
+class DecodeResult(NamedTuple):
     success: bool
     residual_erasures: int
     iterations: int
@@ -682,16 +680,16 @@ def _fork_shares(shares: list[tuple]) -> list:
                 os.waitpid(pid, 0)
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[dict]
-    rng_name: str = _RNG_NAME
-    seed: int = 0
+    rng_name: str
+    seed: int
     # False when the ensemble is outside the assumptions of the asymptotic
     # stability analysis (punctured bits or distance-1 component codes), in
     # which case no threshold or stability prediction applies to the sweep.
-    stability_prediction: bool = True
-    trajectories: dict = field(default_factory=dict)
+    stability_prediction: bool
+    # eps -> the (trials, record_exit_iters + 1, n_e) flooding trajectories
+    trajectories: dict
 
 
 def sweep(
@@ -725,7 +723,8 @@ def sweep(
         raise ValidationError(f"eps grid has {len(eps_grid)} points, at most {MAX_GRID_POINTS} allowed")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
-    result = SweepResult(rows=[], seed=seed, stability_prediction=spec.stability_eligible)
+    result = SweepResult(rows=[], rng_name=_RNG_NAME, seed=seed,
+                         stability_prediction=spec.stability_eligible, trajectories={})
     n_bits = scale * sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
     total = len(eps_grid) * trials
     # Blocks hold at most _BLOCK_EDGES edges (a larger code is a block of

@@ -19,17 +19,16 @@ approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .ensemble import EnsembleSpec
 from .errors import AssumptionError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
 
 
-@dataclass(frozen=True)
-class StabilityMatrices:
+class StabilityMatrices(NamedTuple):
     """Constant matrix, polynomial matrix, and their product's spectral radius.
 
     c[l][m] and p_coeffs[l][m] are exact rationals; p_coeffs[l][m][u] is the

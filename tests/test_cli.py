@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from metdg import ExitEngine
-from metdg.cli import main
+from metdg.cli import _parse_eps_grid, main
 
 from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, ones_doc, set_at, spc_gen
 
@@ -377,10 +377,11 @@ def test_csv_rejected_for_json_only_commands(ex1_path, capsys):
         ["--eps", "0.5:0.1:0.1"],
         ["--seed", "-1"],
         ["--seed", str(1 << 64)],
-        # more grid points or trials than the stream derivation can key:
-        # rejected before any grid is completed or any task list is built
+        # more grid points or trials than the stream derivation can key, or a
+        # step too small to move eps towards b: rejected before any grid is
+        # completed or any task list is built
         ["--eps", "0:1:1e-300"],
-        ["--eps", "0.5:0.5:1e-300"],
+        ["--eps", "0.5:0.6:1e-300"],
         ["--eps", ",".join(["0.5"] * ((1 << 16) + 1))],
         ["--trials", str((1 << 32) + 1)],
         ["--scale", "0"],
@@ -393,6 +394,30 @@ def test_simulate_rejects_bad_inputs(ldpc_path, bad, capsys):
     assert main(args + bad) == 1
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "eps, grid",
+    [
+        ("0.1:0.1:1e-300", [0.1]),
+        ("0.5:0.5:0.1", [0.5]),
+        ("0.2:0.4:0.2", [0.2, 0.4]),
+        ("0.3,0.1", [0.3, 0.1]),
+    ],
+)
+def test_eps_grid_forms(eps, grid):
+    # a step too small to move eps still gives the one point of an a:a:step range
+    assert _parse_eps_grid(eps, 1 << 16) == grid
+
+
+def test_eps_step_that_cannot_move_eps(ldpc_path, capsys):
+    args = ["simulate", ldpc_path, "--scale", "2", "--trials", "2", "--jobs", "1", "--eps"]
+    assert main(args + ["0.1:0.1:1e-300"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "eps,ber,bler,ci_lo,ci_hi,trials", "0.1,0.0,0.0,0.0,0.6576280471103807,2"
+    ]
+    assert main(args + ["0.1:0.2:1e-300"]) == 1
+    assert capsys.readouterr().err == "error: eps step 1e-300 is too small to move 0.1 towards 0.2\n"
 
 
 @pytest.mark.parametrize(

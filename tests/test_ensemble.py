@@ -7,10 +7,12 @@ import pytest
 from metdg import (
     CapacityError,
     CnType,
+    EnsembleSpec,
     GF2Matrix,
     ValidationError,
     VnType,
     build_spec,
+    load_spec,
     spec_from_dict,
     spec_from_json,
 )
@@ -249,10 +251,36 @@ def test_spec_json_matches_document(tmp_path):
     doc = fig1_doc()
     path = tmp_path / "fig1.json"
     path.write_text(json.dumps(doc))
-    from metdg import load_spec
-
     spec = load_spec(path)
     assert spec.codeword_length == 28
+
+
+def test_record_types_are_immutable_values(tmp_path):
+    """VnType, CnType and EnsembleSpec are NamedTuples: built by position or
+    keyword, compared and hashed by value, and immutable."""
+    vn = VnType("rep2", rep_gen(2), (1,), (1, 1), 3)
+    cn = CnType("spc3", spc_gen(3), (1, 1, 1), 2)
+    assert vn == VnType(name="rep2", generator=rep_gen(2), puncture=(1,), socket_types=(1, 1), count=3)
+    assert cn == CnType(name="spc3", generator=spc_gen(3), socket_types=(1, 1, 1), count=2)
+    assert (vn.n_sockets, vn.sockets_of_type(1), cn.n_sockets, cn.sockets_of_type(2)) == (2, 2, 3, 0)
+    assert VnType._fields == ("name", "generator", "puncture", "socket_types", "count")
+    assert CnType._fields == ("name", "generator", "socket_types", "count")
+    assert EnsembleSpec._fields == (
+        "n_edge_types", "vn_types", "cn_types", "edge_counts", "vn_socket_counts",
+        "cn_socket_counts", "vn_edge_fractions", "cn_edge_fractions", "vn_min_distance",
+        "cn_min_distance", "codeword_length", "dimension",
+    )
+    spec = build_spec(1, [vn], [cn])
+    assert EnsembleSpec(*spec) == EnsembleSpec(**spec._asdict()) == spec
+    for record, attr in ((vn, "count"), (cn, "name"), (spec, "dimension"), (spec, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1)
+
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(fig1_doc()))
+    a, b = load_spec(path), load_spec(path)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != spec and a._replace(dimension=0) != a
 
 
 @pytest.mark.parametrize(

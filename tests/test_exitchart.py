@@ -541,6 +541,18 @@ def test_recorded_runs_take_no_early_exit():
     assert len(trajectory) == 101
 
 
+def test_probe_outcome_is_an_immutable_value():
+    probe = ProbeOutcome(0.42, "basin", 7)
+    assert probe == ProbeOutcome(epsilon=0.42, reason="basin", iteration=7)
+    assert hash(probe) == hash(ProbeOutcome(0.42, "basin", 7))
+    assert probe != probe._replace(iteration=8)
+    assert ProbeOutcome._fields == ("epsilon", "reason", "iteration")
+    assert probe.outcome == "converged" and probe._replace(reason="stall").outcome == "stuck"
+    for attr in ("reason", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(probe, attr, "tol")
+
+
 def test_marginal_point_is_left_to_the_run():
     # at the bound itself neither early decision applies
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))

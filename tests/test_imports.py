@@ -1,7 +1,8 @@
 """The analyses need neither numpy nor the simulator: importing metdg,
 building the EXIT engines of the benchmark specs and the analysis
 subcommands below leave both out of sys.modules, while `from metdg import
-sweep` still reaches the simulator."""
+sweep` still reaches the simulator.  Nor do they load `dataclasses` or the
+`inspect` it imports: the record types are NamedTuples."""
 
 import os
 import subprocess
@@ -50,7 +51,8 @@ def test_analysis_calls_import_no_numpy(call, tmp_path):
         subcommand, spec, *rest = call.split()
         args = [subcommand, str(SPECS / spec), *rest, "--out", str(tmp_path / "report.json")]
         script = f"from metdg.cli import main\nassert main({args!r}) == 0\n"
-    script += "import sys\nprint(sorted({'numpy', 'metdg.peeling'} & set(sys.modules)))\n"
+    unwanted = {"numpy", "metdg.peeling", "dataclasses", "inspect"}
+    script += f"import sys\nprint(sorted({unwanted!r} & set(sys.modules)))\n"
     assert _fresh(script).strip() == "[]"
 
 

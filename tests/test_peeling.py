@@ -211,6 +211,33 @@ def forked(monkeypatch):
     return calls
 
 
+def test_simulator_records_are_immutable_values():
+    assert peeling.SampledCode._fields == (
+        "spec", "scale", "n_edges", "edge_type0", "vn_counts", "cn_counts", "vn_edges",
+        "cn_edges", "n_transmitted", "maps", "owners", "cn_slots", "trials",
+    )
+    assert peeling.DecodeResult._fields == (
+        "success", "residual_erasures", "iterations", "trajectory", "vc_history"
+    )
+    assert peeling.SweepResult._fields == (
+        "rows", "rng_name", "seed", "stability_prediction", "trajectories"
+    )
+    spec = ldpc_spec(3, 6)
+    a, b = (sweep(spec, scale=1, eps_grid=[0.3], trials=2, seed=3) for _ in range(2))
+    # equal by value, but each with its own trajectories dict
+    assert a == b and a.trajectories == {} and a.trajectories is not b.trajectories
+    assert a == peeling.SweepResult(a.rows, "philox", 3, True, {})
+    assert a == peeling.SweepResult(rows=a.rows, rng_name="philox", seed=3,
+                                    stability_prediction=True, trajectories={})
+    code = sample_code(spec, 1, seed=0)
+    result = decode(code, np.zeros(code.n_transmitted, dtype=bool))
+    n = result.iterations
+    assert result == peeling.DecodeResult(True, 0, n) == (True, 0, n, None, None)
+    for record, attr in ((a, "seed"), (code, "trials"), (result, "success")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+
+
 @pytest.mark.parametrize(
     "jobs, eps_grid, trials",
     [

@@ -395,6 +395,19 @@ def test_verdict_on_40_edge_types_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_stability_matrices_are_an_immutable_value():
+    spec = example2_spec(rep_gen(2))
+    sm = build_matrices(spec)
+    assert StabilityMatrices._fields == ("n_edge_types", "c", "p_coeffs")
+    assert sm == StabilityMatrices(*sm) == StabilityMatrices(n_edge_types=sm.n_edge_types, c=sm.c,
+                                                             p_coeffs=sm.p_coeffs)
+    assert sm is not build_matrices(spec) and hash(sm) == hash(build_matrices(spec))
+    assert not sm.vanishes() and sm.sigma(0.3) == StabilityMatrices(*sm).sigma(0.3)
+    for attr in ("c", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(sm, attr, ())
+
+
 def test_close_eigenvalues_are_decided():
     # two close leading eigenvalues kept a power iteration from converging,
     # which once turned a correct sigma into an internal error
