@@ -12,9 +12,8 @@ Python function of the state's floats with every coefficient inlined, so a
 step of a small spec costs a few microseconds instead of numpy's per-call
 overhead; halves with more coefficient entries keep the numpy contraction.
 The runs keep their states as tuples of floats and step them in one more
-generated function per engine, a loop that calls the two halves and tests
-convergence, the basin's float screen and the stall with comparisons
-unrolled over the edge types; only rarer decisions return to Python.
+generated function per engine, a loop that calls the two halves and takes
+every stop decision of a run, its comparisons unrolled over the edge types.
 
 Runs that do not record may end early on three sound decisions: a
 super-solution shows a run can never converge, a probe whose all-known state
@@ -36,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import stability
 from .ensemble import EnsembleSpec
-from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps
+from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps, is_int
 from .infofuncs import cn_table, vn_table
 
 if TYPE_CHECKING:
@@ -365,8 +364,8 @@ def _checked(value: float) -> float:
 
 
 def _check_run_limits(max_iters: int, tol: float) -> None:
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
+    if not is_int(max_iters) or max_iters < 0:
+        raise ValidationError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"convergence tolerance must lie in (0, 1), got {tol!r}")
 
@@ -399,18 +398,16 @@ class ExitEngine:
         self._cn_kernel = self._cn.kernel()
         self._vn_kernel = self._vn.kernel()
 
-    def step(self, i_ev, epsilon: float, *, _trusted: bool = False) -> np.ndarray:
-        """One application of the recursion: CN pass, then VN pass.
-
-        run passes _trusted for the states it computed itself, as tuples
-        of floats; that skips the input checks and returns a tuple."""
-        if _trusted:
-            return self._vn_kernel(self._cn_kernel(i_ev, None), epsilon)
+    def step(self, i_ev, epsilon: float) -> np.ndarray:
+        """One application of the recursion: CN pass, then VN pass."""
         import numpy as np
 
         check_epsilon(epsilon)
-        x = tuple(self._state(i_ev).tolist())
-        return np.array(self._vn_kernel(self._cn_kernel(x, None), epsilon))
+        return np.array(self._step(tuple(self._state(i_ev).tolist()), epsilon))
+
+    def _step(self, x: tuple, epsilon: float) -> tuple:
+        """step on a state tuple of floats, without the input checks."""
+        return self._vn_kernel(self._cn_kernel(x, None), epsilon)
 
     def _state(self, i_ev) -> np.ndarray:
         """A caller's state as a float vector, or ValidationError."""
@@ -443,8 +440,8 @@ class ExitEngine:
         rows unless record is set.  Non-convergence is a result, not an
         error.  A run converges once every component reaches 1 - tol, is
         stuck when it stalls (no component moves by _STALL_TOL in one
-        step), and is undecided once it has taken max_iters steps.  Runs
-        that do not record also take three early decisions:
+        step), and is undecided once it has taken max_iters steps, an int.
+        Runs that do not record also take three early decisions:
 
         - stuck, "unstable", without a step: the spec is eligible for the
           stability analysis and its exact verdict at epsilon is
@@ -480,6 +477,9 @@ class ExitEngine:
         last bits before reaching tol.  Specs the stability analysis
         refuses, and specs whose P(eps)C vanishes, take only the
         super-solution test.
+
+        Each state meets the tests in this order: tol, basin, stall,
+        super-solution when it is due, then the cap.
         """
         import numpy as np
 
@@ -491,10 +491,10 @@ class ExitEngine:
     def _run(self, epsilon: float, max_iters: int, tol: float, rows: list | None) -> ProbeOutcome:
         """run with its checks, recording each state as a tuple into rows
         unless rows is None; threshold probes and the exit-chart command
-        run through it, so that neither makes an array."""
+        run through it, so that neither makes an array.  It takes the exact
+        verdict and the first step; _advance takes every later decision."""
         check_epsilon(epsilon)
         _check_run_limits(max_iters, tol)
-        n_e = self.n_edge_types
         basin = None
         sm = None if rows is not None else self._stability
         if sm is not None:
@@ -503,37 +503,22 @@ class ExitEngine:
                 return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
                 basin = self._basin(sm, epsilon, v)
-        # States are tuples of floats; the comparisons here and in _advance
-        # are the same IEEE operations an array would take.
-        x = self.step((0.0,) * n_e, epsilon, _trusted=True)
+        # States are tuples of floats; the comparisons in _advance are the
+        # same IEEE operations an array would take.
+        x = self._step((0.0,) * self.n_edge_types, epsilon)
         if rows is not None:
             rows.append(x)
-        next_check = max_iters + 1 if rows is not None else _CERT_FIRST
-        x_prev = x_prev2 = None
-        it = 0
-        reason = _settled(x, tol, basin)
-        while reason is None and it < max_iters:
-            # no state passes a screen of -1
-            screen = (-1.0,) * n_e if basin is None else basin.screen
-            x, x_prev, x_prev2, it, reason = self._advance(
-                x, x_prev, x_prev2, epsilon, it, min(next_check, max_iters), 1.0 - tol, screen, rows
-            )
-            if reason == "screen":
-                # the exact test decides, then the stall test of the same step
-                reason = "basin" if basin.contains(x) else None
-                if reason is None and max(map(abs, map(sub, x, x_prev))) < _STALL_TOL:
-                    reason = "stall"
-            if reason is None and it >= next_check:
-                next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
-                if self._never_converges(x, x_prev, x_prev2, epsilon, tol):
-                    reason = "super-solution"
-        return ProbeOutcome(epsilon, reason or "max_iters", it)
+        # no state passes a screen of -1
+        screen = (-1.0,) * self.n_edge_types if basin is None else basin.screen
+        check = max_iters + 1 if rows is not None else _CERT_FIRST
+        steps, reason = self._advance(x, epsilon, max_iters, 1.0 - tol, screen, basin, check, rows)
+        return ProbeOutcome(epsilon, reason or "max_iters", steps)
 
     @cached_property
     def _advance(self) -> Callable:
         """The stepping loop of run, compiled from _advance_source on the
         engine's first run and kept for its later ones."""
-        namespace = {"cn": self._cn_kernel, "vn": self._vn_kernel}
+        namespace = {"cn": self._cn_kernel, "vn": self._vn_kernel, "never": self._never_converges}
         exec(compile(_advance_source(self.n_edge_types), "<exit loop>", "exec"), namespace)
         return namespace["advance"]
 
@@ -625,17 +610,18 @@ class ExitEngine:
         bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
         return bound if min(bound) > 0 else None
 
-    def _never_converges(self, x, x_prev, x_prev2, epsilon: float, tol: float) -> bool:
-        """The super-solution test described in run, on the last three states."""
+    def _never_converges(self, x, x_prev, x_prev2, epsilon: float, line: float) -> bool:
+        """The super-solution test described in run, on the last three
+        states, for the convergence line 1 - tol."""
         rise = tuple(map(sub, x, x_prev))
         top, prev_top = max(rise), max(map(sub, x_prev, x_prev2))
         if not 0.0 < top < prev_top:
             return False
         ratio = 1.0 - top / prev_top
         y = tuple(min(1.0, a + 2.0 * d / ratio + _CERT_PAD) for a, d in zip(x, rise))
-        if min(y) >= 1.0 - tol or any(a > b for a, b in zip(x, y)):
+        if min(y) >= line or any(a > b for a, b in zip(x, y)):
             return False
-        return all(a <= b - _CERT_SLACK for a, b in zip(self.step(y, epsilon, _trusted=True), y))
+        return all(a <= b - _CERT_SLACK for a, b in zip(self._step(y, epsilon), y))
 
     def threshold(
         self,
@@ -684,17 +670,20 @@ class ExitEngine:
 
 
 def _advance_source(n_e: int) -> str:
-    """Python source of advance(x, x_prev, x_prev2, eps, it, stop, line,
-    screen, rows), run's loop between its Python-side decisions.
+    """Python source of advance(x, eps, stop, line, screen, basin, check,
+    rows), run's loop from its first state: it tests each state, then steps
+    it, and returns (steps, reason), reason None after stop steps.
 
-    It steps the state x, the step count it and the two states before x
-    until it reaches stop, and returns them with the event that stopped it:
-    "tol" when every component reaches line, "screen" when 1 - x passes the
-    basin's float screen componentwise, "stall" when no component moved by
-    _STALL_TOL, in that order, and None at stop.  A step is the CN kernel
-    then the VN kernel, called from the namespace, and each new state is
-    appended to rows unless rows is None.  The tests are run's comparisons
-    on tuples, unrolled over the n_e components.
+    The tests, in run's order: "tol" when every component reaches line;
+    "basin" when 1 - x passes the float screen and basin.contains(x), the
+    screen being read again from basin otherwise, as the proof replaces it;
+    "stall" when no component moved by _STALL_TOL (the previous state
+    starts at -1.0, so the first never stalls); "super-solution" once the
+    step count reaches check and never(x, x_prev, x_prev2, eps, line), check
+    then moving on as run describes; then the cap.  A step is the CN kernel
+    then the VN kernel, from the namespace, and each new state is appended
+    to rows unless rows is None.  The comparisons are run's on tuples,
+    unrolled over the n_e components.
     """
 
     def names(prefix: str) -> str:
@@ -703,35 +692,34 @@ def _advance_source(n_e: int) -> str:
     def every(test: str) -> str:
         return " and ".join(test.format(l=l) for l in range(n_e))
 
-    done = "return x, x_prev, x_prev2, it, "
     return "\n".join([
-        "def advance(x, x_prev, x_prev2, eps, it, stop, line, screen, rows):",
+        "def advance(x, eps, stop, line, screen, basin, check, rows):",
         f"    {names('s')}= screen",
-        f"    {names('p')}= x",
-        "    while it < stop:",
+        f"    {names('p')}= {'-1.0, ' * n_e}",
+        "    it, x_prev, x_prev2 = 0, None, None",
+        "    while True:",
+        f"        {names('x')}= x",
+        f"        if {every('x{l} >= line')}:",
+        "            return it, 'tol'",
+        f"        if {every('1.0 - x{l} <= s{l}')}:",
+        "            if basin.contains(x):",
+        "                return it, 'basin'",
+        f"            {names('s')}= basin.screen",
+        f"        if {every(f'{-_STALL_TOL!r} < x{{l}} - p{{l}} < {_STALL_TOL!r}')}:",
+        "            return it, 'stall'",
+        "        if it >= check:",
+        "            if never(x, x_prev, x_prev2, eps, line):",
+        "                return it, 'super-solution'",
+        f"            check = it + max({_CERT_FIRST}, it // {_CERT_SPACING})",
+        "        if it >= stop:",
+        "            return it, None",
+        f"        {names('p')}= {names('x')}",
         "        x_prev2, x_prev, x = x_prev, x, vn(cn(x, None), eps)",
         "        it += 1",
         "        if rows is not None:",
         "            rows.append(x)",
-        f"        {names('x')}= x",
-        f"        if {every('x{l} >= line')}:",
-        f"            {done}'tol'",
-        f"        if {every('1.0 - x{l} <= s{l}')}:",
-        f"            {done}'screen'",
-        f"        if {every(f'{-_STALL_TOL!r} < x{{l}} - p{{l}} < {_STALL_TOL!r}')}:",
-        f"            {done}'stall'",
-        f"        {names('p')}= {names('x')}",
-        f"    {done}None",
         "",
     ])
-
-
-def _settled(x: tuple, tol: float, basin: _Basin | None) -> str | None:
-    if min(x) >= 1.0 - tol:
-        return "tol"
-    if basin is not None and basin.contains(x):
-        return "basin"
-    return None
 
 
 class _Basin:

@@ -719,8 +719,8 @@ def sweep(
     bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
     if bad:
         raise ValidationError(f"erasure probabilities must lie in [0, 1], got {bad[0]!r}")
-    if len(eps_grid) > MAX_GRID_POINTS:
-        raise ValidationError(f"eps grid has {len(eps_grid)} points, at most {MAX_GRID_POINTS} allowed")
+    if not 0 < len(eps_grid) <= MAX_GRID_POINTS:
+        raise ValidationError(f"eps grid has {len(eps_grid)} points, 1 to {MAX_GRID_POINTS} allowed")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     result = SweepResult(rows=[], rng_name=_RNG_NAME, seed=seed,

@@ -734,7 +734,7 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
             reason = "stall"
         if reason is None and it >= next_check:
             next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
-            if engine._never_converges(x, x_prev, x_prev2, epsilon, tol):
+            if engine._never_converges(x, x_prev, x_prev2, epsilon, 1.0 - tol):
                 reason = "super-solution"
     reason = reason or "max_iters"
     rows = np.array(trajectory) if record else np.empty((0, n_e))

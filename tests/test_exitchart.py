@@ -336,11 +336,23 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
         lambda e: e.step([float("nan")], 0.3),
         lambda e: e.step([0.5, 0.5], 0.3),
         lambda e: e.step(["x"], 0.3),
+        # max_iters is a Python int, as decode's is: True is not 1
+        lambda e: e.run(0.3, max_iters=float("nan")),
+        lambda e: e.run(0.3, max_iters=2.5),
+        lambda e: e.run(0.3, max_iters=True),
+        lambda e: e.run(0.3, max_iters=-1),
+        lambda e: e.run(0.3, tol=0.0),
+        lambda e: e.run(0.3, tol=1.0),
+        lambda e: e.run(0.3, tol=float("nan")),
+        lambda e: e.threshold(tol_eps=0.0),
+        lambda e: e.threshold(max_iters=float("nan")),
     ],
     ids=["step-nan", "step-high", "step-low", "step-state-high", "step-state-nan",
-         "step-state-shape", "step-state-text"],
+         "step-state-shape", "step-state-text", "run-max-iters-nan", "run-max-iters-float",
+         "run-max-iters-bool", "run-max-iters-neg", "run-tol-zero", "run-tol-one", "run-tol-nan",
+         "threshold-tol-eps-zero", "threshold-max-iters-nan"],
 )
-def test_step_and_jacobian_reject_bad_inputs(call):
+def test_engine_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
         call(ExitEngine(ldpc_spec(3, 6)))
 
@@ -617,8 +629,12 @@ def test_bernstein_share_is_a_nonnegative_prefix(coeffs, root):
 @pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
 def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
     # run steps in a generated loop; its outcomes and rows are those of a
-    # plain loop over step, bit for bit, with either kind of half
-    from metdg.exitchart import _OUTCOME_OF
+    # plain loop over step, bit for bit, with either kind of half.  The small
+    # caps pin the first state and a super-solution check on the cap.
+    from metdg.exitchart import _CERT_FIRST, _OUTCOME_OF
+
+    caps = (0, 1, _CERT_FIRST, _CERT_FIRST + 1, 3 * _CERT_FIRST)
+    runs = [(False, 3000), (True, 150)] + [(record, cap) for record in (False, True) for cap in caps]
 
     if numpy_side:
         monkeypatch.setattr("metdg.exitchart._KERNEL_MAX_ENTRIES", -1)
@@ -634,7 +650,7 @@ def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
         near = 0.5 * (lo + hi)
         around = (near - 0.01, near - 1e-4, near + 1e-4, near + 0.01)
         for eps in (0.0, 0.2, *(e for e in around if 0.0 < e < 1.0), 0.7, 1.0):
-            for record, max_iters in ((False, 3000), (True, 150)):
+            for record, max_iters in runs:
                 got = engine.run(eps, max_iters=max_iters, record=record)
                 want = stepwise_run(engine, eps, max_iters=max_iters, record=record)
                 assert got[0] == want[0] and got[2] == want[2], (spec, eps, record)

@@ -448,6 +448,7 @@ def test_glibc_accepts_every_worker_setting():
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2.5, seed=0),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=True, seed=0),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=0, jobs=1.5),
+        lambda spec: sweep(spec, scale=2, eps_grid=[], trials=3, seed=1),
         lambda spec: sample_code(spec, 2.5, seed=0),
         lambda spec: sample_code(spec, True, seed=0),
         # 6 * 10**20 edges: more than numpy can index, refused before any
@@ -463,8 +464,8 @@ def test_glibc_accepts_every_worker_setting():
          "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sample-seed-bool",
          "sample-seed-numpy", "sweep-seed-bool", "sweep-seed-numpy", "sweep-scale-float",
          "sweep-scale-bool", "sweep-trials-float", "sweep-trials-bool", "sweep-jobs-float",
-         "sample-scale-float",
-         "sample-scale-bool", "sweep-unindexable", "sample-unindexable"],
+         "sweep-grid-empty", "sample-scale-float", "sample-scale-bool", "sweep-unindexable",
+         "sample-unindexable"],
 )
 def test_peeling_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
