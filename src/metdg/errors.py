@@ -1,6 +1,8 @@
 """Exception types and the parameter checks shared across the toolkit."""
 
 import math
+import numbers
+import operator
 import sys
 
 
@@ -30,10 +32,28 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool: an int, a float, or a
+    numpy integer or floating scalar.  Strings and bytes are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_index(value, what: str) -> int:
+    """value as a Python int, for an int or a numpy integer; a bool, a float
+    or a string is a ValidationError naming `what`."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def check_epsilon(epsilon: float) -> None:
-    """Reject an erasure probability outside [0, 1], NaN included."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
+    """Reject an erasure probability that is not a number in [0, 1], NaN
+    and bools included."""
+    if not (is_real(epsilon) and 0.0 <= epsilon <= 1.0):
+        raise ValidationError(f"erasure probability must be a number in [0, 1], got {epsilon!r}")
 
 
 def check_tol_eps(tol_eps: float) -> None:
@@ -43,5 +63,5 @@ def check_tol_eps(tol_eps: float) -> None:
     adjacent doubles, whose midpoint is one of them, and the search would
     never end.
     """
-    if not sys.float_info.epsilon <= tol_eps < math.inf:
+    if not (is_real(tol_eps) and sys.float_info.epsilon <= tol_eps < math.inf):
         raise ValidationError(f"tol_eps must be a finite number >= 2**-52, got {tol_eps!r}")

@@ -29,13 +29,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm, prod
-from operator import le, mul, sub
+from math import comb, factorial, inf, lcm, nextafter, prod
+from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import stability
 from .ensemble import EnsembleSpec
-from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps, is_int
+from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps, is_int, is_real
 from .infofuncs import cn_table, vn_table
 
 if TYPE_CHECKING:
@@ -363,6 +363,13 @@ def _checked(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _line(b: Fraction) -> float:
+    """The smallest double >= 1 - b, so that a float x passes x >= _line(b)
+    exactly when 1 - x <= b."""
+    line = float(1 - b)
+    return line if line >= 1 - b else nextafter(line, inf)
+
+
 def _check_run_limits(max_iters: int, tol: float) -> None:
     if not is_int(max_iters) or max_iters < 0:
         raise ValidationError(f"max_iters must be an integer >= 0, got {max_iters!r}")
@@ -403,28 +410,22 @@ class ExitEngine:
         import numpy as np
 
         check_epsilon(epsilon)
-        return np.array(self._step(tuple(self._state(i_ev).tolist()), epsilon))
+        return np.array(self._step(self._state(i_ev), epsilon))
 
     def _step(self, x: tuple, epsilon: float) -> tuple:
         """step on a state tuple of floats, without the input checks."""
         return self._vn_kernel(self._cn_kernel(x, None), epsilon)
 
-    def _state(self, i_ev) -> np.ndarray:
-        """A caller's state as a float vector, or ValidationError."""
-        import numpy as np
-
+    def _state(self, i_ev) -> tuple:
+        """A caller's state, n_e numbers in [0, 1], as a tuple of floats, or
+        ValidationError: bools and strings are not numbers."""
         try:
-            x = np.asarray(i_ev, dtype=float)
-        except (TypeError, ValueError):
+            x = tuple(i_ev)
+        except TypeError:
             raise ValidationError(f"a state must be a vector of numbers, got {i_ev!r}") from None
-        if x.shape != (self.n_edge_types,):
-            raise ValidationError(
-                f"a state has one component per edge type ({self.n_edge_types}), "
-                f"got shape {x.shape}"
-            )
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise ValidationError(f"state components must lie in [0, 1], got {x.tolist()!r}")
-        return x
+        if len(x) != self.n_edge_types or not all(is_real(a) and 0.0 <= a <= 1.0 for a in x):
+            raise ValidationError(f"a state is {self.n_edge_types} numbers in [0, 1], got {i_ev!r}")
+        return tuple(map(float, x))
 
     def run(
         self,
@@ -452,7 +453,8 @@ class ExitEngine:
           every iterate from the all-unknown y = 1 at or above it, and the
           iterates never reach the all-known state.
         - converged, "basin": the verdict is "stable" and the state enters
-          the basin that _basin certifies.
+          the basin that _basin certifies, tested on floats against lines
+          that accept exactly the basin's states.
         - stuck, "super-solution": every so often the run guesses a bound y
           on its stuck point by geometric extrapolation of the last two
           increments, y = min(1, x + 2 d / (1 - r) + _CERT_PAD), where x is
@@ -492,26 +494,26 @@ class ExitEngine:
         """run with its checks, recording each state as a tuple into rows
         unless rows is None; threshold probes and the exit-chart command
         run through it, so that neither makes an array.  It takes the exact
-        verdict and the first step; _advance takes every later decision."""
+        verdict, the basin's lines and the first step; _advance takes every
+        later decision, the one basin proof included."""
         check_epsilon(epsilon)
         _check_run_limits(max_iters, tol)
-        basin = None
+        # no state reaches a line of 2.0
+        lines, prove = (2.0,) * self.n_edge_types, None
         sm = None if rows is not None else self._stability
         if sm is not None:
             verdict, v = stability._verdict(sm, epsilon, solve=True)
             if verdict == "unstable":
                 return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
-                basin = self._basin(sm, epsilon, v)
+                lines, prove = self._basin(sm, epsilon, v)
         # States are tuples of floats; the comparisons in _advance are the
         # same IEEE operations an array would take.
         x = self._step((0.0,) * self.n_edge_types, epsilon)
         if rows is not None:
             rows.append(x)
-        # no state passes a screen of -1
-        screen = (-1.0,) * self.n_edge_types if basin is None else basin.screen
         check = max_iters + 1 if rows is not None else _CERT_FIRST
-        steps, reason = self._advance(x, epsilon, max_iters, 1.0 - tol, screen, basin, check, rows)
+        steps, reason = self._advance(x, epsilon, max_iters, 1.0 - tol, lines, prove, check, rows)
         return ProbeOutcome(epsilon, reason or "max_iters", steps)
 
     @cached_property
@@ -535,9 +537,13 @@ class ExitEngine:
 
     def _basin(
         self, sm: stability.StabilityMatrices, epsilon: float, v: list[Fraction]
-    ) -> _Basin | None:
+    ) -> tuple[tuple[float, ...], Callable[[], tuple[float, ...]] | None]:
         """A basin {y <= c0 v} of the all-known state at a stable epsilon,
-        certified by the test below, or None when r rounds to 1.
+        certified by the test below, as (lines, prove): float lines that
+        every state of the basin reaches, and a one-shot prove() that runs
+        the test and returns the basin's own lines (see _line), or lines
+        of 2.0, which no state reaches, when the test fails.  Where r rounds
+        to 1 there is no basin: the lines are 2.0 and prove is None.
 
         In erasure coordinates y = 1 - x the step is g = h_V . h_C, its CN
         and VN halves, both nondecreasing with h(0) = 0 and with Jacobians
@@ -564,23 +570,29 @@ class ExitEngine:
         _CERT_SLACK, so it also holds every state within twice the rounding
         error of one computed step of the one tested.
 
-        Only (v, w, r) is computed here.  The exact test runs when a state
-        first comes near the basin (_Basin.certified), so a probe that never
-        does, such as a stuck one, spends nothing on it.
+        Only (v, w, r) and the lines of {y <= c_max v}, which holds every
+        basin the test can prove, are computed here.  The exact test runs
+        when a state first reaches those lines, so a probe that never does,
+        such as a stuck one, spends nothing on it.
         """
         top = max(v)
         r = float(1 - Fraction(7, 16) / top)
         if r == 1.0:
-            return None
+            return (2.0,) * len(v), None
         spread = max(map(sum, stability._p_at(sm, Fraction(float(epsilon)))))
         # any eta > 0 serves where P(eps) vanishes
         eta = Fraction(7, 32) / (top * spread) if spread else 1
         v = [t / top for t in v]
         w = [float(sum(map(mul, row, v)) + eta) for row in sm.c]
         v = [float(t) for t in v]
-        # Every bound below lies under c_max v; the factor covers rounding.
-        screen = [min(1.0, 1.0 / max(w)) * t * (1.0 + 1e-9) for t in v]
-        return _Basin(screen, lambda: self._certified_bound(v, w, r, epsilon))
+        # every bound lies under c_max v, c_max being _certified_bound's
+        c_max = min(Fraction(1), 1 / Fraction(max(w)))
+
+        def prove() -> tuple[float, ...]:
+            bound = self._certified_bound(v, w, r, epsilon)
+            return (2.0,) * len(v) if bound is None else tuple(map(_line, bound))
+
+        return tuple(_line(c_max * Fraction(t)) for t in v), prove
 
     def _certified_bound(self, v, w, r: float, epsilon: float) -> list[Fraction] | None:
         """The exact part of _basin: c0 v - _CERT_SLACK, or None when that
@@ -670,20 +682,21 @@ class ExitEngine:
 
 
 def _advance_source(n_e: int) -> str:
-    """Python source of advance(x, eps, stop, line, screen, basin, check,
+    """Python source of advance(x, eps, stop, line, lines, prove, check,
     rows), run's loop from its first state: it tests each state, then steps
     it, and returns (steps, reason), reason None after stop steps.
 
     The tests, in run's order: "tol" when every component reaches line;
-    "basin" when 1 - x passes the float screen and basin.contains(x), the
-    screen being read again from basin otherwise, as the proof replaces it;
-    "stall" when no component moved by _STALL_TOL (the previous state
-    starts at -1.0, so the first never stalls); "super-solution" once the
-    step count reaches check and never(x, x_prev, x_prev2, eps, line), check
-    then moving on as run describes; then the cap.  A step is the CN kernel
-    then the VN kernel, from the namespace, and each new state is appended
-    to rows unless rows is None.  The comparisons are run's on tuples,
-    unrolled over the n_e components.
+    "basin" when each component x_l reaches lines[l] and prove is None
+    (the first state to reach them while prove is set swaps them for
+    prove(), drops prove and is tested again); "stall" when no component
+    moved by _STALL_TOL (the previous state starts at -1.0, so the first
+    never stalls); "super-solution" once the step count reaches check and
+    never(x, x_prev, x_prev2, eps, line), check then moving on as run
+    describes; then the cap.  A step is the CN kernel then the VN kernel,
+    from the namespace, and each new state is appended to rows unless rows
+    is None.  The comparisons are run's on tuples, unrolled over the n_e
+    components; the lines hold floats only, so the basin test is exact.
     """
 
     def names(prefix: str) -> str:
@@ -693,18 +706,20 @@ def _advance_source(n_e: int) -> str:
         return " and ".join(test.format(l=l) for l in range(n_e))
 
     return "\n".join([
-        "def advance(x, eps, stop, line, screen, basin, check, rows):",
-        f"    {names('s')}= screen",
+        "def advance(x, eps, stop, line, lines, prove, check, rows):",
+        f"    {names('b')}= lines",
         f"    {names('p')}= {'-1.0, ' * n_e}",
         "    it, x_prev, x_prev2 = 0, None, None",
         "    while True:",
         f"        {names('x')}= x",
         f"        if {every('x{l} >= line')}:",
         "            return it, 'tol'",
-        f"        if {every('1.0 - x{l} <= s{l}')}:",
-        "            if basin.contains(x):",
+        f"        if {every('x{l} >= b{l}')}:",
+        "            if prove is None:",
         "                return it, 'basin'",
-        f"            {names('s')}= basin.screen",
+        f"            {names('b')}= prove()",
+        "            prove = None",
+        "            continue",
         f"        if {every(f'{-_STALL_TOL!r} < x{{l}} - p{{l}} < {_STALL_TOL!r}')}:",
         "            return it, 'stall'",
         "        if it >= check:",
@@ -720,32 +735,6 @@ def _advance_source(n_e: int) -> str:
         "            rows.append(x)",
         "",
     ])
-
-
-class _Basin:
-    """The states with 1 - x <= bound componentwise, bound exact.  The bound
-    is proven when a state first passes the float screen, which holds every
-    state of the basin; then the bound's own float values screen."""
-
-    def __init__(self, screen: list[float], certify: Callable[[], list[Fraction] | None]):
-        self.screen = screen
-        self._certify = certify
-        self._bound: list[Fraction] | None = None
-
-    def certified(self) -> list[Fraction] | None:
-        """The exact bound, or None when the proof fails."""
-        if self._certify is not None:
-            self._bound, self._certify = self._certify(), None
-            # no state passes a screen of -1 once the proof has failed
-            self.screen = [float(b) for b in self._bound or [-1.0] * len(self.screen)]
-        return self._bound
-
-    def contains(self, x: tuple) -> bool:
-        # The float comparison only screens; the exact one decides.
-        if not all(map(le, map((1.0).__sub__, x), self.screen)):
-            return False
-        bound = self.certified()
-        return bound is not None and all(1 - Fraction(a) <= b for a, b in zip(x, bound))
 
 
 def _bernstein(coeffs: list, width: Fraction) -> list:

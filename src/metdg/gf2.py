@@ -23,7 +23,7 @@ from itertools import permutations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import CapacityError, ValidationError, is_int
+from .errors import CapacityError, ValidationError, as_index, is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,9 +53,12 @@ class GF2Matrix:
     __slots__ = ("n_rows", "n_cols", "row_bits")
 
     def __init__(self, n_rows: int, n_cols: int, row_bits: Iterable[int]):
+        # integers only, numpy ones included: int() would truncate floats,
+        # parse strings and take True for 1
+        n_rows, n_cols = as_index(n_rows, "n_rows"), as_index(n_cols, "n_cols")
         if n_rows < 0 or n_cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        bits = tuple(int(r) for r in row_bits)
+        bits = tuple(as_index(r, "a row's bits") for r in row_bits)
         if len(bits) != n_rows:
             raise ValidationError(f"expected {n_rows} rows, got {len(bits)}")
         mask = (1 << n_cols) - 1

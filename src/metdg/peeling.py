@@ -55,7 +55,7 @@ import numpy as np
 
 from . import gf2
 from .ensemble import EnsembleSpec
-from .errors import CapacityError, InternalError, ValidationError, is_int
+from .errors import CapacityError, InternalError, ValidationError, is_int, is_real
 
 _RNG_NAME = "philox"
 # Stream derivation packs the grid index into 16 bits and the trial index
@@ -511,7 +511,12 @@ def _decode_block(code: SampledCode, erased: np.ndarray, max_iters, record_traje
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, from integers
+    0 <= successes <= trials; (0, 1) when trials is 0."""
+    if not (is_int(successes) and is_int(trials) and 0 <= successes <= trials):
+        raise ValidationError(
+            f"need integers 0 <= successes <= trials, got {successes!r} and {trials!r}"
+        )
     if trials == 0:
         return 0.0, 1.0
     z = _WILSON_Z
@@ -710,17 +715,24 @@ def sweep(
     key holds at most MAX_GRID_POINTS grid points and MAX_TRIALS trials per
     point.
     """
-    eps_grid = [float(eps) for eps in eps_grid]
     _check_scale(spec, scale)
     _check_count(trials, "trials", 1)
     _check_count(jobs, "jobs", 1)
     _check_count(record_exit_iters, "record_exit_iters", 0)
     _check_seed(seed)
-    bad = [eps for eps in eps_grid if not 0.0 <= eps <= 1.0]
+    try:
+        eps_grid = list(eps_grid)
+    except TypeError:
+        raise ValidationError(f"eps grid must be a sequence of numbers, got {eps_grid!r}") from None
+    bad = [eps for eps in eps_grid if not (is_real(eps) and 0.0 <= eps <= 1.0)]
     if bad:
-        raise ValidationError(f"erasure probabilities must lie in [0, 1], got {bad[0]!r}")
+        raise ValidationError(f"erasure probabilities must be numbers in [0, 1], got {bad[0]!r}")
+    eps_grid = [float(eps) for eps in eps_grid]
     if not 0 < len(eps_grid) <= MAX_GRID_POINTS:
         raise ValidationError(f"eps grid has {len(eps_grid)} points, 1 to {MAX_GRID_POINTS} allowed")
+    # recorded trials are keyed by eps, so a repeated point would lose some
+    if record_exit_iters > 0 and len(set(eps_grid)) < len(eps_grid):
+        raise ValidationError("a sweep that records trajectories needs distinct eps grid values")
     if trials > MAX_TRIALS:
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     result = SweepResult(rows=[], rng_name=_RNG_NAME, seed=seed,

@@ -689,7 +689,9 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
 def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
     """ExitEngine.run as a plain Python loop over engine.step: after each
     step the tol test, the basin test, the stall test, then the
-    super-solution test when it is due.  Returns (converged, trajectory,
+    super-solution test when it is due.  The basin test is exact: 1 - x <=
+    bound in rationals, for the bound _certified_bound proves, which is
+    proven at the start of the run.  Returns (converged, trajectory,
     outcome) as run does."""
     from operator import sub
 
@@ -702,19 +704,28 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
     from metdg.stability import _verdict
 
     n_e = engine.n_edge_types
-    basin = None
+    bounds = []
     sm = None if record else engine._stability
     if sm is not None:
         verdict, v = _verdict(sm, epsilon, solve=True)
         if verdict == "unstable":
             return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
         if verdict == "stable":
-            basin = engine._basin(sm, epsilon, v)
+            # the bound that _basin's prove() reads, caught on its way
+            certify = engine._certified_bound
+            engine._certified_bound = lambda *args: bounds.append(certify(*args))
+            try:
+                prove = engine._basin(sm, epsilon, v)[1]
+                if prove is not None:
+                    prove()
+            finally:
+                del engine._certified_bound
+    bound = bounds[0] if bounds else None
 
     def settled(x):
         if min(x) >= 1.0 - tol:
             return "tol"
-        if basin is not None and basin.contains(x):
+        if bound is not None and all(1 - Fraction(a) <= b for a, b in zip(x, bound)):
             return "basin"
         return None
 

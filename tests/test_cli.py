@@ -349,6 +349,46 @@ def test_simulate_golden_digests(spec, jobs, tmp_path):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+# `metdg threshold` results at the CLI defaults, and the SHA-256 of the
+# non-comment lines of `metdg exit-chart` CSV output joined by newlines,
+# pinned before the DE loop took the basin as float lines.  These specs step
+# with generated kernels, so no numpy rounding enters.
+_GOLDEN_THRESHOLD = {
+    "ldpc36": [0.4294395446777344, 0.4294414520263672, 19],
+    "ex1_spc3": [0.49999813897687406, 0.5000000463256836, 18],
+    "ex2_rep3": [0.6980457305908203, 0.6980476379394531, 19],
+    "dgldpc": [0.39752197265625, 0.3975238800048828, 19],
+}
+_GOLDEN_EXIT_CHART = {
+    ("ex1_spc3", "0.499"): "c0fee77515f597b361f956ddc1d4825e99dfc71a12b64f1caf84014b12827c1d",
+    ("ldpc36", "0.42"): "61dedb83da3aa5956f3791cba5de73f5a5dd1704ee303099db6120df4d41ccbd",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GOLDEN_THRESHOLD))
+def test_threshold_golden_results(spec, tmp_path):
+    lo, hi, probes = _GOLDEN_THRESHOLD[spec]
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
+    out = tmp_path / "threshold.json"
+    assert main(["threshold", str(path), "--out", str(out)]) == 0
+    assert _read_json(out)["results"] == {
+        "bracket": [lo, hi],
+        "iterations": probes,
+        "threshold": 0.5 * (lo + hi),
+        "tol": 1e-06,
+        "undecided": 0,
+    }
+
+
+@pytest.mark.parametrize("spec, eps", sorted(_GOLDEN_EXIT_CHART))
+def test_exit_chart_golden_digests(spec, eps, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
+    out = tmp_path / "chart.csv"
+    assert main(["exit-chart", str(path), "--epsilon", eps, "--out", str(out)]) == 0
+    body = "\n".join(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == _GOLDEN_EXIT_CHART[spec, eps]
+
+
 def test_json_reports_identical_modulo_duration(ex1_path, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -336,6 +336,18 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
         lambda e: e.step([float("nan")], 0.3),
         lambda e: e.step([0.5, 0.5], 0.3),
         lambda e: e.step(["x"], 0.3),
+        # real-number parameters are numbers: no bool, no string, no bytes
+        lambda e: e.step(["0.5"], 0.3),
+        lambda e: e.step([b"0.5"], 0.3),
+        lambda e: e.step([True], 0.3),
+        lambda e: e.step(0.5, 0.3),
+        lambda e: e.step([[0.5]], 0.3),
+        lambda e: e.step([0.5], True),
+        lambda e: e.step([0.5], "0.3"),
+        lambda e: e.run(True),
+        lambda e: e.run("0.3"),
+        lambda e: e.threshold(tol_eps=True),
+        lambda e: e.threshold(tol_eps="1e-3"),
         # max_iters is a Python int, as decode's is: True is not 1
         lambda e: e.run(0.3, max_iters=float("nan")),
         lambda e: e.run(0.3, max_iters=2.5),
@@ -348,13 +360,26 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
         lambda e: e.threshold(max_iters=float("nan")),
     ],
     ids=["step-nan", "step-high", "step-low", "step-state-high", "step-state-nan",
-         "step-state-shape", "step-state-text", "run-max-iters-nan", "run-max-iters-float",
+         "step-state-shape", "step-state-text", "step-state-str-number",
+         "step-state-bytes", "step-state-bool", "step-state-scalar", "step-state-nested",
+         "step-eps-bool", "step-eps-str", "run-eps-bool", "run-eps-str",
+         "threshold-tol-eps-bool", "threshold-tol-eps-str", "run-max-iters-nan", "run-max-iters-float",
          "run-max-iters-bool", "run-max-iters-neg", "run-tol-zero", "run-tol-one", "run-tol-nan",
          "threshold-tol-eps-zero", "threshold-max-iters-nan"],
 )
 def test_engine_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
         call(ExitEngine(ldpc_spec(3, 6)))
+
+
+def test_engine_takes_ints_and_numpy_scalars_as_numbers():
+    engine = ExitEngine(ldpc_spec(3, 6))
+    want = engine.step([0.5], 0.25)
+    for x, eps in (([np.float32(0.5)], np.float64(0.25)), (np.array([0.5]), 0.25), ((0.5,), 0.25)):
+        assert np.array_equal(engine.step(x, eps), want)
+    assert np.array_equal(engine.step([1], 0), engine.step([1.0], 0.0))
+    assert engine.run(np.float64(0.3))[2] == engine.run(0.3)[2]
+    assert engine.threshold(tol_eps=np.float64(1e-3)) == engine.threshold(tol_eps=1e-3)
 
 
 def test_threshold_never_exceeds_stability_bound():
@@ -482,8 +507,8 @@ def test_basin_and_cap_agree_with_deciding_oracle_on_random_specs():
 
 
 def test_every_state_in_a_certified_basin_converges():
-    # the basin is {1 - x <= bound}; by monotonicity of the step its corner
-    # x = 1 - bound is the hardest state in it, so the iteration from the
+    # the basin is {x >= lines}; by monotonicity of the step its corner
+    # x = lines is the hardest state in it, so the iteration from the
     # corner must reach the all-known state.  Specs where local stability
     # does not limit the threshold put a stuck fixed point close to 0 just
     # below their stability bound, where an oversized basin would hold it.
@@ -498,11 +523,12 @@ def test_every_state_in_a_certified_basin_converges():
         for eps in np.linspace(0.05, 0.95, 37):
             if sm.sigma(float(eps)) > 0.99:
                 continue
-            basin = engine._basin(sm, float(eps), _verdict(sm, float(eps), solve=True)[1])
-            if basin is None or basin.certified() is None:
+            _, prove = engine._basin(sm, float(eps), _verdict(sm, float(eps), solve=True)[1])
+            lines = None if prove is None else prove()
+            if lines is None or max(lines) == 2.0:
                 continue
             built += 1
-            x = np.array([1.0 - float(b) for b in basin.certified()])
+            x = np.array(lines)
             for _ in range(5000):
                 x = engine.step(x, float(eps))
                 if x.min() >= 1.0 - 1e-10:
@@ -527,10 +553,10 @@ def test_basin_vectors_satisfy_the_certificate_inequalities(monkeypatch):
         for eps in np.linspace(0.02, 1.0, 50):
             eps = float(eps)
             verdict, v = _verdict(sm, eps, solve=True)
-            basin = None if verdict != "stable" else engine._basin(sm, eps, v)
-            if basin is None:
+            prove = None if verdict != "stable" else engine._basin(sm, eps, v)[1]
+            if prove is None:
                 continue
-            basin.certified()
+            prove()
             v, w, r, _ = handed.pop()
             v, w, r = [Fraction(t) for t in v], [Fraction(t) for t in w], Fraction(r)
             p = [[sum(a * Fraction(eps) ** u for u, a in enumerate(cell)) for cell in row]
@@ -591,14 +617,31 @@ def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
     # stable by the exact verdict, yet float sigma reads 1: the solution v
     # of (I - P(eps)C) v = 1 is so large that the basin's contraction factor
     # r = 1 - 7 / (16 max(v)) rounds to 1, so the run goes without a basin
-    # and ends at its cap
+    # (lines of 2.0 and nothing to prove) and ends at its cap
     sm = build_matrices(spec)
     assert stability_verdict(sm, eps) == "stable" and sm.sigma(eps) >= 1.0
     engine = ExitEngine(spec)
-    assert engine._basin(sm, eps, _verdict(sm, eps, solve=True)[1]) is None
+    no_basin = ((2.0,) * spec.n_edge_types, None)
+    assert engine._basin(sm, eps, _verdict(sm, eps, solve=True)[1]) == no_basin
     start = time.perf_counter()
     assert engine.run(eps, max_iters=2000)[2].reason == "max_iters"
     assert time.perf_counter() - start < 0.5
+
+
+def test_line_is_the_smallest_double_at_or_above_one_minus_b():
+    # a float x has x >= _line(b) exactly when 1 - x <= b, which is what lets
+    # the DE loop test basin membership on floats
+    from math import inf, nextafter
+
+    from metdg.exitchart import _line
+
+    rng = np.random.default_rng(44)
+    bs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2**60), Fraction(2**53 - 1, 2**53)]
+    bs += [Fraction(int(a), int(a) + int(b)) for a, b in rng.integers(1, 2**62, size=(500, 2))]
+    bs += [Fraction(1, int(q)) for q in rng.integers(2, 2**62, size=100)]
+    for b in bs:
+        line = _line(b)
+        assert Fraction(line) >= 1 - b > Fraction(nextafter(line, -inf)), b
 
 
 @pytest.mark.parametrize(
@@ -797,10 +840,8 @@ def test_exact_basin_is_built_only_when_a_state_comes_near_it(monkeypatch):
     basin = ExitEngine._basin
 
     def eager_basin(self, *args):
-        b = basin(self, *args)
-        if b is not None:
-            b.certified()
-        return b
+        lines, prove = basin(self, *args)
+        return (lines if prove is None else prove()), None
 
     monkeypatch.setattr(ExitEngine, "_basin", eager_basin)
     eager = _probe_log(ExitEngine(spec), certified)

@@ -252,6 +252,26 @@ def test_matrix_validation():
             GF2Matrix.from_rows([[1, entry]])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2, 2, [1.5, 2]), (2, 2, ["1", "2"]), (2, 2, [True, 2]), (2, 2, [1.0, 2]),
+     (2.0, 2, [1, 2]), (True, 2, [1]), (2, "2", [1, 2]), (2, 2.5, [1, 2])],
+    ids=["row-float", "row-str", "row-bool", "row-whole-float", "rows-float", "rows-bool",
+         "cols-str", "cols-float"],
+)
+def test_matrix_takes_only_integers(args):
+    # int() would truncate 1.5 to 1, parse "1" and take True for 1
+    with pytest.raises(ValidationError):
+        GF2Matrix(*args)
+
+
+def test_matrix_takes_numpy_integers_as_python_ints():
+    m = GF2Matrix(np.int64(2), np.uint8(2), np.array([1, 2]))
+    assert (m.n_rows, m.n_cols, m.row_bits) == (2, 2, (1, 2))
+    assert all(type(v) is int for v in (m.n_rows, m.n_cols, *m.row_bits))
+    assert m == GF2Matrix.identity(2)
+
+
 def test_matrix_is_hashable_and_immutable():
     m = GF2Matrix.identity(2)
     assert hash(m) == hash(GF2Matrix.identity(2))

@@ -449,6 +449,15 @@ def test_glibc_accepts_every_worker_setting():
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=True, seed=0),
         lambda spec: sweep(spec, scale=2, eps_grid=[0.3], trials=2, seed=0, jobs=1.5),
         lambda spec: sweep(spec, scale=2, eps_grid=[], trials=3, seed=1),
+        # a recorded sweep keys its trajectories by eps: no point twice
+        lambda spec: sweep(spec, scale=2, eps_grid=[0.4, 0.4, 0.45], trials=2, seed=1,
+                           record_exit_iters=3),
+        # grid points are numbers: no bool, no string, and the grid is a sequence
+        lambda spec: sweep(spec, scale=2, eps_grid=["0.4", True], trials=2, seed=1),
+        lambda spec: sweep(spec, scale=2, eps_grid=[True], trials=2, seed=1),
+        lambda spec: sweep(spec, scale=2, eps_grid=["x"], trials=2, seed=1),
+        lambda spec: sweep(spec, scale=2, eps_grid=0.4, trials=2, seed=1),
+        lambda spec: sweep(spec, scale=2, eps_grid="0.4", trials=2, seed=1),
         lambda spec: sample_code(spec, 2.5, seed=0),
         lambda spec: sample_code(spec, True, seed=0),
         # 6 * 10**20 edges: more than numpy can index, refused before any
@@ -464,12 +473,25 @@ def test_glibc_accepts_every_worker_setting():
          "sample-seed-neg", "sample-seed-big", "sample-seed-float", "sample-seed-bool",
          "sample-seed-numpy", "sweep-seed-bool", "sweep-seed-numpy", "sweep-scale-float",
          "sweep-scale-bool", "sweep-trials-float", "sweep-trials-bool", "sweep-jobs-float",
-         "sweep-grid-empty", "sample-scale-float", "sample-scale-bool", "sweep-unindexable",
+         "sweep-grid-empty", "sweep-grid-repeat-recorded", "sweep-grid-str-bool",
+         "sweep-grid-bool", "sweep-grid-text", "sweep-grid-scalar", "sweep-grid-str",
+         "sample-scale-float", "sample-scale-bool", "sweep-unindexable",
          "sample-unindexable"],
 )
 def test_peeling_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
         call(ldpc_spec(3, 6))
+
+
+def test_unrecorded_sweep_keeps_repeated_and_numpy_grid_points():
+    # each point has its own trial streams, so a repeat is a fresh estimate
+    spec = ldpc_spec(3, 6)
+    result = sweep(spec, scale=2, eps_grid=[0.4, 0.4, 0.45], trials=3, seed=1)
+    assert [row["eps"] for row in result.rows] == [0.4, 0.4, 0.45]
+    same = sweep(spec, scale=2, eps_grid=np.array([0.4, 0.4, 0.45]), trials=3, seed=1)
+    assert same.rows == result.rows
+    recorded = sweep(spec, scale=2, eps_grid=[0.4, 0.45], trials=3, seed=1, record_exit_iters=3)
+    assert sorted(recorded.trajectories) == [0.4, 0.45]
 
 
 def test_largest_seed_is_accepted():
@@ -593,7 +615,18 @@ def test_sweep_waterfall_brackets_threshold(ldpc36):
     assert result.rows[1]["bler"] >= 0.9
 
 
+@pytest.mark.parametrize(
+    "successes, trials",
+    [(5, 3), (-1, 10), (1.0, 2), (True, 2), (1, 2.0), ("1", 2)],
+    ids=["above-trials", "negative", "float-successes", "bool-successes", "float-trials", "str-successes"],
+)
+def test_wilson_interval_rejects_bad_counts(successes, trials):
+    with pytest.raises(ValidationError):
+        wilson_interval(successes, trials)
+
+
 def test_wilson_interval_sanity():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi < 0.05
     lo, hi = wilson_interval(100, 100)
