@@ -5,9 +5,8 @@ because an analysis assumption does not hold.  Diagnostics go to stderr;
 data goes to stdout or --out.  Every emitted document embeds the SHA-256 of
 the canonicalized spec so results stay traceable to their input.  Only
 `simulate` imports the simulator, `metdg.peeling`, and with it numpy; the
-other subcommands import numpy only where they need floats in arrays: the
-spectral radius that `stability --epsilon` reports, a table that walks, or
-a step half too wide for generated code.
+other subcommands import numpy only where they need floats in arrays: a
+table that walks, or a step half too wide for generated code.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -197,6 +198,16 @@ def exact_stability_product(sm, epsilon) -> list[list[Fraction]]:
     eps = Fraction(epsilon)
     p = [[sum(a * eps**u for u, a in enumerate(coeffs)) for coeffs in row] for row in sm.p_coeffs]
     return _matmul(p, sm.c)
+
+
+def lapack_sigma(sm, epsilon) -> float:
+    """LAPACK's spectral radius of P(epsilon) C, in floats with P(epsilon) by
+    Horner's rule: an oracle for the exact verdict that shares none of its
+    arithmetic."""
+    p = [[reduce(lambda acc, a: acc * epsilon + a, reversed(cell), 0.0) for cell in row]
+         for row in sm.p_coeffs]
+    c = [[float(x) for x in row] for row in sm.c]
+    return float(np.max(np.abs(np.linalg.eigvals(np.array(p) @ np.array(c)))))
 
 
 def _matmul(a, b) -> list[list[Fraction]]:

@@ -27,6 +27,7 @@ from conftest import (
     example2_spec,
     fig1_spec,
     irregular_ldpc_spec,
+    lapack_sigma,
     ldpc_spec,
     pair_code_gen,
     random_component_code,
@@ -614,12 +615,12 @@ def test_probes_next_to_the_bound_end_in_the_basin():
     ids=["ex1_spc3_spc4", "ex2_pair"],
 )
 def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
-    # stable by the exact verdict, yet float sigma reads 1: the solution v
+    # stable by the exact verdict, yet LAPACK's sigma reads 1: the solution v
     # of (I - P(eps)C) v = 1 is so large that the basin's contraction factor
     # r = 1 - 7 / (16 max(v)) rounds to 1, so the run goes without a basin
     # (lines of 2.0 and nothing to prove) and ends at its cap
     sm = build_matrices(spec)
-    assert stability_verdict(sm, eps) == "stable" and sm.sigma(eps) >= 1.0
+    assert stability_verdict(sm, eps) == "stable" and lapack_sigma(sm, eps) >= 1.0
     engine = ExitEngine(spec)
     no_basin = ((2.0,) * spec.n_edge_types, None)
     assert engine._basin(sm, eps, _verdict(sm, eps, solve=True)[1]) == no_basin

@@ -30,6 +30,8 @@ _CLI = [
     ["threshold", "ex1_spc3.json"],
     ["threshold", "ex2_rep3.json"],
     ["stability", "ex1_spc3.json", "--bound"],
+    ["stability", "ldpc36.json", "--epsilon", "0.3"],
+    ["stability", "ex1_spc3.json", "--epsilon", "0.3", "--bound"],
     ["exit-chart", "ldpc36.json", "--epsilon", "0.42"],
 ]
 

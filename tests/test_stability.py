@@ -15,6 +15,7 @@ from metdg import (
     stability_bound,
     stability_verdict,
 )
+from metdg import stability
 from metdg.ensemble import spec_from_dict
 from metdg.gf2 import enumerate_weight2_pairs
 from metdg.stability import _p_at, _verdict
@@ -30,6 +31,8 @@ from conftest import (
     example2_spec,
     fig1_spec,
     irregular_ldpc_spec,
+    lapack_sigma,
+    ldpc_spec,
     pair_code_gen,
     random_eligible_spec,
     rep_gen,
@@ -367,7 +370,7 @@ def test_verdict_agrees_with_float_sigma_away_from_one():
         spec = random_eligible_spec(rng)
         sm = build_matrices(spec)
         for eps in np.linspace(0.05, 1.0, 20):
-            sigma = sm.sigma(float(eps))
+            sigma = lapack_sigma(sm, float(eps))
             if abs(sigma - 1.0) > 1e-9:
                 want = "stable" if sigma < 1.0 else "unstable"
                 assert stability_verdict(sm, float(eps)) == want
@@ -375,9 +378,9 @@ def test_verdict_agrees_with_float_sigma_away_from_one():
     assert seen == {"stable", "unstable"}
 
 
-def test_verdict_on_40_edge_types_is_fast():
-    # a dense 40 x 40 product, scaled to float sigma 0.95 at eps = 0.3, so
-    # that the elimination runs through all 40 pivots
+def _dense_40_type_product() -> StabilityMatrices:
+    """A dense 40 x 40 product, scaled to LAPACK's sigma 0.95 at eps = 0.3,
+    so that the elimination runs through all 40 pivots."""
     rng = np.random.default_rng(5)
     n = 40
     c = [[Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9))) for _ in range(n)] for _ in range(n)]
@@ -386,13 +389,83 @@ def test_verdict_on_40_edge_types_is_fast():
               for _ in range(n))
         for _ in range(n)
     )
-    sigma = StabilityMatrices(n, tuple(map(tuple, c)), p).sigma(0.3)
+    sigma = lapack_sigma(StabilityMatrices(n, tuple(map(tuple, c)), p), 0.3)
     scale = Fraction(0.95 / sigma).limit_denominator(1000)
     sm = StabilityMatrices(n, tuple(tuple(x * scale for x in row) for row in c), p)
-    assert abs(sm.sigma(0.3) - 0.95) < 1e-3
+    assert abs(lapack_sigma(sm, 0.3) - 0.95) < 1e-3
+    return sm
+
+
+def test_verdict_on_40_edge_types_is_fast():
+    sm = _dense_40_type_product()
     start = time.perf_counter()
     assert _verdict(sm, 0.3)[0] == "stable"
     assert time.perf_counter() - start < 1.0
+
+
+def test_sigma_on_40_edge_types_is_fast():
+    # an estimate within an ulp needs at most the two verdicts that certify it
+    sm = _dense_40_type_product()
+    start = time.perf_counter()
+    sigma = sm.sigma(0.3)
+    assert time.perf_counter() - start < 1.0
+    assert sigma < 1.0 and math.isclose(sigma, lapack_sigma(sm, 0.3), rel_tol=1e-12)
+
+
+def _assert_within_one_ulp(sm, eps, sigma):
+    """The exact spectral radius of P(eps)C lies in [sigma - 1 ulp,
+    sigma + 1 ulp), by the principal-minor oracle on P(eps)C / t."""
+    product = exact_stability_product(sm, eps)
+
+    def verdict_at(t):
+        return principal_minor_verdict([[x / Fraction(t) for x in row] for row in product])
+
+    assert verdict_at(math.nextafter(sigma, math.inf)) == "stable", (eps, sigma)
+    if sigma > 0.0:
+        assert verdict_at(math.nextafter(sigma, 0.0)) != "stable", (eps, sigma)
+
+
+def test_sigma_is_certified_on_random_specs():
+    # within 1 ulp of the exact spectral radius, on the verdict's side of 1,
+    # and within 1e-12 of LAPACK's value wherever that is clear of 1
+    rng = np.random.default_rng(61)
+    sides = {"stable": operator.lt, "marginal": operator.eq, "unstable": operator.gt}
+    compared = 0
+    for _ in range(12):
+        sm = build_matrices(random_eligible_spec(rng))
+        for eps in np.linspace(0.05, 1.0, 20):
+            eps = float(eps)
+            sigma, oracle = sm.sigma(eps), lapack_sigma(sm, eps)
+            assert sides[stability_verdict(sm, eps)](sigma, 1.0), (eps, sigma)
+            _assert_within_one_ulp(sm, eps, sigma)
+            if abs(oracle - 1.0) > 1e-9:
+                assert math.isclose(sigma, oracle, rel_tol=1e-12), (eps, sigma, oracle)
+                compared += 1
+    assert compared >= 200
+
+
+def test_sigma_takes_the_verdicts_side_where_lapack_does_not():
+    # LAPACK read 1.0 for the first, 2.0000000000000004 for the exact 2 and
+    # 5.099999999999997 below the wide spec's exact bracket
+    ex1 = build_matrices(example1_spec(spc_gen(3), spc_gen(3)))
+    below_half = 0.49999999999999994
+    assert stability_verdict(ex1, below_half) == "stable" and ex1.sigma(below_half) < 1.0
+    assert ex1.sigma(1.0) == 2.0
+    assert stability_verdict(ex1, 0.5) == "marginal" and ex1.sigma(0.5) == 1.0
+    wide = build_matrices(wide_spec())
+    assert 5.1 <= wide.sigma(0.3) <= 5.1000000000000005
+    for sm, eps in ((ex1, below_half), (ex1, 1.0), (wide, 0.3)):
+        _assert_within_one_ulp(sm, eps, sm.sigma(eps))
+
+
+def test_vanishing_product_reports_zero_without_a_verdict(monkeypatch):
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("a vanishing product needs no verdict")
+
+    monkeypatch.setattr(stability, "_verdict", no_verdict)
+    for spec in (disjoint_support_spec(), dgldpc_spec(), ldpc_spec(3, 6)):
+        sm = build_matrices(spec)
+        assert sm.vanishes() and [sm.sigma(eps) for eps in (0.0, 0.3, 1.0)] == [0.0] * 3
 
 
 def test_stability_matrices_are_an_immutable_value():
@@ -415,4 +488,4 @@ def test_close_eigenvalues_are_decided():
     sm = build_matrices(spec)
     for eps in np.linspace(0.01, 1.0, 40):
         verdict = stability_verdict(sm, float(eps))
-        assert verdict == ("stable" if sm.sigma(float(eps)) < 1.0 else "unstable")
+        assert verdict == ("stable" if lapack_sigma(sm, float(eps)) < 1.0 else "unstable")
