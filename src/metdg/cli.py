@@ -17,12 +17,22 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import count
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import __version__, exitchart, stability
 from .ensemble import EnsembleSpec, VnType, load_spec
-from .errors import AssumptionError, CapacityError, MetdgError, ValidationError
+from .errors import (
+    AssumptionError,
+    CapacityError,
+    MetdgError,
+    ValidationError,
+    check_epsilon,
+    check_run_limits,
+)
 from .infofuncs import cn_table, vn_table
 
 
@@ -46,26 +56,32 @@ def _report(subcommand: str, digest: str, parameters: dict, results: dict, t0: f
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextmanager
+def _output(out_path: str | None):
+    """The write method of the output, the file out_path or stdout; an
+    OSError while it is open is a validation error."""
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh.write
         else:
-            sys.stdout.write(text)
+            yield sys.stdout.write
     except OSError as e:
         raise ValidationError(f"cannot write the output: {e}") from None
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as write:
+        write(text)
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
 
 
-def _emit_csv(
-    subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
-) -> None:
-    """A commented header, the column line, then one line per row tuple, each
-    value written as its repr (%r is repr for ints and floats alike)."""
+def _csv_head(subcommand: str, digest: str, parameters: dict, columns) -> str:
+    """A commented header and the column line of a CSV document, whose rows
+    then follow as _csv_line writes them."""
     params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
     head = [
         f"# tool=metdg version={__version__} subcommand={subcommand}",
@@ -73,9 +89,22 @@ def _emit_csv(
         f"# {params}" if params else "#",
         ",".join(columns),
     ]
-    line = ",".join(["%r"] * len(columns)) + "\n"
+    return "\n".join(head) + "\n"
+
+
+def _csv_line(n_columns: int) -> str:
+    """The %-format of a CSV row: each value written as its repr (%r is
+    repr for ints and floats alike)."""
+    return ",".join(["%r"] * n_columns) + "\n"
+
+
+def _emit_csv(
+    subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
+) -> None:
+    """The CSV document of the row tuples."""
+    line = _csv_line(len(columns))
     body = "".join([line % row for row in rows])
-    _emit("\n".join(head) + "\n" + body, out_path)
+    _emit(_csv_head(subcommand, digest, parameters, columns) + body, out_path)
 
 
 def _cmd_validate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
@@ -128,11 +157,17 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 
 def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
-    # the rows of ExitEngine.run's trajectory, as tuples of floats
-    trajectory: list[tuple[float, ...]] = []
-    outcome = exitchart.ExitEngine(spec)._run(args.epsilon, args.max_iters, args.tol, trajectory)
+    """The rows of ExitEngine.run's trajectory.  The JSON form collects them
+    as tuples of floats; the CSV form writes each row as the run makes it,
+    so that its memory does not grow with --max-iters.  Rejected run
+    parameters write nothing."""
+    engine = exitchart.ExitEngine(spec)
+    check_epsilon(args.epsilon)
+    check_run_limits(args.max_iters, args.tol)
     params = {"epsilon": args.epsilon, "max_iters": args.max_iters, "tol": args.tol}
     if args.format == "json":
+        trajectory: list[tuple[float, ...]] = []
+        outcome = engine._run(args.epsilon, args.max_iters, args.tol, trajectory)
         results = {
             "converged": outcome.outcome == "converged",
             "trajectory": trajectory,
@@ -140,8 +175,11 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         _emit_json(_report("exit-chart", digest, params, results, t0), args.out)
         return 0
     columns = ["iter"] + [f"I_EV_{l}" for l in range(1, spec.n_edge_types + 1)]
-    rows = ((it, *row) for it, row in enumerate(trajectory))
-    _emit_csv("exit-chart", digest, params, columns, rows, args.out)
+    line, number = _csv_line(len(columns)), count()
+    with _output(args.out) as write:
+        write(_csv_head("exit-chart", digest, params, columns))
+        sink = SimpleNamespace(append=lambda row: write(line % (next(number), *row)))
+        engine._run(args.epsilon, args.max_iters, args.tol, sink)
     return 0
 
 
@@ -176,8 +214,10 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     if args.epsilon is not None:
         params["epsilon"] = args.epsilon
         results["epsilon"] = args.epsilon
-        results["sigma"] = sm.sigma(args.epsilon)
-        results["verdict"] = stability.stability_verdict(sm, args.epsilon)
+        # sigma lies on the side of 1 that the exact verdict takes, and is
+        # 1.0 when "marginal" (a vanishing product's 0.0 is "stable")
+        sigma = results["sigma"] = sm.sigma(args.epsilon)
+        results["verdict"] = "stable" if sigma < 1.0 else "unstable" if sigma > 1.0 else "marginal"
     if args.bound:
         bound = stability.stability_bound(sm, tol_eps=args.tol_eps)
         params["tol_eps"] = args.tol_eps
@@ -251,46 +291,56 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("spec", help="path to the ensemble spec JSON file")
-    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    # only exit-chart and simulate have a CSV form; it is their default
-    formats = argparse.ArgumentParser(add_help=False)
-    formats.add_argument("--format", choices=("json", "csv"), default="csv")
+# Each subcommand's arguments after the spec and --out, as (flag, keywords).
+# Only exit-chart and simulate have a CSV form; it is their default.
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "csv"})
+_ARGUMENTS = {
+    "validate": [],
+    "inffunc": [("--type", {"required": True, "help": "VN or CN type name to dump"})],
+    "exit-chart": [
+        _FORMAT,
+        ("--epsilon", {"type": float, "required": True}),
+        ("--max-iters", {"type": int, "default": 20000}),
+        ("--tol", {"type": float, "default": 1e-10}),
+    ],
+    "threshold": [
+        ("--tol-eps", {"type": float, "default": 1e-6}),
+        ("--max-iters", {"type": int, "default": 20000}),
+        ("--tol-fp", {"type": float, "default": 1e-10}),
+    ],
+    "stability": [
+        ("--epsilon", {"type": float, "default": None}),
+        ("--bound", {"action": "store_true"}),
+        ("--tol-eps", {"type": float, "default": 1e-6}),
+    ],
+    "simulate": [
+        _FORMAT,
+        ("--scale", {"type": int, "required": True}),
+        ("--eps", {"required": True, "help": "grid as a:b:step or comma-separated values"}),
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        # default: every CPU this process may use, counted when a simulation starts
+        ("--jobs", {"type": int, "default": None}),
+    ],
+}
 
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv.  Every subcommand is a choice, but only the one
+    that argv names (its first word that is not an option) gets its
+    arguments and -h: the others are never parsed, and building them bare
+    halves the cost of a parse."""
     parser = _Parser(prog="metdg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metdg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common])
-
-    p = sub.add_parser("inffunc", parents=[common])
-    p.add_argument("--type", required=True, help="VN or CN type name to dump")
-
-    p = sub.add_parser("exit-chart", parents=[common, formats])
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("threshold", parents=[common])
-    p.add_argument("--tol-eps", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tol-fp", type=float, default=1e-10)
-
-    p = sub.add_parser("stability", parents=[common])
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--bound", action="store_true")
-    p.add_argument("--tol-eps", type=float, default=1e-6)
-
-    p = sub.add_parser("simulate", parents=[common, formats])
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--eps", required=True, help="grid as a:b:step or comma-separated values")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    # default: every CPU this process may use, counted when a simulation starts
-    p.add_argument("--jobs", type=int, default=None)
-
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, arguments in _ARGUMENTS.items():
+        p = sub.add_parser(name, add_help=name == named)
+        if name == named:
+            p.add_argument("spec", help="path to the ensemble spec JSON file")
+            p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -306,7 +356,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
         t0 = time.perf_counter()
         spec = load_spec(args.spec)
         digest = _digest(spec)

@@ -6,14 +6,16 @@ CN update followed by a VN update; the channel enters only the VN side.
 
 Every node type contributes through a precomputed coefficient array built
 from its information-function table.  Evaluating an extrinsic function is
-then a contraction of that array against per-axis weight vectors.  When the
-engine is built, each half of the step is compiled into one straight-line
-Python function of the state's floats with every coefficient inlined, so a
-step of a small spec costs a few microseconds instead of numpy's per-call
-overhead; halves with more coefficient entries keep the numpy contraction.
-The runs keep their states as tuples of floats and step them in one more
-generated function per engine, a loop that calls the two halves and takes
-every stop decision of a run, its comparisons unrolled over the edge types.
+then a contraction of that array against per-axis weight vectors.  Each
+engine compiles one generated function, on its first step: the loop of a
+run, which takes every stop decision of the run with its comparisons
+unrolled over the edge types, and writes both halves of the step inline
+as straight-line code on float locals with every coefficient in place, so
+a step of a small spec costs about a microsecond instead of numpy's
+per-call overhead.  Its statements that read only the erasure probability
+run once, before the loop.  A half with more coefficient entries keeps the
+numpy contraction, which the loop calls.  A single step is the same loop,
+capped after one step.
 
 Runs that do not record may end early on three sound decisions: a
 super-solution shows a run can never converge, a probe whose all-known state
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import stability
 from .ensemble import EnsembleSpec
-from .errors import InternalError, ValidationError, check_epsilon, check_tol_eps, is_int, is_real
+from .errors import InternalError, ValidationError, check_epsilon, check_run_limits, check_tol_eps, is_real
 from .infofuncs import cn_table, vn_table
 
 if TYPE_CHECKING:
@@ -124,7 +126,7 @@ class _Mixture:
     (1-eps)^(b-z), z = 0..b, for the b transmitted bits of a VN.  Axes of
     length one carry the weight 1 and are dropped when the part is built.
     The coefficient arrays are flat lists of ints, which the generated
-    kernel inlines and the exact polynomials read as they are; only the
+    code inlines and the exact polynomials read as they are; only the
     numpy contraction of a wide half turns them into float arrays.
     """
 
@@ -146,34 +148,46 @@ class _Mixture:
             self.parts[e0].append((float(weight), weight, counts[e0], arr, kept))
         self._axes = sorted(keys, key=keys.get)
 
+    def generated(self) -> bool:
+        """Whether this half is written as straight-line code: its parts
+        hold at most _KERNEL_MAX_ENTRIES coefficient entries."""
+        return sum(len(arr) for parts in self.parts for *_, arr, _ in parts) <= _KERNEL_MAX_ENTRIES
+
     def kernel(self):
         """This half as a function of (state tuple, epsilon) that returns a
-        tuple of floats: generated straight-line code, or the numpy
-        contraction when the parts hold more than _KERNEL_MAX_ENTRIES
-        coefficient entries."""
-        if sum(len(arr) for parts in self.parts for *_, arr, _ in parts) > _KERNEL_MAX_ENTRIES:
+        tuple of floats: compiled from _kernel_source, or the numpy
+        contraction when the half is not generated.  The engine's loop
+        calls it only for a half that is not generated; it writes the
+        others inline."""
+        if not self.generated():
             import numpy as np
 
             contract = self.contraction()
             return lambda x, epsilon: tuple(contract(np.array(x), epsilon).tolist())
+        setup, body = self._kernel_source("x", "o", "")
+        n_e = self.n_edge_types
+        lines = [f"{_names('x', n_e)}= x", *setup, *body, f"return ({_names('o', n_e)})"]
+        source = "def kernel(x, eps):\n" + "".join(f"    {line}\n" for line in lines)
         namespace = {"_checked": _checked}
-        exec(compile(self._kernel_source(), "<exit kernel>", "exec"), namespace)
+        exec(compile(source, "<exit kernel>", "exec"), namespace)
         return namespace["kernel"]
 
-    def _kernel_source(self) -> str:
-        """Python source of kernel(x, eps), which computes what contraction
-        does in the same order: the weights (1-x)^t x^(n-t) by pow, each
-        part contracted axis by axis in kept order with zero coefficients
-        skipped, then checked and clamped by _checked.  It holds numbers
-        only.  The two can differ in the last bit, as numpy's SIMD power
-        and BLAS's fused multiply-adds round differently from libm's pow
-        and one rounding per operation."""
+    def _kernel_source(self, x: str, out: str, tag: str) -> tuple[list[str], list[str]]:
+        """Python statements that compute what contraction does, in the same
+        order, from the floats x0, x1, ... and eps into out0, out1, ...: the
+        weights (1-x)^t x^(n-t) by pow, each part contracted axis by axis in
+        kept order with zero coefficients skipped, then checked and clamped
+        by _checked.  Returned as (the statements that read only eps, the
+        rest); the names they set besides the outputs start with tag.  They
+        hold numbers only.  They and contraction can differ in the last bit,
+        as numpy's SIMD power and BLAS's fused multiply-adds round
+        differently from libm's pow and one rounding per operation."""
         n_e = self.n_edge_types
         used: set[tuple[int, int]] = set()
 
         def weight(k: int, t: int) -> str:
             used.add((k, t))
-            return f"w{k}_{t}"
+            return f"{tag}w{k}_{t}"
 
         body, outputs = [], []
         for e0, parts in enumerate(self.parts):
@@ -194,30 +208,31 @@ class _Mixture:
                     ]
                 # _checked leaves a value in [0, 1] as it is (1.0 - c never
                 # rounds to -0.0), so only the others need the call.
-                value = f"v{e0}_{i}"
+                value = f"{tag}v{e0}_{i}"
                 body += [
-                    f"    {value} = 1.0 - ({exprs[0] or 0.0}) / {float(n_sockets)!r}",
-                    f"    if not 0.0 <= {value} <= 1.0:",
-                    f"        {value} = _checked({value})",
+                    f"{value} = 1.0 - ({exprs[0] or 0.0}) / {float(n_sockets)!r}",
+                    f"if not 0.0 <= {value} <= 1.0:",
+                    f"    {value} = _checked({value})",
                 ]
                 terms.append(_times(repr(weight_f), value))
             outputs.append(" + ".join(terms) or "0.0")
-        # u_l = 1 - x_l for a state axis, u_n_e = 1 - eps for the channel.
-        head = ["def kernel(x, eps):", f"    {''.join(f'x{l}, ' for l in range(n_e))}= x"]
-        head += [
-            f"    u{src} = 1.0 - {'eps' if src == n_e else f'x{src}'}"
-            for src in sorted(
-                {src for k, t in used for src, n in [self._axes[k]] if (n - t if src == n_e else t)}
-            )
-        ]
+        # u_l = 1 - x_l for a state axis, u_n_e = 1 - eps for the channel,
+        # whose statements are the ones that read only eps.
+        setup, head = [], []
+        for src in sorted({src for k, t in used for src, n in [self._axes[k]] if (n - t if src == n_e else t)}):
+            if src == n_e:
+                setup.append(f"{tag}u{src} = 1.0 - eps")
+            else:
+                head.append(f"{tag}u{src} = 1.0 - {x}{src}")
         for k, (src, n) in enumerate(self._axes):
-            up, down = ("eps", f"u{src}") if src == n_e else (f"u{src}", f"x{src}")
-            head += [
-                f"    w{k}_{t} = {_times(_power(up, t), _power(down, n - t))}"
+            channel = src == n_e
+            up, down = ("eps", f"{tag}u{src}") if channel else (f"{tag}u{src}", f"{x}{src}")
+            (setup if channel else head).extend(
+                f"{tag}w{k}_{t} = {_times(_power(up, t), _power(down, n - t))}"
                 for t in range(n + 1)
                 if (k, t) in used
-            ]
-        return "\n".join(head + body + [f"    return ({', '.join(outputs)},)", ""])
+            )
+        return setup, head + body + [f"{out}{e0} = {expr}" for e0, expr in enumerate(outputs)]
 
     def contraction(self) -> Callable[[np.ndarray, float | None], np.ndarray]:
         """This half in numpy, as a function of (state vector, epsilon or
@@ -370,13 +385,6 @@ def _line(b: Fraction) -> float:
     return line if line >= 1 - b else nextafter(line, inf)
 
 
-def _check_run_limits(max_iters: int, tol: float) -> None:
-    if not is_int(max_iters) or max_iters < 0:
-        raise ValidationError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"convergence tolerance must lie in (0, 1), got {tol!r}")
-
-
 class ExitEngine:
     """Precomputed evaluator of the EXIT recursion for one validated spec."""
 
@@ -402,8 +410,6 @@ class ExitEngine:
             ]
         self._cn = _Mixture(n_e, cn_terms)
         self._vn = _Mixture(n_e, vn_terms)
-        self._cn_kernel = self._cn.kernel()
-        self._vn_kernel = self._vn.kernel()
 
     def step(self, i_ev, epsilon: float) -> np.ndarray:
         """One application of the recursion: CN pass, then VN pass."""
@@ -413,8 +419,13 @@ class ExitEngine:
         return np.array(self._step(self._state(i_ev), epsilon))
 
     def _step(self, x: tuple, epsilon: float) -> tuple:
-        """step on a state tuple of floats, without the input checks."""
-        return self._vn_kernel(self._cn_kernel(x, None), epsilon)
+        """step on a state tuple of floats, without the input checks: the
+        generated loop from x, recording one step and capped there.  No
+        test can stop it before that step, as no state reaches lines of
+        2.0 and no super-solution check falls due."""
+        rows: list[tuple] = []
+        self._advance(x, epsilon, 1, 2.0, (2.0,) * self.n_edge_types, None, 2, rows)
+        return rows[0]
 
     def _state(self, i_ev) -> tuple:
         """A caller's state, n_e numbers in [0, 1], as a tuple of floats, or
@@ -497,7 +508,7 @@ class ExitEngine:
         verdict, the basin's lines and the first step; _advance takes every
         later decision, the one basin proof included."""
         check_epsilon(epsilon)
-        _check_run_limits(max_iters, tol)
+        check_run_limits(max_iters, tol)
         # no state reaches a line of 2.0
         lines, prove = (2.0,) * self.n_edge_types, None
         sm = None if rows is not None else self._stability
@@ -519,9 +530,15 @@ class ExitEngine:
     @cached_property
     def _advance(self) -> Callable:
         """The stepping loop of run, compiled from _advance_source on the
-        engine's first run and kept for its later ones."""
-        namespace = {"cn": self._cn_kernel, "vn": self._vn_kernel, "never": self._never_converges}
-        exec(compile(_advance_source(self.n_edge_types), "<exit loop>", "exec"), namespace)
+        engine's first step and kept for its later ones: the engine's one
+        unit of generated code.  A half that is not generated is called as
+        its kernel, cn or vn."""
+        namespace = {"_checked": _checked, "never": self._never_converges}
+        for name, half in (("cn", self._cn), ("vn", self._vn)):
+            if not half.generated():
+                namespace[name] = half.kernel()
+        source = _advance_source(self.n_edge_types, self._cn, self._vn)
+        exec(compile(source, "<exit loop>", "exec"), namespace)
         return namespace["advance"]
 
     @cached_property
@@ -656,7 +673,7 @@ class ExitEngine:
         cap.
         """
         check_tol_eps(tol_eps)
-        _check_run_limits(max_iters, tol_fp)
+        check_run_limits(max_iters, tol_fp)
         lo, hi = 0.0, self._unstable_start(tol_eps)
         counts = dict.fromkeys(OUTCOMES, 0)
         while hi - lo > 2.0 * tol_eps:
@@ -681,7 +698,7 @@ class ExitEngine:
         return start if unstable else 1.0
 
 
-def _advance_source(n_e: int) -> str:
+def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
     """Python source of advance(x, eps, stop, line, lines, prove, check,
     rows), run's loop from its first state: it tests each state, then steps
     it, and returns (steps, reason), reason None after stop steps.
@@ -693,25 +710,41 @@ def _advance_source(n_e: int) -> str:
     moved by _STALL_TOL (the previous state starts at -1.0, so the first
     never stalls); "super-solution" once the step count reaches check and
     never(x, x_prev, x_prev2, eps, line), check then moving on as run
-    describes; then the cap.  A step is the CN kernel then the VN kernel,
-    from the namespace, and each new state is appended to rows unless rows
-    is None.  The comparisons are run's on tuples, unrolled over the n_e
-    components; the lines hold floats only, so the basin test is exact.
+    describes; then the cap.  The comparisons are run's on tuples, unrolled
+    over the n_e components; the lines hold floats only, so the basin test
+    is exact.
+
+    A step is the CN half then the VN half, each written out inline from
+    _kernel_source, or a call of the kernel named cn or vn for a half that
+    is not generated.  The state and the two before it live in float
+    locals x, p and q, the CN half's output in c; the statements that read
+    only eps run once, before the loop.  A tuple is built only for a call:
+    of never, of a kernel, and of rows.append, made with each new state
+    unless rows is None.
     """
 
     def names(prefix: str) -> str:
-        return "".join(f"{prefix}{l}, " for l in range(n_e))
+        return _names(prefix, n_e)
 
     def every(test: str) -> str:
         return " and ".join(test.format(l=l) for l in range(n_e))
 
+    setup, step = [], []
+    for name, half, x, out, eps in (("cn", cn, "x", "c", "None"), ("vn", vn, "c", "x", "eps")):
+        if half.generated():
+            before, body = half._kernel_source(x, out, f"{name}_")
+            setup += before
+            step += body
+        else:
+            step.append(f"{names(out)}= {name}(({names(x)}), {eps})")
     return "\n".join([
         "def advance(x, eps, stop, line, lines, prove, check, rows):",
         f"    {names('b')}= lines",
-        f"    {names('p')}= {'-1.0, ' * n_e}",
-        "    it, x_prev, x_prev2 = 0, None, None",
+        f"    {names('x')}= x",
+        f"    {names('p')}{names('q')}= {'-1.0, ' * 2 * n_e}",
+        "    it = 0",
+        *(f"    {line}" for line in setup),
         "    while True:",
-        f"        {names('x')}= x",
         f"        if {every('x{l} >= line')}:",
         "            return it, 'tol'",
         f"        if {every('x{l} >= b{l}')}:",
@@ -723,18 +756,25 @@ def _advance_source(n_e: int) -> str:
         f"        if {every(f'{-_STALL_TOL!r} < x{{l}} - p{{l}} < {_STALL_TOL!r}')}:",
         "            return it, 'stall'",
         "        if it >= check:",
-        "            if never(x, x_prev, x_prev2, eps, line):",
+        f"            if never(({names('x')}), ({names('p')}), ({names('q')}), eps, line):",
         "                return it, 'super-solution'",
         f"            check = it + max({_CERT_FIRST}, it // {_CERT_SPACING})",
         "        if it >= stop:",
         "            return it, None",
-        f"        {names('p')}= {names('x')}",
-        "        x_prev2, x_prev, x = x_prev, x, vn(cn(x, None), eps)",
+        *(f"        q{l} = p{l}" for l in range(n_e)),
+        *(f"        p{l} = x{l}" for l in range(n_e)),
+        *(f"        {line}" for line in step),
         "        it += 1",
         "        if rows is not None:",
-        "            rows.append(x)",
+        f"            rows.append(({names('x')}))",
         "",
     ])
+
+
+def _names(prefix: str, n: int) -> str:
+    """The names prefix0, ..., prefix{n-1} as source, each followed by a
+    comma: a tuple display, or the targets of an unpacking."""
+    return "".join(f"{prefix}{l}, " for l in range(n))
 
 
 def _bernstein(coeffs: list, width: Fraction) -> list:

@@ -29,6 +29,11 @@ from .ensemble import EnsembleSpec
 from .errors import AssumptionError, check_epsilon, check_tol_eps
 from .gf2 import enumerate_weight2_pairs
 
+# _estimate's cap on its rounds of n_e power steps.  A round costs a small
+# fraction of a verdict, and the estimates of the test specs settle within
+# 200 rounds; past the cap the verdicts take over.
+_ESTIMATE_ROUNDS = 200
+
 
 class StabilityMatrices(NamedTuple):
     """Constant matrix, polynomial matrix, and their product's spectral radius.
@@ -138,18 +143,24 @@ def _estimate(sm: StabilityMatrices, epsilon: float) -> float:
     """A float estimate of rho(P(eps)C): sum(Ax) / sum(x), a weighted mean of
     the ratios (Ax)_i / x_i, whose least and largest bracket rho for any
     positive x (Collatz-Wielandt), along a power iteration on A + rI, for
-    A = P(eps)C in floats and r its largest row sum.  The shift makes
-    periodic products converge, and scaling it with A makes the rate
-    independent of A's scale.  Where A is reducible, the ratios of the
-    components that fade out stall below rho, and so does their weight.
-    The iteration stops once a round of n_e steps fails to halve the
-    estimate's last change; from there each verdict halves the distance."""
+    A = P(eps)C in floats.  The shift r makes periodic products converge.
+    It is A's largest row sum for the first round of n_e steps and the
+    estimate after that, so that a step contracts the error by about
+    |lambda_2 + rho| / (2 rho) whatever the row sums: on a product whose
+    two leading eigenvalues lie close together, a shift far above rho
+    contracts it by almost nothing.  Where A is reducible, the ratios of
+    the components that fade out stall below rho, and so does their weight.
+    The iteration stops when the estimate no longer moves or reaches 0 (a
+    nilpotent A), when two rounds in a row fail to change it by less than
+    the smallest change so far (rounding noise), or after _ESTIMATE_ROUNDS
+    rounds; from there each verdict halves the distance."""
     p = [[float(x) for x in row] for row in _p_at(sm, Fraction(epsilon))]
     cols = [[float(x) for x in col] for col in zip(*sm.c)]
     a = [[math.fsum(map(mul, row, col)) for col in cols] for row in p]
     x, ax = [1.0] * sm.n_edge_types, list(map(math.fsum, a))
-    r, estimate, change = max(ax), math.fsum(ax) / len(x), math.inf
-    while r:
+    r, estimate = max(ax), math.fsum(ax) / len(x)
+    least, stale = math.inf, 0
+    for _ in range(_ESTIMATE_ROUNDS if r else 0):
         last = estimate
         for _ in a:
             # (A / r + I) x, scaled so that its largest entry lies in [1/2, 1]
@@ -157,9 +168,11 @@ def _estimate(sm: StabilityMatrices, epsilon: float) -> float:
             x = [(s / r + t) / top for s, t in zip(ax, x)]
             ax = [math.fsum(map(mul, row, x)) for row in a]
         estimate = math.fsum(ax) / math.fsum(x)
-        change, last_change = abs(estimate - last), change
-        if not change < last_change / 2:
+        change = abs(estimate - last)
+        least, stale = (change, 0) if change < least else (least, stale + 1)
+        if change == 0.0 or estimate == 0.0 or stale == 2:
             break
+        r = estimate
     return estimate
 
 

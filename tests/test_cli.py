@@ -1,14 +1,27 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from metdg import ExitEngine
+from metdg import ExitEngine, build_matrices, load_spec, stability_verdict
+from metdg import stability
 from metdg.cli import _parse_eps_grid, main
 
-from conftest import close_eigenvalues_doc, example1_spec, fig1_doc, ldpc_spec, ones_doc, set_at, spc_gen
+from conftest import (
+    close_eigenvalues_doc,
+    example1_spec,
+    fig1_doc,
+    ldpc_spec,
+    ones_doc,
+    set_at,
+    spc_gen,
+    wide_spec,
+)
+
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 
 @pytest.fixture()
@@ -81,6 +94,41 @@ def test_stability_decides_close_leading_eigenvalues(tmp_path, capsys):
     path.write_text(json.dumps(close_eigenvalues_doc()))
     assert main(["stability", str(path), "--epsilon", "0.01"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "stable"
+
+
+@pytest.mark.parametrize("name", ["ldpc36", "ex1_spc3", "ex2_rep3", "dgldpc", "wide", "close"])
+def test_stability_verdict_is_the_side_of_one_sigma_lies_on(name, tmp_path, capsys):
+    # the report takes its verdict from sigma, which lies on the exact
+    # verdict's side of 1 and is 1.0 when "marginal" (ex1_spc3 at 0.5)
+    path = SPECS / f"{name}.json"
+    if name in ("wide", "close"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(wide_spec().to_dict() if name == "wide" else close_eigenvalues_doc()))
+    sm = build_matrices(load_spec(path))
+    grid = [0.0, 0.01, 0.1, 0.3, 0.45, 0.499, 0.5 - 2**-53, 0.5, 0.5 + 2**-53, 0.7, 1.0]
+    verdicts = set()
+    for eps in grid:
+        assert main(["stability", str(path), "--epsilon", repr(eps)]) == 0
+        verdict = json.loads(capsys.readouterr().out)["results"]["verdict"]
+        assert verdict == stability_verdict(sm, eps), eps
+        verdicts.add(verdict)
+    if name == "ex1_spc3":
+        assert verdicts == {"stable", "marginal", "unstable"}
+
+
+def test_stability_at_an_epsilon_takes_one_verdict(monkeypatch, tmp_path):
+    calls = []
+    verdict = stability._verdict
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_verdict", counting)
+    out = tmp_path / "stab.json"
+    assert main(["stability", str(SPECS / "ex1_spc3.json"), "--epsilon", "0.3", "--out", str(out)]) == 0
+    assert _read_json(out)["results"]["verdict"] == "stable"
+    assert len(calls) == 1
 
 
 def test_stability_refuses_punctured_spec(fig1_path, capsys):
@@ -250,6 +298,41 @@ def test_exit_chart_csv(ldpc_path, tmp_path):
     first = lines[header_idx + 1].split(",")
     assert first[0] == "0"
     assert abs(float(first[1]) - 0.7) < 1e-12
+
+
+def _chart_peak_bytes(max_iters: int, out) -> int:
+    """The peak traced memory of the ex1_spc3 CSV chart at 0.4999999, which
+    runs to any step cap."""
+    args = ["exit-chart", str(SPECS / "ex1_spc3.json"), "--epsilon", "0.4999999"]
+    tracemalloc.start()
+    try:
+        assert main(args + ["--max-iters", str(max_iters), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_exit_chart_streams_its_rows(tmp_path):
+    # the CSV sink writes each row as the run makes it and keeps none, so
+    # the chart's memory does not grow with its length
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    short_peak, long_peak = _chart_peak_bytes(1000, short), _chart_peak_bytes(50000, long)
+    assert abs(long_peak - short_peak) <= 1 << 20, (short_peak, long_peak)
+    rows = [ln for ln in long.read_text().splitlines() if ln[:1].isdigit()]
+    assert len(rows) == 50001 and rows[-1].startswith("50000,")
+
+
+@pytest.mark.parametrize(
+    "bad", [["--epsilon", "1.5"], ["--epsilon", "nan"], ["--max-iters", "-1"], ["--tol", "0"], ["--tol", "2"]]
+)
+def test_rejected_exit_chart_writes_nothing(bad, ex1_path, tmp_path, capsys):
+    out = tmp_path / "chart.csv"
+    args = ["exit-chart", ex1_path, "--epsilon", "0.3", *bad]
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_exit_chart_json(ldpc_path, tmp_path):
@@ -493,6 +576,65 @@ def test_usage_errors_exit_1(ex1_path, args, capsys):
     assert main([ex1_path if a == "SPEC" else a for a in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "usage:" not in err
+
+
+# What argparse writes for four argument lists, 80 columns wide, pinned when
+# every subparser still had its arguments: a parser that builds only the
+# named subcommand's arguments must write the same.
+_PARSER_TEXTS = {
+    "top-help": (["-h"], 0, (
+        "usage: metdg [-h] [--version]\n"
+        "             {validate,inffunc,exit-chart,threshold,stability,simulate} ...\n"
+        "\n"
+        "Command-line interface: one executable, one subcommand per analysis. Exit\n"
+        "codes: 0 success, 1 validation error, 2 capacity error, 3 refusal because an\n"
+        "analysis assumption does not hold. Diagnostics go to stderr; data goes to\n"
+        "stdout or --out. Every emitted document embeds the SHA-256 of the\n"
+        "canonicalized spec so results stay traceable to their input. Only `simulate`\n"
+        "imports the simulator, `metdg.peeling`, and with it numpy; the other\n"
+        "subcommands import numpy only where they need floats in arrays: a table that\n"
+        "walks, or a step half too wide for generated code.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,inffunc,exit-chart,threshold,stability,simulate}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n"
+    ), ""),
+    "threshold-help": (["threshold", "-h"], 0, (
+        "usage: metdg threshold [-h] [--out OUT] [--tol-eps TOL_EPS]\n"
+        "                       [--max-iters MAX_ITERS] [--tol-fp TOL_FP]\n"
+        "                       spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec                  path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --out OUT             write output to a file instead of stdout\n"
+        "  --tol-eps TOL_EPS\n"
+        "  --max-iters MAX_ITERS\n"
+        "  --tol-fp TOL_FP\n"
+    ), ""),
+    "invalid-subcommand": (["bogus", "x.json"], 1, "", (
+        "error: argument command: invalid choice: 'bogus' (choose from 'validate', 'inffunc', "
+        "'exit-chart', 'threshold', 'stability', 'simulate')\n"
+    )),
+    "missing-argument": (["exit-chart", "x.json"], 1, "", "error: the following arguments are required: --epsilon\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARSER_TEXTS))
+def test_parser_texts_are_unchanged(case, monkeypatch, capsys):
+    argv, code, out, err = _PARSER_TEXTS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as e:
+        got = e.code
+    assert got == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("args", [["--help"], ["--version"], ["threshold", "--help"]])

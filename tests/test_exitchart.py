@@ -34,6 +34,7 @@ from conftest import (
     random_eligible_spec,
     rep_gen,
     spc_gen,
+    wide_spec,
 )
 from naive_oracles import (
     fraction_certified_bound,
@@ -688,8 +689,7 @@ def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
     reasons = set()
     for spec in specs:
         engine = ExitEngine(spec)
-        generated = engine._vn_kernel.__code__.co_filename == "<exit kernel>"
-        assert generated != numpy_side
+        assert engine._vn.generated() != numpy_side
         (lo, hi), _ = engine.threshold(tol_eps=1e-3, max_iters=400)
         near = 0.5 * (lo + hi)
         around = (near - 0.01, near - 1e-4, near + 1e-4, near + 0.01)
@@ -702,6 +702,28 @@ def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
                 assert got[1].tobytes() == want[1].tobytes(), (spec, eps, record)
                 reasons.add(got[2].reason)
     assert reasons == set(_OUTCOME_OF)
+
+
+def test_loop_inlines_generated_halves_and_calls_a_numpy_half():
+    # a generated half is written into the loop, a wide one is called as its
+    # kernel; either way the recorded rows are those of a stepwise loop
+    from metdg.exitchart import _advance_source
+
+    for spec, called in ((example1_spec(spc_gen(3), spc_gen(3)), set()), (wide_spec(), {"cn"})):
+        engine = ExitEngine(spec)
+        assert {name for name in ("cn", "vn") if not getattr(engine, f"_{name}").generated()} == called
+        source = _advance_source(engine.n_edge_types, engine._cn, engine._vn)
+        for name in ("cn", "vn"):
+            assert (f" {name}((" in source) == (name in called)
+            assert (f" {name}_v0_0 = " in source) != (name in called)
+        # the channel's weights are computed once, before the loop
+        head, loop = source.split("while True:")
+        assert "eps" not in loop.replace("eps, line", "")
+        assert "vn_w" in head
+        for eps, max_iters in ((0.05, 200), (0.3, 60)):
+            got = engine.run(eps, max_iters=max_iters, record=True)
+            want = stepwise_run(engine, eps, max_iters=max_iters, record=True)
+            assert got[2] == want[2] and got[1].tobytes() == want[1].tobytes(), (spec, eps)
 
 
 def test_integer_basin_proof_matches_fractions(monkeypatch):
@@ -761,7 +783,8 @@ def test_compiled_halves_match_the_numpy_contraction():
     sizes = {}
     for spec in specs:
         engine = ExitEngine(spec)
-        for half, kernel, eps in ((engine._cn, engine._cn_kernel, None), (engine._vn, engine._vn_kernel, 0.0)):
+        for half, eps in ((engine._cn, None), (engine._vn, 0.0)):
+            kernel = half.kernel()
             generated = kernel.__code__.co_filename == "<exit kernel>"
             assert generated == (_entries(half) <= _KERNEL_MAX_ENTRIES)
             sizes[generated] = max(sizes.get(generated, 0), _entries(half))

@@ -489,3 +489,39 @@ def test_close_eigenvalues_are_decided():
     for eps in np.linspace(0.01, 1.0, 40):
         verdict = stability_verdict(sm, float(eps))
         assert verdict == ("stable" if lapack_sigma(sm, float(eps)) < 1.0 else "unstable")
+
+
+def _verdicts_per_sigma(monkeypatch, sm, grid):
+    """The number of exact verdicts each sigma(eps) call takes, eps over grid."""
+    calls = []
+    verdict = stability._verdict
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_verdict", counting)
+    counts = []
+    for eps in grid:
+        before = len(calls)
+        sm.sigma(eps)
+        counts.append(len(calls) - before)
+    monkeypatch.setattr(stability, "_verdict", verdict)
+    return counts
+
+
+def test_sigma_takes_few_verdicts_where_leading_eigenvalues_are_close(monkeypatch):
+    # the estimate's power iteration shifts by rho's estimate, not by the
+    # largest row sum (ten times rho here), and runs until it settles: each
+    # sigma then needs a few verdicts, where a rough estimate took 75-96
+    sm = build_matrices(spec_from_dict(close_eigenvalues_doc()))
+    counts = _verdicts_per_sigma(monkeypatch, sm, [float(e) for e in np.linspace(0.01, 1.0, 40)])
+    assert max(counts) <= 12 and sum(counts) <= 150, counts
+
+
+def test_sigma_takes_at_most_four_verdicts_on_the_bench_specs(monkeypatch):
+    grid = [0.3, 0.499] + [float(e) for e in np.linspace(0.02, 1.0, 15)]
+    for spec in (ldpc_spec(3, 6), example1_spec(spc_gen(3), spc_gen(3)), example2_spec(rep_gen(3)),
+                 dgldpc_spec()):
+        counts = _verdicts_per_sigma(monkeypatch, build_matrices(spec), grid)
+        assert max(counts) <= 4, counts
