@@ -58,11 +58,11 @@ def check_epsilon(epsilon: float) -> None:
 
 def check_run_limits(max_iters: int, tol: float) -> None:
     """Reject a DE run's step cap that is not an int >= 0, or a convergence
-    tolerance outside (0, 1)."""
+    tolerance that is not a number in (0, 1), NaN and bools included."""
     if not is_int(max_iters) or max_iters < 0:
         raise ValidationError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"convergence tolerance must lie in (0, 1), got {tol!r}")
+    if not (is_real(tol) and 0.0 < tol < 1.0):
+        raise ValidationError(f"convergence tolerance must be a number in (0, 1), got {tol!r}")
 
 
 def check_tol_eps(tol_eps: float) -> None:

@@ -59,7 +59,7 @@ _CERT_SPACING = 16
 _CERT_SLACK = 1e-13
 _CERT_PAD = 1e-12
 # Basin certificate (see ExitEngine._basin): the Bernstein test may halve the
-# interval [0, c_max] up to _BASIN_DEPTH times before it gives up.
+# interval [0, 1] up to _BASIN_DEPTH times before it gives up.
 _BASIN_DEPTH = 30
 
 OUTCOMES = ("converged", "stuck", "undecided")
@@ -274,53 +274,50 @@ class _Mixture:
         return contract
 
     def erasure_polynomials(
-        self, scales: list[int], epsilon: Fraction | None = None
+        self, inputs: list[list[int]], den: int, epsilon: Fraction | None = None
     ) -> list[tuple[list[int], int]]:
-        """Exact power-basis coefficients in c of (1 - h(1 - c*scales))_e0 / c
+        """Exact power-basis coefficients in u of (1 - h(1 - y(u)))_e0 / u
         for this half h, per output edge type e0, as integers p over one
-        positive integer q:
-        the polynomial is sum_k p[k] c^k / q.  scales are integers and epsilon
-        a rational; the coefficient arrays are integers and the mixture
-        weights exact, so only the channel weights and the mixture weights
-        have denominators, and each part is brought onto q by one integer.
+        positive integer q: the polynomial is sum_k p[k] u^k / q.  Input
+        edge type l has erasure probability y_l(u) = inputs[l](u) / den, an
+        integer polynomial with no constant term over a positive den, and
+        epsilon is a rational; each part is brought onto q by one integer.
 
-        In erasure coordinates y = 1 - x an axis's weight vector reads
-        y^t (1-y)^(n-t), so at y = c*a entry t is a polynomial of degree n
-        in c; contracting the parts axis by axis keeps the degree at the
-        part's socket count.  The contraction runs on packed polynomials
-        (_pack), in a width that bounds every coefficient of the sum.  The
+        In erasure coordinates an axis's weight vector reads y^t (1-y)^(n-t),
+        so for y = P / D entry t is P^t (D - P)^(n-t) / D^n, the channel
+        being P = e over D = m for epsilon = e / m.  The contraction runs on
+        packed polynomials (_pack), in a width that bounds every coefficient
+        of the sum, and each entry is a product of two packed powers.  The
         constant term vanishes on the types the stability analysis accepts,
         since the all-known state is fixed."""
-        vectors, dens = [], []
+        axes, dens = [], []
         for src, n in self._axes:
             if src == self.n_edge_types:
-                # eps^z (1-eps)^(n-z) for eps = e / m, over m^n
-                e, m = epsilon.numerator, epsilon.denominator
-                vec = [[e**z * (m - e) ** (n - z)] for z in range(n + 1)]
-                dens.append(m**n)
+                poly, d = [epsilon.numerator], epsilon.denominator
             else:
-                a = scales[src]
-                vec = [[0] * (n + 1) for _ in range(n + 1)]
-                for t in range(n + 1):
-                    for j in range(n - t + 1):
-                        vec[t][t + j] = comb(n - t, j) * (-a) ** j * a**t
-                dens.append(1)
-            vectors.append(vec)
+                poly, d = inputs[src], den
+            axes.append((poly, [d - poly[0], *(-a for a in poly[1:])], n))
+            dens.append(d**n)
         # Contracting an axis multiplies the sum of the absolute values of
-        # the coefficients by at most its largest such sum among its entries.
-        norms = [max(sum(map(abs, poly)) for poly in vec) for vec in vectors]
+        # the coefficients by at most its largest such sum among its
+        # entries, which is at most |P|^t |D - P|^(n-t) for entry t.
+        norms = [max(sum(map(abs, poly)), sum(map(abs, other))) ** n for poly, other, n in axes]
+        degrees = [n * (len(poly) - 1) for poly, _, n in axes]
         polys = []
         for parts in self.parts:
             terms = []
             for _, weight, n_sockets, arr, kept in parts:
                 mix = weight / n_sockets
-                den = mix.denominator * prod(dens[k] for k in kept)
-                terms.append((arr, kept, mix.numerator, den))
-            q = lcm(*(den for *_, den in terms))
-            scaled = [(arr, kept, num * (q // den)) for arr, kept, num, den in terms]
+                under = mix.denominator * prod(dens[k] for k in kept)
+                terms.append((arr, kept, mix.numerator, under))
+            q = lcm(*(under for *_, under in terms))
+            scaled = [(arr, kept, num * (q // under)) for arr, kept, num, under in terms]
             bound = sum(f * sum(arr) * prod(norms[k] for k in kept) for arr, kept, f in scaled)
             width = bound.bit_length() + 1
-            packed = [[_pack(poly, width) for poly in vec] for vec in vectors]
+            packed = []
+            for poly, other, n in axes:
+                y, z = _pack(poly, width), _pack(other, width)
+                packed.append([y**t * z ** (n - t) for t in range(n + 1)])
             total = 0
             for arr, kept, f in scaled:
                 acc = arr
@@ -328,7 +325,7 @@ class _Mixture:
                     rest = len(acc) // len(packed[k])
                     acc = [sum(map(mul, packed[k], acc[r::rest])) for r in range(rest)]
                 total += f * acc[0]
-            length = max(1 + sum(len(vectors[k][0]) - 1 for k in kept) for _, kept, _ in scaled)
+            length = max(1 + sum(degrees[k] for k in kept) for _, kept, _ in scaled)
             coeffs = _unpack(total, width, length)
             if coeffs[0] != 0:
                 raise InternalError("the all-known state is not a fixed point of an eligible spec")
@@ -517,7 +514,7 @@ class ExitEngine:
             if verdict == "unstable":
                 return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
-                lines, prove = self._basin(sm, epsilon, v)
+                lines, prove = self._basin(epsilon, v)
         # States are tuples of floats; the comparisons in _advance are the
         # same IEEE operations an array would take.
         x = self._step((0.0,) * self.n_edge_types, epsilon)
@@ -553,90 +550,70 @@ class ExitEngine:
         return None if sm.vanishes() else sm
 
     def _basin(
-        self, sm: stability.StabilityMatrices, epsilon: float, v: list[Fraction]
-    ) -> tuple[tuple[float, ...], Callable[[], tuple[float, ...]] | None]:
-        """A basin {y <= c0 v} of the all-known state at a stable epsilon,
-        certified by the test below, as (lines, prove): float lines that
-        every state of the basin reaches, and a one-shot prove() that runs
-        the test and returns the basin's own lines (see _line), or lines
-        of 2.0, which no state reaches, when the test fails.  Where r rounds
-        to 1 there is no basin: the lines are 2.0 and prove is None.
+        self, epsilon: float, v: list[Fraction]
+    ) -> tuple[tuple[float, ...], Callable[[], tuple[float, ...]]]:
+        """A basin {y <= c0 v^} of the all-known state at a stable epsilon,
+        as (lines, prove): float lines that every state of the basin
+        reaches, and a one-shot prove() that runs the test below and
+        returns the basin's own lines (see _line), or lines of 2.0, which
+        no state reaches, when it fails.
 
-        In erasure coordinates y = 1 - x the step is g = h_V . h_C, its CN
-        and VN halves, both nondecreasing with h(0) = 0 and with Jacobians
-        C and P(eps) at 0.  The exact verdict's v > 0 solves
-        (I - P(eps)C) v = 1, so P(eps)C v = v - 1.  Scaled by top = max(v),
-        it gives r = 1 - 7 / (16 top) and w = C v + eta, where
-        eta = 7 / (32 top spread) and spread is the largest row sum of
-        P(eps), so that P(eps) w <= v - 25 / (32 top) < r v.  The three are
-        rounded to floats, which the exact test reads as they are.  It proves
+        In erasure coordinates y = 1 - x the step is g = h_V . h_C, both
+        halves nondecreasing with h(0) = 0, and its Jacobian at 0 is
+        P(eps)C.  The exact verdict's v > 0 solves (I - P(eps)C) v = 1, so
+        the linear step maps the ray c v^, v^ = v / max(v) rounded to
+        floats, below itself.  The test proves exactly (see
+        _certified_bound), from the integer information tables, the exact
+        edge fractions and the exact epsilon, that each polynomial
+        (c v^_l - g_l(c v^)) / c is positive on [0, s): on each piece of
+        [0, s] left after at most _BASIN_DEPTH halvings of [0, 1], its
+        first Bernstein coefficient is positive and the others nonnegative
+        (Garloff 1986).  Then phi(c) = max_l g_l(c v^) / v^_l < c on
+        (0, s), and a state y <= c v^ with c < s has g(y) <= g(c v^) <=
+        phi(c) v^: the iterates fall below c_k v^ for decreasing c_k, whose
+        limit, a fixed point of phi below s, is 0.
 
-            h_C(c v) <= c w   and   h_V(c w) <= r c v   for c in (0, c0]
+        The basin is c0 v^ = s v^ - _CERT_SLACK.  As v^ <= 1, its states
+        lie at c <= s - _CERT_SLACK, and every state within _CERT_SLACK / 2
+        of one, such as a computed step off by its rounding, at c < s.
 
-        exactly (in integers, see _certified_bound), from the integer
-        information tables, the exact edge fractions and the exact epsilon:
-        every component of (c w - h_C(c v)) / c and of (r c v - h_V(c w)) / c
-        is a polynomial in c whose Bernstein coefficients on [0, c0] are
-        nonnegative, after at most _BASIN_DEPTH halvings of the interval
-        (Garloff 1986).
-        Splitting at the halves keeps each degree at one half's socket
-        count.  With c0 w <= 1, h_V is monotone on the states involved, so
-        g(c v) <= h_V(c w) <= r c v.  A state y <= c v with c <= c0 then has
-        g(y) <= g(c v) <= r c v, and by induction the iterates fall below
-        r^k c v: the recursion converges.  The basin is shrunk by
-        _CERT_SLACK, so it also holds every state within twice the rounding
-        error of one computed step of the one tested.
-
-        Only (v, w, r) and the lines of {y <= c_max v}, which holds every
-        basin the test can prove, are computed here.  The exact test runs
-        when a state first reaches those lines, so a probe that never does,
-        such as a stuck one, spends nothing on it.
+        Only v^ and the lines of {y <= v^}, which holds every basin the
+        test can prove, are computed here.  The exact test runs when a
+        state first reaches those lines, so a probe that never does spends
+        nothing on it.
         """
         top = max(v)
-        r = float(1 - Fraction(7, 16) / top)
-        if r == 1.0:
-            return (2.0,) * len(v), None
-        spread = max(map(sum, stability._p_at(sm, Fraction(float(epsilon)))))
-        # any eta > 0 serves where P(eps) vanishes
-        eta = Fraction(7, 32) / (top * spread) if spread else 1
-        v = [t / top for t in v]
-        w = [float(sum(map(mul, row, v)) + eta) for row in sm.c]
-        v = [float(t) for t in v]
-        # every bound lies under c_max v, c_max being _certified_bound's
-        c_max = min(Fraction(1), 1 / Fraction(max(w)))
+        v = [float(t / top) for t in v]
 
         def prove() -> tuple[float, ...]:
-            bound = self._certified_bound(v, w, r, epsilon)
+            bound = self._certified_bound(v, epsilon)
             return (2.0,) * len(v) if bound is None else tuple(map(_line, bound))
 
-        return tuple(_line(c_max * Fraction(t)) for t in v), prove
+        return tuple(_line(Fraction(t)) for t in v), prove
 
-    def _certified_bound(self, v, w, r: float, epsilon: float) -> list[Fraction] | None:
-        """The exact part of _basin: c0 v - _CERT_SLACK, or None when that
+    def _certified_bound(self, v: list[float], epsilon: float) -> list[Fraction] | None:
+        """The exact part of _basin: s v - _CERT_SLACK, or None when that
         is not positive.
 
-        The polynomials are held as integers.  A half at c s, where the
-        floats s are S / d for integers S and one d, is the half at u S for
-        u = c / d, so its polynomial in u on [0, c_max / d] comes from the
-        integer scales S.  Each component's polynomial is then scaled by one
-        positive integer, which changes no sign of a Bernstein coefficient,
-        so the shares are those of the same test in rationals."""
+        It runs on integers.  The floats v are S / d for integers S and one
+        d, so c v = u S for u = c / d in [0, 1 / d].  The CN half takes the
+        inputs S_l u over 1 and gives u h_l(u) / q_l; brought onto
+        L = lcm(q_l), those are the VN half's inputs, which gives
+        g_l(u S) = u H_l(u) / Q_l.  The tested (c v_l - g_l(c v)) / c is
+        then (S_l Q_l - H_l(u)) / (Q_l d), and its positive factor changes
+        no sign of a Bernstein coefficient."""
         v_q = [Fraction(t) for t in v]
-        w_q = [Fraction(t) for t in w]
-        c_max = min(Fraction(1), 1 / max(w_q))
+        d = lcm(*(t.denominator for t in v_q))
+        scales = [int(t * d) for t in v_q]
+        cn = self._cn.erasure_polynomials([[0, a] for a in scales], 1)
+        den = lcm(*(q for _, q in cn))
+        inputs = [[0, *(a * (den // q) for a in h)] for h, q in cn]
+        vn = self._vn.erasure_polynomials(inputs, den, Fraction(float(epsilon)))
         share = Fraction(1)
-        for half, scales, tops, eps in (
-            (self._cn, v_q, w_q, None),
-            (self._vn, w_q, [Fraction(r) * t for t in v_q], Fraction(float(epsilon))),
-        ):
-            d = lcm(*(t.denominator for t in scales))
-            polys = half.erasure_polynomials([int(t * d) for t in scales], eps)
-            for top, (h, q) in zip(tops, polys):
-                # (top - h(u) / (q d)) q d top.denominator, coefficient by coefficient
-                g = [top.numerator * q * d - top.denominator * h[0]]
-                g += [-top.denominator * a for a in h[1:]]
-                share = min(share, _nonnegative_share(_bernstein(g, c_max / d), _BASIN_DEPTH))
-        bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
+        for a, (h, q) in zip(scales, vn):
+            g = [a * q - h[0], *(-b for b in h[1:])]
+            share = min(share, _positive_share(_bernstein(g, Fraction(1, d)), _BASIN_DEPTH))
+        bound = [share * t - Fraction(_CERT_SLACK) for t in v_q]
         return bound if min(bound) > 0 else None
 
     def _never_converges(self, x, x_prev, x_prev2, epsilon: float, line: float) -> bool:
@@ -790,20 +767,23 @@ def _bernstein(coeffs: list, width: Fraction) -> list:
     return [sum(comb(i, j) * scaled[j] for j in range(i + 1)) for i in range(d + 1)]
 
 
-def _nonnegative_share(b: list, depth: int) -> Fraction:
+def _positive_share(b: list, depth: int) -> Fraction:
     """The largest dyadic share s of the interval such that the polynomial
     with Bernstein coefficients b (any positive multiple of them) is
-    nonnegative on its first s, found by de Casteljau halving at most depth
-    levels deep; 0 if none.
+    positive on its first s, right end excluded, found by de Casteljau
+    halving at most depth levels deep; 0 if none.
 
-    Nonnegative coefficients prove the polynomial nonnegative on the
-    interval, and a negative first one is its value at the left end.  The
-    halving takes sums instead of means: level k of the triangle is then
-    2^k times the means, and entry k of each half is scaled by 2^(d-k), so
-    that every coefficient of a half carries the same factor 2^d."""
+    The first coefficient is the value at the left end; positive, with
+    nonnegative others, it proves the polynomial positive up to the right
+    end.  The halving takes sums instead of means: level k of the triangle
+    is then 2^k times the means, and entry k of each half is scaled by
+    2^(d-k), so that every coefficient of a half carries the same factor
+    2^d."""
+    if b[0] <= 0:
+        return Fraction(0)
     if min(b) >= 0:
         return Fraction(1)
-    if b[0] < 0 or depth == 0:
+    if depth == 0:
         return Fraction(0)
     d = len(b) - 1
     left, right = [b[0] * 2**d], [b[-1] * 2**d]
@@ -811,7 +791,7 @@ def _nonnegative_share(b: list, depth: int) -> Fraction:
         b = [u + t for u, t in zip(b, b[1:])]
         left.append(b[0] * 2**k)
         right.append(b[-1] * 2**k)
-    share = _nonnegative_share(left, depth - 1) / 2
+    share = _positive_share(left, depth - 1) / 2
     if share < Fraction(1, 2):
         return share
-    return share + _nonnegative_share(right[::-1], depth - 1) / 2
+    return share + _positive_share(right[::-1], depth - 1) / 2

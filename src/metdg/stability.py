@@ -59,9 +59,14 @@ class StabilityMatrices(NamedTuple):
         (I - P(eps)C / t) v = 1 with v > 0, so P(eps)C v = t (v - 1) >=
         t (1 - 1 / min v) v, and sigma is at least that (Collatz-Wielandt):
         often enough to settle the double below without a second verdict.
-        A vanishing product reports 0.0 without a verdict."""
+        A product whose digraph has no cycle and no loop is nilpotent, a
+        vanishing one included, and reports 0.0 without a verdict.  Its
+        entries are sums of nonnegative terms, so l -> m is an arc where
+        some e has P(eps)[l][e] > 0 and C[e][m] > 0."""
         check_epsilon(epsilon)
-        if self.vanishes():
+        n = self.n_edge_types
+        p = [[epsilon > 0 and any(cell) for cell in row] for row in self.p_coeffs]
+        if _acyclic(range(n), lambda l, m: any(p[l][e] and self.c[e][m] for e in range(n))):
             return 0.0
         floor = Fraction(0)
 
@@ -244,9 +249,7 @@ def _verdict(
                 a[j][k] = (a[i][i] * a[j][k] - a[j][i] * a[i][k]) // last
         last = a[i][i]
     if live:
-        while sinks := [i for i in live if not any(a[i][k] for k in live)]:
-            live = [i for i in live if i not in sinks]
-        return "unstable" if live else "marginal", None
+        return "marginal" if _acyclic(live, lambda i, k: a[i][k]) else "unstable", None
     if not solve:
         return "stable", None
     x = [0] * n
@@ -254,6 +257,16 @@ def _verdict(
         i = order[k]
         x[i] = (last * a[i][n] - sum(a[i][j] * x[j] for j in order[k + 1 :])) // a[i][i]
     return "stable", [Fraction(t, last) for t in x]
+
+
+def _acyclic(nodes, arc) -> bool:
+    """Whether the digraph on nodes with an arc i -> k wherever arc(i, k)
+    is true has no cycle and no loop: stripping its sinks, again and again,
+    leaves no node."""
+    nodes = list(nodes)
+    while sinks := [i for i in nodes if not any(arc(i, k) for k in nodes)]:
+        nodes = [i for i in nodes if i not in sinks]
+    return not nodes
 
 
 def stability_verdict(sm: StabilityMatrices, epsilon: float) -> str:

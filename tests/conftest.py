@@ -180,13 +180,14 @@ def exact_jacobian_product(engine, epsilon) -> list[list[Fraction]]:
     state in erasure coordinates, in rationals.
 
     Column m of a half's Jacobian is the linear part of its exact erasure
-    polynomials along the unit vector e_m: entry l is p[0] / q of output
-    type l's polynomial.  epsilon is taken exactly, float or Fraction."""
+    polynomials along the unit vector e_m (input polynomials u or 0 over
+    1): entry l is p[0] / q of output type l's polynomial.  epsilon is
+    taken exactly, float or Fraction."""
     n_e = engine.n_edge_types
-    units = [[int(l == m) for l in range(n_e)] for m in range(n_e)]
+    units = [[[0, int(l == m)] for l in range(n_e)] for m in range(n_e)]
 
     def jacobian(half, eps):
-        columns = [[Fraction(p[0], q) for p, q in half.erasure_polynomials(u, eps)] for u in units]
+        columns = [[Fraction(p[0], q) for p, q in half.erasure_polynomials(u, 1, eps)] for u in units]
         return [list(row) for row in zip(*columns)]
 
     return _matmul(jacobian(engine._vn, Fraction(epsilon)), jacobian(engine._cn, None))

@@ -600,11 +600,13 @@ def principal_minor_verdict(m) -> str:
     return "marginal" if all(minor(s) >= 0 for s in subsets) else "unstable"
 
 
-def fraction_certified_bound(engine, v, w, r, epsilon):
+def fraction_certified_bound(engine, v, epsilon):
     """ExitEngine._certified_bound with every coefficient a Fraction: the
-    erasure polynomials of both halves at c v and c w in rationals, their
-    Bernstein coefficients on [0, c_max] and de Casteljau halving by means.
-    Returns the bound c0 v - _CERT_SLACK, or None when it is not positive."""
+    step g = h_V . h_C along the ray c v composed in rationals (each axis's
+    weights y^t (1 - y)^(n - t) multiplied out as polynomials in c), the
+    Bernstein coefficients of (c v_l - g_l(c v)) / c on [0, 1] and de
+    Casteljau halving by means.  Returns the bound s v - _CERT_SLACK, or
+    None when it is not positive."""
     from math import comb
 
     from metdg.exitchart import _BASIN_DEPTH, _CERT_SLACK
@@ -613,6 +615,13 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
         if len(a) < len(b):
             a, b = b, a
         return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+    def poly_mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
 
     def poly_dot(vec, acc):
         m, d_v = vec.shape
@@ -625,18 +634,23 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
                     out[:, j : j + d_a] += vec[t, j] * rows[t]
         return out
 
-    def erasure_polynomials(half, scales, eps=None):
+    def weights(y, n):
+        """y^t (1 - y)^(n - t) for t = 0..n, padded to one length."""
+        rest = poly_add([Fraction(1)], [-a for a in y])
+        vec = []
+        for t in range(n + 1):
+            w = [Fraction(1)]
+            for factor in [y] * t + [rest] * (n - t):
+                w = poly_mul(w, factor)
+            vec.append(w)
+        length = max(map(len, vec))
+        return [w + [Fraction(0)] * (length - len(w)) for w in vec]
+
+    def erasure_polynomials(half, inputs, eps=None):
         vectors = []
         for src, n in half._axes:
-            if src == half.n_edge_types:
-                vec = [[eps**z * (1 - eps) ** (n - z)] for z in range(n + 1)]
-            else:
-                a = scales[src]
-                vec = [[0] * (n + 1) for _ in range(n + 1)]
-                for t in range(n + 1):
-                    for j in range(n - t + 1):
-                        vec[t][t + j] = comb(n - t, j) * (-a) ** j * a**t
-            vectors.append(np.array(vec, dtype=object))
+            y = [eps] if src == half.n_edge_types else inputs[src]
+            vectors.append(np.array(weights(y, n), dtype=object))
         polys = []
         for parts in half.parts:
             total = [Fraction(0)]
@@ -646,7 +660,7 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
                     acc = poly_dot(vectors[k], acc)
                 total = poly_add(total, (weight / n_sockets * acc[0]).tolist())
             assert total[0] == 0
-            polys.append(total[1:] or [Fraction(0)])
+            polys.append(total)
         return polys
 
     def bernstein(coeffs, width):
@@ -657,32 +671,30 @@ def fraction_certified_bound(engine, v, w, r, epsilon):
             for i in range(d + 1)
         ]
 
-    def nonnegative_share(b, depth):
+    def positive_share(b, depth):
+        if b[0] <= 0:
+            return Fraction(0)
         if min(b) >= 0:
             return Fraction(1)
-        if b[0] < 0 or depth == 0:
+        if depth == 0:
             return Fraction(0)
         left, right = [b[0]], [b[-1]]
         while len(b) > 1:
             b = [(u + t) / 2 for u, t in zip(b, b[1:])]
             left.append(b[0])
             right.append(b[-1])
-        share = nonnegative_share(left, depth - 1) / 2
+        share = positive_share(left, depth - 1) / 2
         if share < Fraction(1, 2):
             return share
-        return share + nonnegative_share(right[::-1], depth - 1) / 2
+        return share + positive_share(right[::-1], depth - 1) / 2
 
     v_q = [Fraction(t) for t in v]
-    w_q = [Fraction(t) for t in w]
-    tops = w_q + [Fraction(r) * t for t in v_q]
-    halves = erasure_polynomials(engine._cn, v_q)
-    halves += erasure_polynomials(engine._vn, w_q, Fraction(float(epsilon)))
-    c_max = min(Fraction(1), 1 / max(w_q))
-    share = min(
-        nonnegative_share(bernstein([top - h[0]] + [-a for a in h[1:]], c_max), _BASIN_DEPTH)
-        for top, h in zip(tops, halves)
-    )
-    bound = [share * c_max * t - Fraction(_CERT_SLACK) for t in v_q]
+    y_c = erasure_polynomials(engine._cn, [[Fraction(0), t] for t in v_q])
+    g = erasure_polynomials(engine._vn, y_c, Fraction(float(epsilon)))
+    # (c v_l - g_l(c v)) / c, as g_l has no constant term
+    ray = [[t - h[1]] + [-a for a in h[2:]] for t, h in zip(v_q, g)]
+    share = min(positive_share(bernstein(p, Fraction(1)), _BASIN_DEPTH) for p in ray)
+    bound = [share * t - Fraction(_CERT_SLACK) for t in v_q]
     return bound if min(bound) > 0 else None
 
 
@@ -715,9 +727,7 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
             certify = engine._certified_bound
             engine._certified_bound = lambda *args: bounds.append(certify(*args))
             try:
-                prove = engine._basin(sm, epsilon, v)[1]
-                if prove is not None:
-                    prove()
+                engine._basin(epsilon, v)[1]()
             finally:
                 del engine._certified_bound
     bound = bounds[0] if bounds else None

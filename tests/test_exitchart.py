@@ -325,7 +325,7 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
     # moves the all-known state at eps > 0
     spec = make()
     with pytest.raises(InternalError, match="not a fixed point"):
-        ExitEngine(spec)._vn.erasure_polynomials([1] * spec.n_edge_types, Fraction(1, 4))
+        ExitEngine(spec)._vn.erasure_polynomials([[0, 1]] * spec.n_edge_types, 1, Fraction(1, 4))
 
 
 @pytest.mark.parametrize(
@@ -358,8 +358,11 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
         lambda e: e.run(0.3, tol=0.0),
         lambda e: e.run(0.3, tol=1.0),
         lambda e: e.run(0.3, tol=float("nan")),
+        lambda e: e.run(0.3, tol="0.1"),
+        lambda e: e.run(0.3, tol=None),
         lambda e: e.threshold(tol_eps=0.0),
         lambda e: e.threshold(max_iters=float("nan")),
+        lambda e: e.threshold(tol_fp="0.1"),
     ],
     ids=["step-nan", "step-high", "step-low", "step-state-high", "step-state-nan",
          "step-state-shape", "step-state-text", "step-state-str-number",
@@ -367,7 +370,8 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
          "step-eps-bool", "step-eps-str", "run-eps-bool", "run-eps-str",
          "threshold-tol-eps-bool", "threshold-tol-eps-str", "run-max-iters-nan", "run-max-iters-float",
          "run-max-iters-bool", "run-max-iters-neg", "run-tol-zero", "run-tol-one", "run-tol-nan",
-         "threshold-tol-eps-zero", "threshold-max-iters-nan"],
+         "run-tol-str", "run-tol-none",
+         "threshold-tol-eps-zero", "threshold-max-iters-nan", "threshold-tol-fp-str"],
 )
 def test_engine_rejects_bad_inputs(call):
     with pytest.raises(ValidationError):
@@ -525,9 +529,8 @@ def test_every_state_in_a_certified_basin_converges():
         for eps in np.linspace(0.05, 0.95, 37):
             if sm.sigma(float(eps)) > 0.99:
                 continue
-            _, prove = engine._basin(sm, float(eps), _verdict(sm, float(eps), solve=True)[1])
-            lines = None if prove is None else prove()
-            if lines is None or max(lines) == 2.0:
+            lines = engine._basin(float(eps), _verdict(sm, float(eps), solve=True)[1])[1]()
+            if max(lines) == 2.0:
                 continue
             built += 1
             x = np.array(lines)
@@ -539,10 +542,10 @@ def test_every_state_in_a_certified_basin_converges():
     assert built >= 50
 
 
-def test_basin_vectors_satisfy_the_certificate_inequalities(monkeypatch):
-    # the floats (v, w, r) that _basin hands to the exact test satisfy
-    # C v < w, P(eps) w < r v and r < 1 in rationals, the conditions its
-    # docstring derives them from
+def test_basin_ray_is_positive_and_contracted_by_the_linear_step(monkeypatch):
+    # the floats v^ that _basin hands to the exact test satisfy v^ > 0,
+    # max v^ = 1 and (I - P(eps)C) v^ > 0 in rationals: the ray along which
+    # the step starts below the identity, as its docstring derives
     handed = []
     monkeypatch.setattr(ExitEngine, "_certified_bound", lambda self, *args: handed.append(args))
     rng = np.random.default_rng(23)
@@ -555,17 +558,15 @@ def test_basin_vectors_satisfy_the_certificate_inequalities(monkeypatch):
         for eps in np.linspace(0.02, 1.0, 50):
             eps = float(eps)
             verdict, v = _verdict(sm, eps, solve=True)
-            prove = None if verdict != "stable" else engine._basin(sm, eps, v)[1]
-            if prove is None:
+            if verdict != "stable":
                 continue
-            prove()
-            v, w, r, _ = handed.pop()
-            v, w, r = [Fraction(t) for t in v], [Fraction(t) for t in w], Fraction(r)
-            p = [[sum(a * Fraction(eps) ** u for u, a in enumerate(cell)) for cell in row]
-                 for row in sm.p_coeffs]
-            assert r < 1 and min(v) > 0
-            assert all(sum(map(mul, row, v)) < b for row, b in zip(sm.c, w)), (spec, eps)
-            assert all(sum(map(mul, row, w)) < r * a for row, a in zip(p, v)), (spec, eps)
+            engine._basin(eps, v)[1]()
+            ray, at = handed.pop()
+            assert at == eps
+            ray = [Fraction(t) for t in ray]
+            product = exact_stability_product(sm, eps)
+            assert min(ray) > 0 and max(ray) == 1, (spec, eps)
+            assert all(a > sum(map(mul, row, ray)) for row, a in zip(product, ray)), (spec, eps)
             checked += 1
     assert checked >= 300
 
@@ -615,18 +616,16 @@ def test_probes_next_to_the_bound_end_in_the_basin():
     ],
     ids=["ex1_spc3_spc4", "ex2_pair"],
 )
-def test_stable_probe_with_float_sigma_at_one_skips_the_basin(spec, eps):
+def test_stable_probe_with_float_sigma_at_one_ends_in_the_basin(spec, eps):
     # stable by the exact verdict, yet LAPACK's sigma reads 1: the solution v
-    # of (I - P(eps)C) v = 1 is so large that the basin's contraction factor
-    # r = 1 - 7 / (16 max(v)) rounds to 1, so the run goes without a basin
-    # (lines of 2.0 and nothing to prove) and ends at its cap
+    # of (I - P(eps)C) v = 1 reaches about 2**53, so the linear step moves
+    # the ray v^ = v / max(v) by only 1 / max(v).  The exact ray proof still
+    # covers the first state, so the run ends at once
     sm = build_matrices(spec)
     assert stability_verdict(sm, eps) == "stable" and lapack_sigma(sm, eps) >= 1.0
     engine = ExitEngine(spec)
-    no_basin = ((2.0,) * spec.n_edge_types, None)
-    assert engine._basin(sm, eps, _verdict(sm, eps, solve=True)[1]) == no_basin
     start = time.perf_counter()
-    assert engine.run(eps, max_iters=2000)[2].reason == "max_iters"
+    assert engine.run(eps, max_iters=2000)[2] == ProbeOutcome(eps, "basin", 0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -653,22 +652,59 @@ def test_line_is_the_smallest_double_at_or_above_one_minus_b():
         ([Fraction(1, 100), Fraction(-3, 5), Fraction(1)], 0.3 - 0.08**0.5),  # c^2 - 0.6c + 0.01
         ([Fraction(1, 10), Fraction(-3, 5), Fraction(1)], None),  # (c - 0.3)^2 + 0.01
         ([Fraction(-1, 10), Fraction(1)], 0.0),  # negative at 0
+        ([Fraction(0), Fraction(1)], 0.0),  # c: nonnegative, but zero at 0
     ],
 )
 def test_bernstein_share_is_a_nonnegative_prefix(coeffs, root):
-    from metdg.exitchart import _bernstein, _nonnegative_share
+    from metdg.exitchart import _bernstein, _positive_share
 
     depth = 30
-    got = _nonnegative_share(_bernstein(coeffs, Fraction(1)), depth)
+    got = _positive_share(_bernstein(coeffs, Fraction(1)), depth)
     if root is None:
         assert got == 1
     else:
         # the share stops at or short of the first root, by at most the
         # resolution of the halvings
         assert root - 2.0**-depth <= got <= root
-    for k in range(201 if got else 0):
+    # the polynomial is positive on the share, its right end excluded
+    for k in range(200 if got else 0):
         c = got * Fraction(k, 200)
-        assert sum(a * c**j for j, a in enumerate(coeffs)) >= 0
+        assert sum(a * c**j for j, a in enumerate(coeffs)) > 0
+
+
+def test_ray_with_no_linear_margin_gets_no_basin():
+    # at the marginal point 1/2 of the two-bank (3,2)-SPC ensemble, P(eps)C
+    # swaps the two types, so it fixes v^ = (1, 1) and the ray proof's first
+    # Bernstein coefficients are 0.  Its others are nonnegative, so only the
+    # strict test refuses the basin
+    engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
+    assert engine._certified_bound([1.0, 1.0], 0.5) is None
+    assert engine._basin(0.5, [Fraction(3), Fraction(3)])[1]() == (2.0, 2.0)
+
+
+def _draw(seed: int, k: int):
+    """rngSx: the k-th draw of random_eligible_spec(default_rng(seed), max_sockets=12)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        spec = random_eligible_spec(rng, max_sockets=12)
+    return spec
+
+
+def test_threshold_at_a_closed_form_stability_bound_is_decided():
+    # rng5b: one edge type with P(eps)C = 12 eps / 11 + 6 eps^2 / 11, whose
+    # threshold is its stability bound sqrt(102) / 6 - 1.  The probes below
+    # it converge at a rate that tends to 1, so the ray basin decides them
+    (lo, hi), counts = ExitEngine(_draw(5, 2)).threshold()
+    assert counts["undecided"] == 0
+    assert lo <= 102**0.5 / 6 - 1 <= hi
+
+
+def test_threshold_next_to_a_three_type_stability_bound_is_decided():
+    # rng10b: a probe at 0.408724755 converges after tens of thousands of
+    # steps, and the stability bound is 0.4087353
+    (lo, hi), counts = ExitEngine(_draw(10, 2)).threshold()
+    assert counts["undecided"] == 0
+    assert 0.408724755 <= lo <= 0.4087353
 
 
 @pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
@@ -864,8 +900,7 @@ def test_exact_basin_is_built_only_when_a_state_comes_near_it(monkeypatch):
     basin = ExitEngine._basin
 
     def eager_basin(self, *args):
-        lines, prove = basin(self, *args)
-        return (lines if prove is None else prove()), None
+        return basin(self, *args)[1](), None
 
     monkeypatch.setattr(ExitEngine, "_basin", eager_basin)
     eager = _probe_log(ExitEngine(spec), certified)

@@ -468,6 +468,21 @@ def test_vanishing_product_reports_zero_without_a_verdict(monkeypatch):
         assert sm.vanishes() and [sm.sigma(eps) for eps in (0.0, 0.3, 1.0)] == [0.0] * 3
 
 
+def test_nilpotent_product_reports_zero_without_a_verdict(monkeypatch):
+    # strictly triangular products have rho = 0 but do not vanish; neither
+    # does ex1_spc3's product at eps > 0, which P(0) = 0 makes vanish
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("a nilpotent product needs no verdict")
+
+    ex1 = build_matrices(example1_spec(spc_gen(3), spc_gen(3)))
+    triangular = [_as_product([[Fraction(int(m > l)) for m in range(n)] for l in range(n)]) for n in (2, 10)]
+    assert not any(sm.vanishes() for sm in (ex1, *triangular))
+    monkeypatch.setattr(stability, "_verdict", no_verdict)
+    assert ex1.sigma(0.0) == 0.0
+    for sm in triangular:
+        assert [sm.sigma(eps) for eps in (0.0, 0.3, 1.0)] == [0.0] * 3
+
+
 def test_stability_matrices_are_an_immutable_value():
     spec = example2_spec(rep_gen(2))
     sm = build_matrices(spec)
