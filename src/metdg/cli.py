@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import count
 from operator import itemgetter
-from types import SimpleNamespace
 
 from . import __version__, exitchart, stability
 from .ensemble import EnsembleSpec, VnType, load_spec
@@ -158,9 +157,9 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     """The rows of ExitEngine.run's trajectory.  The JSON form collects them
-    as tuples of floats; the CSV form writes each row as the run makes it,
-    so that its memory does not grow with --max-iters.  Rejected run
-    parameters write nothing."""
+    as tuples of floats; the CSV form writes them as the run makes them, in
+    chunks of a bounded number of rows, so that its memory does not grow
+    with --max-iters.  Rejected run parameters write nothing."""
     engine = exitchart.ExitEngine(spec)
     check_epsilon(args.epsilon)
     check_run_limits(args.max_iters, args.tol)
@@ -178,24 +177,28 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     line, number = _csv_line(len(columns)), count()
     with _output(args.out) as write:
         write(_csv_head("exit-chart", digest, params, columns))
-        sink = SimpleNamespace(append=lambda row: write(line % (next(number), *row)))
-        engine._run(args.epsilon, args.max_iters, args.tol, sink)
+
+        def flush(rows: list[tuple[float, ...]]) -> None:
+            # zip takes no number once the rows run out
+            write("".join([line % (i, *row) for row, i in zip(rows, number)]))
+
+        engine._run(args.epsilon, args.max_iters, args.tol, [], flush)
     return 0
 
 
 def _cmd_threshold(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     engine = exitchart.ExitEngine(spec)
-    (lo, hi), probes = engine.threshold(
+    (lo, hi), steps = engine.threshold(
         tol_eps=args.tol_eps, max_iters=args.max_iters, tol_fp=args.tol_fp
     )
     params = {"tol_eps": args.tol_eps, "max_iters": args.max_iters, "tol_fp": args.tol_fp}
-    # tol bounds the error of the midpoint whenever no probe was undecided.
+    # tol bounds the error of the midpoint whenever no step was undecided.
     results = {
         "threshold": 0.5 * (lo + hi),
         "tol": args.tol_eps,
-        "iterations": sum(probes.values()),
+        "iterations": sum(steps.values()),
         "bracket": [lo, hi],
-        "undecided": probes["undecided"],
+        "undecided": steps["undecided"],
     }
     _emit_json(_report("threshold", digest, params, results, t0), args.out)
     return 0

@@ -61,6 +61,8 @@ _CERT_PAD = 1e-12
 # Basin certificate (see ExitEngine._basin): the Bernstein test may halve the
 # interval [0, 1] up to _BASIN_DEPTH times before it gives up.
 _BASIN_DEPTH = 30
+# Rows per chunk that a recorded run hands to its flush.
+_FLUSH_ROWS = 1000
 
 OUTCOMES = ("converged", "stuck", "undecided")
 
@@ -421,7 +423,7 @@ class ExitEngine:
         test can stop it before that step, as no state reaches lines of
         2.0 and no super-solution check falls due."""
         rows: list[tuple] = []
-        self._advance(x, epsilon, 1, 2.0, (2.0,) * self.n_edge_types, None, 2, rows)
+        self._advance(x, epsilon, 1, 2.0, (2.0,) * self.n_edge_types, None, 2, rows, None)
         return rows[0]
 
     def _state(self, i_ev) -> tuple:
@@ -498,12 +500,15 @@ class ExitEngine:
         trajectory = np.array(rows) if record else np.empty((0, self.n_edge_types))
         return outcome.outcome == "converged", trajectory, outcome
 
-    def _run(self, epsilon: float, max_iters: int, tol: float, rows: list | None) -> ProbeOutcome:
+    def _run(
+        self, epsilon: float, max_iters: int, tol: float, rows: list | None, flush=None
+    ) -> ProbeOutcome:
         """run with its checks, recording each state as a tuple into rows
         unless rows is None; threshold probes and the exit-chart command
-        run through it, so that neither makes an array.  It takes the exact
-        verdict, the basin's lines and the first step; _advance takes every
-        later decision, the one basin proof included."""
+        run through it, so that neither makes an array.  A flush takes rows,
+        which is then emptied, at every _FLUSH_ROWS states and at the end.
+        It takes the exact verdict, the basin's lines and the first step;
+        _advance takes every later decision, the one basin proof included."""
         check_epsilon(epsilon)
         check_run_limits(max_iters, tol)
         # no state reaches a line of 2.0
@@ -521,7 +526,12 @@ class ExitEngine:
         if rows is not None:
             rows.append(x)
         check = max_iters + 1 if rows is not None else _CERT_FIRST
-        steps, reason = self._advance(x, epsilon, max_iters, 1.0 - tol, lines, prove, check, rows)
+        steps, reason = self._advance(
+            x, epsilon, max_iters, 1.0 - tol, lines, prove, check, rows, flush
+        )
+        if flush is not None and rows:
+            flush(rows)
+            rows.clear()
         return ProbeOutcome(epsilon, reason or "max_iters", steps)
 
     @cached_property
@@ -638,9 +648,10 @@ class ExitEngine:
         """Bisection for the largest erasure probability that still converges.
 
         Returns the final bracket (lo, hi), at most 2 tol_eps wide, and the
-        number of probes per outcome (a dict keyed by OUTCOMES).  A
-        converged probe raises lo; a stuck or undecided one lowers hi, so
-        the bracket holds the threshold whenever no probe was undecided.
+        outcome of each bisection step, counted per outcome (a dict keyed
+        by OUTCOMES).  A converged step raises lo; a stuck or undecided one
+        lowers hi, so the bracket holds the threshold whenever no step was
+        undecided.
 
         Where run's stability cap applies and the spec has a stability
         bound, the search starts from hi = bound + tol_eps, at which the
@@ -648,20 +659,48 @@ class ExitEngine:
         convergence, so the threshold lies below, and no probe lands on the
         marginal point itself, where the run converges too slowly for any
         cap.
+
+        A step runs DE only where no earlier run of the call decides it:
+        convergence is monotone in eps, so a midpoint at or below a
+        converged eps converges and one at or above a stuck eps is stuck.
+        So steps and counts are those of a bisection that runs every step.
+        First the last two midpoints of the all-converged path run, highest
+        first, until one is not stuck: the two top final cells they start
+        cover [hi - 2 tol_eps, hi], which holds the stability bound when the
+        search starts from it, so a threshold at the bound, or at 1, takes
+        one or two runs.
         """
         check_tol_eps(tol_eps)
         check_run_limits(max_iters, tol_fp)
         lo, hi = 0.0, self._unstable_start(tol_eps)
+        seen: dict[float, str] = {}  # eps -> outcome of each run made
+        path, top = [], lo
+        while hi - top > 2.0 * tol_eps:
+            top = 0.5 * (top + hi)
+            path.append(top)
+        for eps in reversed(path[-2:]):
+            if self._decided(seen, eps, max_iters, tol_fp) != "stuck":
+                break
         counts = dict.fromkeys(OUTCOMES, 0)
         while hi - lo > 2.0 * tol_eps:
             mid = 0.5 * (lo + hi)
-            outcome = self._run(mid, max_iters, tol_fp, None).outcome
+            outcome = self._decided(seen, mid, max_iters, tol_fp)
             counts[outcome] += 1
             if outcome == "converged":
                 lo = mid
             else:
                 hi = mid
         return (lo, hi), counts
+
+    def _decided(self, seen: dict[float, str], eps: float, max_iters: int, tol: float) -> str:
+        """threshold's outcome at eps: that of a run in seen at eps, above
+        eps that converged, or below eps that is stuck; else that of a new
+        run, which seen keeps."""
+        for e, o in seen.items():
+            if e == eps or (o == "converged" and eps < e) or (o == "stuck" and eps > e):
+                return o
+        o = seen[eps] = self._run(eps, max_iters, tol, None).outcome
+        return o
 
     def _unstable_start(self, tol_eps: float) -> float:
         sm = self._stability
@@ -677,8 +716,9 @@ class ExitEngine:
 
 def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
     """Python source of advance(x, eps, stop, line, lines, prove, check,
-    rows), run's loop from its first state: it tests each state, then steps
-    it, and returns (steps, reason), reason None after stop steps.
+    rows, flush), run's loop from its first state: it tests each state,
+    then steps it, and returns (steps, reason), reason None after stop
+    steps.
 
     The tests, in run's order: "tol" when every component reaches line;
     "basin" when each component x_l reaches lines[l] and prove is None
@@ -697,7 +737,8 @@ def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
     locals x, p and q, the CN half's output in c; the statements that read
     only eps run once, before the loop.  A tuple is built only for a call:
     of never, of a kernel, and of rows.append, made with each new state
-    unless rows is None.
+    unless rows is None, and flush(rows) at _FLUSH_ROWS rows unless flush
+    is None.
     """
 
     def names(prefix: str) -> str:
@@ -715,7 +756,7 @@ def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
         else:
             step.append(f"{names(out)}= {name}(({names(x)}), {eps})")
     return "\n".join([
-        "def advance(x, eps, stop, line, lines, prove, check, rows):",
+        "def advance(x, eps, stop, line, lines, prove, check, rows, flush):",
         f"    {names('b')}= lines",
         f"    {names('x')}= x",
         f"    {names('p')}{names('q')}= {'-1.0, ' * 2 * n_e}",
@@ -744,6 +785,9 @@ def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
         "        it += 1",
         "        if rows is not None:",
         f"            rows.append(({names('x')}))",
+        f"            if len(rows) >= {_FLUSH_ROWS} and flush is not None:",
+        "                flush(rows)",
+        "                rows.clear()",
         "",
     ])
 

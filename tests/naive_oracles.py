@@ -761,3 +761,24 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
     rows = np.array(trajectory) if record else np.empty((0, n_e))
     outcome = ProbeOutcome(epsilon, reason, it)
     return outcome.outcome == "converged", rows, outcome
+
+
+def plain_threshold(engine, tol_eps=1e-6, max_iters=20000, tol=1e-10):
+    """ExitEngine.threshold as a bisection that runs every step: from the
+    same start, one engine._run per midpoint.  Returns ((lo, hi), counts,
+    probes), counts per outcome as threshold returns them and probes the
+    ProbeOutcome of each run in order."""
+    from metdg.exitchart import OUTCOMES
+
+    lo, hi = 0.0, engine._unstable_start(tol_eps)
+    counts = dict.fromkeys(OUTCOMES, 0)
+    probes = []
+    while hi - lo > 2.0 * tol_eps:
+        mid = 0.5 * (lo + hi)
+        probes.append(engine._run(mid, max_iters, tol, None))
+        counts[probes[-1].outcome] += 1
+        if probes[-1].outcome == "converged":
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi), counts, probes

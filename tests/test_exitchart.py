@@ -38,6 +38,7 @@ from conftest import (
 )
 from naive_oracles import (
     fraction_certified_bound,
+    plain_threshold,
     scalar_de_converges,
     scalar_de_threshold,
     semantic_extrinsic_known_probability,
@@ -420,6 +421,22 @@ def test_trajectory_indexing_and_initial_state():
     assert traj[-1].min() >= 1.0 - 1e-10 > traj[-2].min()
 
 
+def test_flushed_run_hands_over_every_row_in_bounded_chunks():
+    # with a flush, a recorded run keeps at most _FLUSH_ROWS rows: the chunks
+    # are full but the last, and together they are the recorded trajectory
+    from metdg.exitchart import _FLUSH_ROWS
+
+    engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
+    for eps, max_iters in ((0.499, 20000), (0.4999999, 2 * _FLUSH_ROWS - 1), (0.3, 20000)):
+        chunks = []
+        got = engine._run(eps, max_iters, 1e-10, [], lambda rows: chunks.append(list(rows)))
+        _, trajectory, want = engine.run(eps, max_iters=max_iters, record=True)
+        assert got == want
+        assert [len(c) for c in chunks[:-1]] == [_FLUSH_ROWS] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= _FLUSH_ROWS
+        assert sum(chunks, []) == list(map(tuple, trajectory.tolist()))
+
+
 def test_step_matches_tensordot_oracle():
     rng = np.random.default_rng(91)
     specs = [random_eligible_spec(rng) for _ in range(8)] + [dgldpc_spec(), fig1_spec()]
@@ -467,24 +484,26 @@ def _check_stability_limited_search(engine, max_iters):
     """ex1_spc3's threshold is 1/2, its stability bound.  Within 1e-3 of it
     the stall-only oracle decides nothing at any practical cap, so there the
     bracket pins the basin certificate and the stability cap; every probe
-    and grid point further away must agree with the oracle, which decides
-    each of them within max_iters."""
-    probes = []
+    of the plain bisection and every grid point further away must agree
+    with the oracle, which decides each of them within max_iters."""
+    runs = []
     probe = engine._run
 
     def recording_probe(eps, *args):
-        outcome = probe(eps, *args)
-        probes.append((eps, outcome))
-        return outcome
+        runs.append(eps)
+        return probe(eps, *args)
 
-    # threshold's probes, through the run that makes no array
+    # threshold's runs, through the run that makes no array
     engine._run = recording_probe
     (lo, hi), counts = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
     del engine._run
     assert lo < 0.5 < hi and hi - lo <= 2e-5
-    assert counts["undecided"] == 0 and sum(counts.values()) == len(probes)
-    grid = [float(e) for e in np.linspace(0.05, 0.95, 7)] + [0.499, 0.501]
-    probes += [(eps, engine.run(eps, max_iters=max_iters)[2]) for eps in grid]
+    # the run at the top cell's lower end converges and decides all 15 steps
+    assert counts == {"converged": 15, "stuck": 0, "undecided": 0} and len(runs) == 1
+    bracket, plain_counts, plain_probes = plain_threshold(engine, tol_eps=1e-5, max_iters=max_iters)
+    assert (bracket, plain_counts) == ((lo, hi), counts)
+    grid = [p.epsilon for p in plain_probes] + [float(e) for e in np.linspace(0.05, 0.95, 7)]
+    probes = [(eps, engine.run(eps, max_iters=max_iters)[2]) for eps in grid + [0.499, 0.501]]
     far = [(eps, outcome) for eps, outcome in probes if abs(eps - 0.5) >= 1e-3]
     assert {outcome.reason for _, outcome in far} >= {"basin", "unstable"}
     for eps, outcome in far:
@@ -707,6 +726,44 @@ def test_threshold_next_to_a_three_type_stability_bound_is_decided():
     assert 0.408724755 <= lo <= 0.4087353
 
 
+_SEARCH_SPECS = {
+    "ldpc36": lambda: ldpc_spec(3, 6),
+    "ex1_spc3": lambda: example1_spec(spc_gen(3), spc_gen(3)),
+    "ex2_rep3": lambda: example2_spec(rep_gen(3)),
+    "dgldpc": dgldpc_spec,
+    "wide": wide_spec,
+    "rng5b": lambda: _draw(5, 2),
+    "rng10b": lambda: _draw(10, 2),
+    "rng1e": lambda: _draw(1, 5),
+}
+# DE runs of a search whose threshold lies in the top two cells: the first
+# run that is not stuck decides every step below it
+_SEARCH_RUNS = {"ex1_spc3": 1, "wide": 1, "rng5b": 2, "rng10b": 2}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_SPECS))
+def test_threshold_equals_the_plain_bisection(name):
+    # threshold() infers a step from an earlier run where monotonicity in eps
+    # decides it; its bracket and per-step counts are those of the bisection
+    # that runs every step, with at most two runs more (rng1e has an
+    # undecided step, which only its own run decides)
+    engine = ExitEngine(_SEARCH_SPECS[name]())
+    runs = []
+    probe = engine._run
+
+    def counted(eps, *args):
+        runs.append(eps)
+        return probe(eps, *args)
+
+    engine._run = counted
+    got = engine.threshold()
+    del engine._run
+    bracket, counts, probes = plain_threshold(engine)
+    assert got == (bracket, counts)
+    assert len(set(runs)) == len(runs) <= len(probes) + 2
+    assert len(runs) == _SEARCH_RUNS.get(name, len(runs))
+
+
 @pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
 def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
     # run steps in a generated loop; its outcomes and rows are those of a
@@ -776,8 +833,9 @@ def test_integer_basin_proof_matches_fractions(monkeypatch):
     rng = np.random.default_rng(36)
     specs = [example1_spec(spc_gen(3), spc_gen(3)), example2_spec(rep_gen(3))]
     specs += [random_eligible_spec(rng, n_edge_types=n) for n in (1, 2, 3) for _ in range(2)]
+    # the plain bisection's probes: threshold() runs few of them
     for spec in specs:
-        ExitEngine(spec).threshold(tol_eps=1e-4, max_iters=2000)
+        plain_threshold(ExitEngine(spec), tol_eps=1e-4, max_iters=2000)
     assert len(proofs) >= 30 and all(proofs)
 
 
