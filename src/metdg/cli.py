@@ -69,13 +69,9 @@ def _output(out_path: str | None):
         raise ValidationError(f"cannot write the output: {e}") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as write:
-        write(text)
-
-
 def _emit_json(report: dict, out_path: str | None) -> None:
-    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
+    with _output(out_path) as write:
+        write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _csv_head(subcommand: str, digest: str, parameters: dict, columns) -> str:
@@ -95,15 +91,6 @@ def _csv_line(n_columns: int) -> str:
     """The %-format of a CSV row: each value written as its repr (%r is
     repr for ints and floats alike)."""
     return ",".join(["%r"] * n_columns) + "\n"
-
-
-def _emit_csv(
-    subcommand: str, digest: str, parameters: dict, columns, rows, out_path: str | None
-) -> None:
-    """The CSV document of the row tuples."""
-    line = _csv_line(len(columns))
-    body = "".join([line % row for row in rows])
-    _emit(_csv_head(subcommand, digest, parameters, columns) + body, out_path)
 
 
 def _cmd_validate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
@@ -157,16 +144,16 @@ def _cmd_inffunc(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     """The rows of ExitEngine.run's trajectory.  The JSON form collects them
-    as tuples of floats; the CSV form writes them as the run makes them, in
-    chunks of a bounded number of rows, so that its memory does not grow
-    with --max-iters.  Rejected run parameters write nothing."""
+    as tuples of floats; the CSV form writes each chunk of rows the run
+    hands over as it makes them, so that its memory does not grow with
+    --max-iters.  Rejected run parameters write nothing."""
     engine = exitchart.ExitEngine(spec)
     check_epsilon(args.epsilon)
     check_run_limits(args.max_iters, args.tol)
     params = {"epsilon": args.epsilon, "max_iters": args.max_iters, "tol": args.tol}
     if args.format == "json":
         trajectory: list[tuple[float, ...]] = []
-        outcome = engine._run(args.epsilon, args.max_iters, args.tol, trajectory)
+        outcome = engine.run(args.epsilon, args.max_iters, args.tol, trajectory.extend)
         results = {
             "converged": outcome.outcome == "converged",
             "trajectory": trajectory,
@@ -178,11 +165,11 @@ def _cmd_exit_chart(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     with _output(args.out) as write:
         write(_csv_head("exit-chart", digest, params, columns))
 
-        def flush(rows: list[tuple[float, ...]]) -> None:
+        def write_rows(rows: list[tuple[float, ...]]) -> None:
             # zip takes no number once the rows run out
             write("".join([line % (i, *row) for row, i in zip(rows, number)]))
 
-        engine._run(args.epsilon, args.max_iters, args.tol, [], flush)
+        engine.run(args.epsilon, args.max_iters, args.tol, write_rows)
     return 0
 
 
@@ -282,7 +269,10 @@ def _cmd_simulate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         _emit_json(_report("simulate", digest, params, {"rows": result.rows}, t0), args.out)
         return 0
     columns = ("eps", "ber", "bler", "ci_lo", "ci_hi", "trials")
-    _emit_csv("simulate", digest, params, columns, map(itemgetter(*columns), result.rows), args.out)
+    line = _csv_line(len(columns))
+    body = "".join([line % row for row in map(itemgetter(*columns), result.rows)])
+    with _output(args.out) as write:
+        write(_csv_head("simulate", digest, params, columns) + body)
     return 0
 
 

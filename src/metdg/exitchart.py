@@ -33,15 +33,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, inf, lcm, nextafter, prod
 from operator import mul, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import stability
 from .ensemble import EnsembleSpec
 from .errors import InternalError, ValidationError, check_epsilon, check_run_limits, check_tol_eps, is_real
 from .infofuncs import cn_table, vn_table
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _BOUNDS_SLACK = 1e-9
 # A half whose parts hold more coefficient entries than this keeps the numpy
@@ -61,7 +58,7 @@ _CERT_PAD = 1e-12
 # Basin certificate (see ExitEngine._basin): the Bernstein test may halve the
 # interval [0, 1] up to _BASIN_DEPTH times before it gives up.
 _BASIN_DEPTH = 30
-# Rows per chunk that a recorded run hands to its flush.
+# Rows per chunk that a recorded run hands to its record callable.
 _FLUSH_ROWS = 1000
 
 OUTCOMES = ("converged", "stuck", "undecided")
@@ -155,25 +152,6 @@ class _Mixture:
         hold at most _KERNEL_MAX_ENTRIES coefficient entries."""
         return sum(len(arr) for parts in self.parts for *_, arr, _ in parts) <= _KERNEL_MAX_ENTRIES
 
-    def kernel(self):
-        """This half as a function of (state tuple, epsilon) that returns a
-        tuple of floats: compiled from _kernel_source, or the numpy
-        contraction when the half is not generated.  The engine's loop
-        calls it only for a half that is not generated; it writes the
-        others inline."""
-        if not self.generated():
-            import numpy as np
-
-            contract = self.contraction()
-            return lambda x, epsilon: tuple(contract(np.array(x), epsilon).tolist())
-        setup, body = self._kernel_source("x", "o", "")
-        n_e = self.n_edge_types
-        lines = [f"{_names('x', n_e)}= x", *setup, *body, f"return ({_names('o', n_e)})"]
-        source = "def kernel(x, eps):\n" + "".join(f"    {line}\n" for line in lines)
-        namespace = {"_checked": _checked}
-        exec(compile(source, "<exit kernel>", "exec"), namespace)
-        return namespace["kernel"]
-
     def _kernel_source(self, x: str, out: str, tag: str) -> tuple[list[str], list[str]]:
         """Python statements that compute what contraction does, in the same
         order, from the floats x0, x1, ... and eps into out0, out1, ...: the
@@ -236,10 +214,11 @@ class _Mixture:
             )
         return setup, head + body + [f"{out}{e0} = {expr}" for e0, expr in enumerate(outputs)]
 
-    def contraction(self) -> Callable[[np.ndarray, float | None], np.ndarray]:
-        """This half in numpy, as a function of (state vector, epsilon or
-        None) that returns a float vector.  One evaluation computes every
-        distinct weight vector in a single vectorised power expression over
+    def contraction(self) -> Callable[[tuple, float | None], tuple]:
+        """This half in numpy, as a function of (state tuple, epsilon or
+        None) that returns a tuple of floats: how the DE loop evaluates a
+        half that is not generated.  One evaluation computes every distinct
+        weight vector in a single vectorised power expression over
         exponents fixed here, then contracts each part by a chain of 2-D
         vector-matrix products."""
         import numpy as np
@@ -255,23 +234,24 @@ class _Mixture:
             for p in self.parts
         ]
 
-        def contract(x: np.ndarray, epsilon: float | None = None) -> np.ndarray:
+        def contract(x: tuple, epsilon: float | None = None) -> tuple:
+            x = np.array(x, dtype=np.float64)
             up, down = 1.0 - x, x
             if epsilon is not None:
                 up = np.append(up, epsilon)
                 down = np.append(down, 1.0 - epsilon)
             flat = up[source] ** ups * down[source] ** downs
             vectors = [flat[sl] for sl in slices]
-            out = np.empty(len(halves))
-            for e0, parts in enumerate(halves):
+            out = []
+            for parts in halves:
                 total = 0.0
                 for weight, n_sockets, acc, kept in parts:
                     for k in kept:
                         v = vectors[k]
                         acc = np.dot(v, acc.reshape(v.shape[0], -1))
                     total += weight * _checked(1.0 - acc.item() / n_sockets)
-                out[e0] = total
-            return out
+                out.append(total)
+            return tuple(out)
 
         return contract
 
@@ -410,12 +390,11 @@ class ExitEngine:
         self._cn = _Mixture(n_e, cn_terms)
         self._vn = _Mixture(n_e, vn_terms)
 
-    def step(self, i_ev, epsilon: float) -> np.ndarray:
-        """One application of the recursion: CN pass, then VN pass."""
-        import numpy as np
-
+    def step(self, i_ev, epsilon: float) -> tuple[float, ...]:
+        """One application of the recursion: CN pass, then VN pass, as a
+        tuple of floats."""
         check_epsilon(epsilon)
-        return np.array(self._step(self._state(i_ev), epsilon))
+        return self._step(self._state(i_ev), epsilon)
 
     def _step(self, x: tuple, epsilon: float) -> tuple:
         """step on a state tuple of floats, without the input checks: the
@@ -442,17 +421,20 @@ class ExitEngine:
         epsilon: float,
         max_iters: int = 20000,
         tol: float = 1e-10,
-        record: bool = False,
-    ) -> tuple[bool, np.ndarray, ProbeOutcome]:
+        record: Callable[[list[tuple[float, ...]]], object] | None = None,
+    ) -> ProbeOutcome:
         """Iterate from the all-unknown prior to the all-known fixed point.
 
-        Returns (converged, trajectory, outcome); the trajectory is a
-        (T, n_e) array whose row i is the state after iteration i, with no
-        rows unless record is set.  Non-convergence is a result, not an
-        error.  A run converges once every component reaches 1 - tol, is
-        stuck when it stalls (no component moves by _STALL_TOL in one
-        step), and is undecided once it has taken max_iters steps, an int.
-        Runs that do not record also take three early decisions:
+        Returns how the run ended.  Unless record is None, the run records
+        its trajectory: record, a callable such as list.extend or a
+        writer, takes the states in order as tuples of floats, row i being
+        the state after iteration i, in chunks of up to _FLUSH_ROWS rows,
+        each a list that record may read but not keep.  Non-convergence
+        is a result, not an error.  A run converges once every component
+        reaches 1 - tol, is stuck when it stalls (no component moves by
+        _STALL_TOL in one step), and is undecided once it has taken
+        max_iters steps, an int.  Runs that do not record also take three
+        early decisions:
 
         - stuck, "unstable", without a step: the spec is eligible for the
           stability analysis and its exact verdict at epsilon is
@@ -493,45 +475,31 @@ class ExitEngine:
         Each state meets the tests in this order: tol, basin, stall,
         super-solution when it is due, then the cap.
         """
-        import numpy as np
-
-        rows = [] if record else None
-        outcome = self._run(epsilon, max_iters, tol, rows)
-        trajectory = np.array(rows) if record else np.empty((0, self.n_edge_types))
-        return outcome.outcome == "converged", trajectory, outcome
-
-    def _run(
-        self, epsilon: float, max_iters: int, tol: float, rows: list | None, flush=None
-    ) -> ProbeOutcome:
-        """run with its checks, recording each state as a tuple into rows
-        unless rows is None; threshold probes and the exit-chart command
-        run through it, so that neither makes an array.  A flush takes rows,
-        which is then emptied, at every _FLUSH_ROWS states and at the end.
-        It takes the exact verdict, the basin's lines and the first step;
-        _advance takes every later decision, the one basin proof included."""
         check_epsilon(epsilon)
         check_run_limits(max_iters, tol)
+        if record is not None and not callable(record):
+            raise ValidationError(f"record must be None or a callable that takes rows, got {record!r}")
         # no state reaches a line of 2.0
         lines, prove = (2.0,) * self.n_edge_types, None
-        sm = None if rows is not None else self._stability
+        sm = self._stability if record is None else None
         if sm is not None:
             verdict, v = stability._verdict(sm, epsilon, solve=True)
             if verdict == "unstable":
                 return ProbeOutcome(epsilon, "unstable", 0)
             if verdict == "stable":
                 lines, prove = self._basin(epsilon, v)
-        # States are tuples of floats; the comparisons in _advance are the
-        # same IEEE operations an array would take.
+        # The run keeps the exact verdict, the basin's lines and the first
+        # step; _advance takes every later decision, the one basin proof
+        # included.  States are tuples of floats, and the comparisons in
+        # _advance are the same IEEE operations an array would take.
         x = self._step((0.0,) * self.n_edge_types, epsilon)
-        if rows is not None:
-            rows.append(x)
-        check = max_iters + 1 if rows is not None else _CERT_FIRST
+        rows = None if record is None else [x]
+        check = _CERT_FIRST if record is None else max_iters + 1
         steps, reason = self._advance(
-            x, epsilon, max_iters, 1.0 - tol, lines, prove, check, rows, flush
+            x, epsilon, max_iters, 1.0 - tol, lines, prove, check, rows, record
         )
-        if flush is not None and rows:
-            flush(rows)
-            rows.clear()
+        if rows:
+            record(rows)
         return ProbeOutcome(epsilon, reason or "max_iters", steps)
 
     @cached_property
@@ -539,11 +507,11 @@ class ExitEngine:
         """The stepping loop of run, compiled from _advance_source on the
         engine's first step and kept for its later ones: the engine's one
         unit of generated code.  A half that is not generated is called as
-        its kernel, cn or vn."""
+        its numpy contraction, bound as cn or vn."""
         namespace = {"_checked": _checked, "never": self._never_converges}
         for name, half in (("cn", self._cn), ("vn", self._vn)):
             if not half.generated():
-                namespace[name] = half.kernel()
+                namespace[name] = half.contraction()
         source = _advance_source(self.n_edge_types, self._cn, self._vn)
         exec(compile(source, "<exit loop>", "exec"), namespace)
         return namespace["advance"]
@@ -699,7 +667,7 @@ class ExitEngine:
         for e, o in seen.items():
             if e == eps or (o == "converged" and eps < e) or (o == "stuck" and eps > e):
                 return o
-        o = seen[eps] = self._run(eps, max_iters, tol, None).outcome
+        o = seen[eps] = self.run(eps, max_iters, tol).outcome
         return o
 
     def _unstable_start(self, tol_eps: float) -> float:
@@ -732,13 +700,13 @@ def _advance_source(n_e: int, cn: _Mixture, vn: _Mixture) -> str:
     is exact.
 
     A step is the CN half then the VN half, each written out inline from
-    _kernel_source, or a call of the kernel named cn or vn for a half that
-    is not generated.  The state and the two before it live in float
-    locals x, p and q, the CN half's output in c; the statements that read
-    only eps run once, before the loop.  A tuple is built only for a call:
-    of never, of a kernel, and of rows.append, made with each new state
-    unless rows is None, and flush(rows) at _FLUSH_ROWS rows unless flush
-    is None.
+    _kernel_source, or a call of the numpy contraction bound as cn or vn
+    for a half that is not generated.  The state and the two before it
+    live in float locals x, p and q, the CN half's output in c; the
+    statements that read only eps run once, before the loop.  A tuple is
+    built only for a call: of never, of a contraction, and of rows.append,
+    made with each new state unless rows is None, and flush(rows) at
+    _FLUSH_ROWS rows unless flush is None (run passes its record there).
     """
 
     def names(prefix: str) -> str:

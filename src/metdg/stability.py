@@ -90,27 +90,25 @@ class StabilityMatrices(NamedTuple):
         return not any(t and any(row) for t, row in zip(p_touched, self.c))
 
 
-def _require_eligible(spec: EnsembleSpec, what: str) -> None:
+def _require_eligible(spec: EnsembleSpec) -> None:
     for vn in spec.vn_types:
         if any(b == 0 for b in vn.puncture):
             raise AssumptionError(
-                f"{what} assumes no punctured bits, but VN type {vn.name!r} punctures some"
+                f"the stability analysis assumes no punctured bits, but VN type {vn.name!r} punctures some"
             )
-    for vn, d in zip(spec.vn_types, spec.vn_min_distance):
+    nodes = [("VN", vn, d) for vn, d in zip(spec.vn_types, spec.vn_min_distance)]
+    nodes += [("CN", cn, d) for cn, d in zip(spec.cn_types, spec.cn_min_distance)]
+    for kind, node, d in nodes:
         if d < 2:
             raise AssumptionError(
-                f"{what} assumes local minimum distance >= 2, but VN type {vn.name!r} has distance {d}"
-            )
-    for cn, d in zip(spec.cn_types, spec.cn_min_distance):
-        if d < 2:
-            raise AssumptionError(
-                f"{what} assumes local minimum distance >= 2, but CN type {cn.name!r} has distance {d}"
+                "the stability analysis assumes local minimum distance >= 2, "
+                f"but {kind} type {node.name!r} has distance {d}"
             )
 
 
 def build_matrices(spec: EnsembleSpec) -> StabilityMatrices:
     """Assemble both stability matrices from weight-2 ordered-pair counts."""
-    _require_eligible(spec, "the stability analysis")
+    _require_eligible(spec)
     n_e = spec.n_edge_types
 
     c = [[Fraction(0) for _ in range(n_e)] for _ in range(n_e)]

@@ -536,11 +536,11 @@ def stall_only_run(step, n_edge_types, eps, max_iters=20000, tol=1e-10):
     all-unknown prior until every component reaches 1 - tol (converged), no
     component moves by 1e-15 (stalled) or max_iters steps have been taken.
     Returns (converged, iterations)."""
-    x = step(np.zeros(n_edge_types), eps)
+    x = np.array(step(np.zeros(n_edge_types), eps))
     if x.min() >= 1.0 - tol:
         return True, 0
     for it in range(1, max_iters + 1):
-        x_next = step(x, eps)
+        x_next = np.array(step(x, eps))
         if x_next.min() >= 1.0 - tol:
             return True, it
         if np.max(np.abs(x_next - x)) < 1e-15:
@@ -703,8 +703,9 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
     step the tol test, the basin test, the stall test, then the
     super-solution test when it is due.  The basin test is exact: 1 - x <=
     bound in rationals, for the bound _certified_bound proves, which is
-    proven at the start of the run.  Returns (converged, trajectory,
-    outcome) as run does."""
+    proven at the start of the run.  Returns run's ProbeOutcome and the
+    rows that run hands to record, as one list of state tuples, empty
+    unless record is set."""
     from operator import sub
 
     from metdg.exitchart import (
@@ -721,7 +722,7 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
     if sm is not None:
         verdict, v = _verdict(sm, epsilon, solve=True)
         if verdict == "unstable":
-            return False, np.empty((0, n_e)), ProbeOutcome(epsilon, "unstable", 0)
+            return ProbeOutcome(epsilon, "unstable", 0), []
         if verdict == "stable":
             # the bound that _basin's prove() reads, caught on its way
             certify = engine._certified_bound
@@ -739,14 +740,14 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
             return "basin"
         return None
 
-    x = tuple(engine.step(np.zeros(n_e), epsilon).tolist())
+    x = engine.step(np.zeros(n_e), epsilon)
     trajectory = [x]
     next_check = max_iters + 1 if record else _CERT_FIRST
     x_prev = x_prev2 = None
     it = 0
     reason = settled(x)
     while reason is None and it < max_iters:
-        x_prev2, x_prev, x = x_prev, x, tuple(engine.step(x, epsilon).tolist())
+        x_prev2, x_prev, x = x_prev, x, engine.step(x, epsilon)
         it += 1
         if record:
             trajectory.append(x)
@@ -757,15 +758,12 @@ def stepwise_run(engine, epsilon, max_iters=20000, tol=1e-10, record=False):
             next_check = it + max(_CERT_FIRST, it // _CERT_SPACING)
             if engine._never_converges(x, x_prev, x_prev2, epsilon, 1.0 - tol):
                 reason = "super-solution"
-    reason = reason or "max_iters"
-    rows = np.array(trajectory) if record else np.empty((0, n_e))
-    outcome = ProbeOutcome(epsilon, reason, it)
-    return outcome.outcome == "converged", rows, outcome
+    return ProbeOutcome(epsilon, reason or "max_iters", it), trajectory if record else []
 
 
 def plain_threshold(engine, tol_eps=1e-6, max_iters=20000, tol=1e-10):
     """ExitEngine.threshold as a bisection that runs every step: from the
-    same start, one engine._run per midpoint.  Returns ((lo, hi), counts,
+    same start, one engine.run per midpoint.  Returns ((lo, hi), counts,
     probes), counts per outcome as threshold returns them and probes the
     ProbeOutcome of each run in order."""
     from metdg.exitchart import OUTCOMES
@@ -775,7 +773,7 @@ def plain_threshold(engine, tol_eps=1e-6, max_iters=20000, tol=1e-10):
     probes = []
     while hi - lo > 2.0 * tol_eps:
         mid = 0.5 * (lo + hi)
-        probes.append(engine._run(mid, max_iters, tol, None))
+        probes.append(engine.run(mid, max_iters, tol))
         counts[probes[-1].outcome] += 1
         if probes[-1].outcome == "converged":
             lo = mid

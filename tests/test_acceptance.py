@@ -58,7 +58,7 @@ def test_criterion_1_fixed_point_at_all_known_state(announce):
         engine = ExitEngine(spec)
         ones = np.ones(spec.n_edge_types)
         for eps in np.linspace(0.02, 0.98, 20):
-            dev = float(np.max(np.abs(engine.step(ones, float(eps)) - 1.0)))
+            dev = float(np.max(np.abs(np.array(engine.step(ones, float(eps))) - 1.0)))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 60
@@ -253,7 +253,7 @@ def _returns_to_all_known(engine: ExitEngine, eps: float, rng) -> bool:
     v = rng.uniform(0.3, 1.0, engine.n_edge_types)
     x = 1.0 - 1e-6 * v
     for _ in range(30000):
-        x = engine.step(x, eps)
+        x = np.array(engine.step(x, eps))
         dist = float(np.max(1.0 - x))
         if dist < 1e-10:
             return True
@@ -321,7 +321,9 @@ def test_criterion_9_finite_length_consistency(announce, ldpc36):
         trajs = result.trajectories[eps]
         mean = trajs.mean(axis=0)
         se = trajs.std(axis=0, ddof=1) / math.sqrt(trajs.shape[0])
-        _, de_traj, _ = engine.run(eps, max_iters=iters, record=True)
+        rows = []
+        engine.run(eps, max_iters=iters, record=rows.extend)
+        de_traj = np.array(rows)
         for it in range(iters + 1):
             for l0 in range(ldpc36.n_edge_types):
                 dev = abs(mean[it, l0] - float(de_traj[it, l0]))

@@ -359,8 +359,8 @@ def test_exit_chart_json(ldpc_path, tmp_path):
 def test_exit_chart_bodies_hold_every_engine_row(spec, eps, tmp_path):
     path, out = tmp_path / "spec.json", tmp_path / "chart"
     path.write_text(json.dumps(spec.to_dict()))
-    converged, trajectory, _ = ExitEngine(spec).run(eps, record=True)
-    rows = trajectory.tolist()
+    rows = []
+    converged = ExitEngine(spec).run(eps, record=rows.extend).outcome == "converged"
     assert len(rows) > 1
 
     assert main(["exit-chart", str(path), "--epsilon", str(eps), "--out", str(out)]) == 0
@@ -372,7 +372,7 @@ def test_exit_chart_bodies_hold_every_engine_row(spec, eps, tmp_path):
     assert main(args) == 0
     res = _read_json(out)["results"]
     assert res["converged"] is converged
-    assert res["trajectory"] == rows
+    assert res["trajectory"] == [list(row) for row in rows]
 
 
 def test_inffunc_dump(ex1_path, tmp_path):

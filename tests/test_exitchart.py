@@ -102,7 +102,7 @@ def test_vn_exit_all_ones_input_gives_one():
         for vn in spec.vn_types:
             engine, used = vn_probe(vn)
             for eps in (0.1, 0.6, 0.95):
-                assert np.all(engine.step(np.ones(len(used)), eps) == 1.0)
+                assert np.all(np.array(engine.step(np.ones(len(used)), eps)) == 1.0)
 
 
 def test_vn_exit_perfect_channel():
@@ -120,7 +120,7 @@ def test_spc_cn_closed_form():
 
 def test_cn_exit_all_ones_gives_one():
     engine, _ = cn_probe(CnType("pair", pair_code_gen(), (1, 2, 2, 1), 1))
-    assert np.all(engine.step([1.0, 1.0], 1.0) == 1.0)
+    assert np.all(np.array(engine.step([1.0, 1.0], 1.0)) == 1.0)
 
 
 def test_mixed_type_spc_closed_form():
@@ -193,7 +193,7 @@ def test_step_fixed_point_at_one():
         engine = ExitEngine(spec)
         ones = np.ones(spec.n_edge_types)
         for eps in np.linspace(0.05, 0.95, 7):
-            out = engine.step(ones, eps)
+            out = np.array(engine.step(ones, eps))
             assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
@@ -210,9 +210,10 @@ def test_step_matches_scalar_recursion_for_regular_ldpc():
 
 
 def test_step_perfect_channel_converges_immediately():
-    conv, traj, _ = ExitEngine(ldpc_spec(3, 6)).run(0.0, record=True)
-    assert conv
-    assert traj[0, 0] == 1.0
+    rows = []
+    outcome = ExitEngine(ldpc_spec(3, 6)).run(0.0, record=rows.extend)
+    assert outcome.outcome == "converged"
+    assert rows[0][0] == 1.0
 
 
 def test_step_at_zero_epsilon_reaches_one_from_any_state():
@@ -221,15 +222,14 @@ def test_step_at_zero_epsilon_reaches_one_from_any_state():
         spec = random_eligible_spec(rng)
         engine = ExitEngine(spec)
         x = rng.random(spec.n_edge_types)
-        assert np.all(engine.step(x, 0.0) == 1.0)
+        assert np.all(np.array(engine.step(x, 0.0)) == 1.0)
 
 
 def test_tiny_epsilon_converges_on_eligible_specs():
     rng = np.random.default_rng(62)
     for _ in range(3):
         spec = random_eligible_spec(rng)
-        conv, _, _ = ExitEngine(spec).run(1e-6)
-        assert conv
+        assert ExitEngine(spec).run(1e-6).outcome == "converged"
 
 
 def test_step_monotone_in_state_and_epsilon():
@@ -242,20 +242,21 @@ def test_step_monotone_in_state_and_epsilon():
             x = rng.random(n)
             y = np.minimum(1.0, x + rng.random(n) * (1 - x))
             e1, e2 = sorted(rng.random(2))
-            fx = engine.step(x, e2)
-            fy = engine.step(y, e2)
+            fx = np.array(engine.step(x, e2))
+            fy = np.array(engine.step(y, e2))
             assert np.all(fy >= fx - 1e-12)
-            assert np.all(engine.step(x, e1) >= fx - 1e-12)
+            assert np.all(np.array(engine.step(x, e1)) >= fx - 1e-12)
 
 
 def test_run_to_fixed_point_around_ldpc_threshold():
     engine = ExitEngine(ldpc_spec(3, 6))
-    conv_below, _, _ = engine.run(0.30, record=True)
-    conv_above, traj, _ = engine.run(0.50, record=True)
-    assert conv_below
-    assert not conv_above
+    below = engine.run(0.30, record=[].extend)
+    rows = []
+    above = engine.run(0.50, record=rows.extend)
+    assert below.outcome == "converged"
+    assert above.outcome != "converged"
     # the recorded trajectory climbs monotonically toward its stuck point
-    vals = traj[:, 0].tolist()
+    vals = [row[0] for row in rows]
     assert len(vals) >= 2
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.9
@@ -281,7 +282,7 @@ def test_threshold_of_heavily_redundant_spec_is_near_one():
 def test_probe_convergence_matches_scalar_oracle_on_grid(ldpc36):
     engine = ExitEngine(ldpc36)
     for eps in np.linspace(0.05, 0.95, 10):
-        conv, _, _ = engine.run(float(eps))
+        conv = engine.run(float(eps)).outcome == "converged"
         assert conv == scalar_de_converges(float(eps), 3, 6)
 
 
@@ -349,6 +350,9 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
         lambda e: e.step([0.5], "0.3"),
         lambda e: e.run(True),
         lambda e: e.run("0.3"),
+        # record is None or a callable that takes rows
+        lambda e: e.run(0.3, record=True),
+        lambda e: e.run(0.3, record="rows"),
         lambda e: e.threshold(tol_eps=True),
         lambda e: e.threshold(tol_eps="1e-3"),
         # max_iters is a Python int, as decode's is: True is not 1
@@ -369,6 +373,7 @@ def test_erasure_polynomials_require_a_fixed_all_known_state(make):
          "step-state-shape", "step-state-text", "step-state-str-number",
          "step-state-bytes", "step-state-bool", "step-state-scalar", "step-state-nested",
          "step-eps-bool", "step-eps-str", "run-eps-bool", "run-eps-str",
+         "run-record-bool", "run-record-str",
          "threshold-tol-eps-bool", "threshold-tol-eps-str", "run-max-iters-nan", "run-max-iters-float",
          "run-max-iters-bool", "run-max-iters-neg", "run-tol-zero", "run-tol-one", "run-tol-nan",
          "run-tol-str", "run-tol-none",
@@ -385,7 +390,7 @@ def test_engine_takes_ints_and_numpy_scalars_as_numbers():
     for x, eps in (([np.float32(0.5)], np.float64(0.25)), (np.array([0.5]), 0.25), ((0.5,), 0.25)):
         assert np.array_equal(engine.step(x, eps), want)
     assert np.array_equal(engine.step([1], 0), engine.step([1.0], 0.0))
-    assert engine.run(np.float64(0.3))[2] == engine.run(0.3)[2]
+    assert engine.run(np.float64(0.3)) == engine.run(0.3)
     assert engine.threshold(tol_eps=np.float64(1e-3)) == engine.threshold(tol_eps=1e-3)
 
 
@@ -409,7 +414,9 @@ def test_trajectory_indexing_and_initial_state():
     spec = ldpc_spec(3, 6)
     engine = ExitEngine(spec)
     eps = 0.3
-    conv, traj, last = engine.run(eps, record=True)
+    rows = []
+    last = engine.run(eps, record=rows.extend)
+    traj = np.array(rows)
     assert last == ProbeOutcome(eps, "tol", len(traj) - 1)
     assert traj.shape == (last.iteration + 1, spec.n_edge_types)
     # row 0 is the VN update applied to an all-unknown prior
@@ -422,19 +429,19 @@ def test_trajectory_indexing_and_initial_state():
 
 
 def test_flushed_run_hands_over_every_row_in_bounded_chunks():
-    # with a flush, a recorded run keeps at most _FLUSH_ROWS rows: the chunks
-    # are full but the last, and together they are the recorded trajectory
+    # a recorded run keeps at most _FLUSH_ROWS rows: the chunks are full but
+    # the last, and together they are the trajectory of a plain stepwise loop
     from metdg.exitchart import _FLUSH_ROWS
 
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
     for eps, max_iters in ((0.499, 20000), (0.4999999, 2 * _FLUSH_ROWS - 1), (0.3, 20000)):
         chunks = []
-        got = engine._run(eps, max_iters, 1e-10, [], lambda rows: chunks.append(list(rows)))
-        _, trajectory, want = engine.run(eps, max_iters=max_iters, record=True)
+        got = engine.run(eps, max_iters, 1e-10, lambda rows: chunks.append(list(rows)))
+        want, trajectory = stepwise_run(engine, eps, max_iters=max_iters, record=True)
         assert got == want
         assert [len(c) for c in chunks[:-1]] == [_FLUSH_ROWS] * (len(chunks) - 1)
         assert 0 < len(chunks[-1]) <= _FLUSH_ROWS
-        assert sum(chunks, []) == list(map(tuple, trajectory.tolist()))
+        assert sum(chunks, []) == trajectory
 
 
 def test_step_matches_tensordot_oracle():
@@ -445,11 +452,12 @@ def test_step_matches_tensordot_oracle():
         for _ in range(6):
             x = rng.random(spec.n_edge_types)
             eps = float(rng.random())
-            got = engine.step(x, eps)
+            got = np.array(engine.step(x, eps))
             assert np.max(np.abs(got - tensordot_step(spec, x, eps))) <= 1e-13
         for x in (np.zeros(spec.n_edge_types), np.ones(spec.n_edge_types)):
             for eps in (0.0, 1.0):
-                assert np.max(np.abs(engine.step(x, eps) - tensordot_step(spec, x, eps))) <= 1e-13
+                got = np.array(engine.step(x, eps))
+                assert np.max(np.abs(got - tensordot_step(spec, x, eps))) <= 1e-13
 
 
 _DE_SPECS = {
@@ -476,7 +484,7 @@ def test_certificate_never_changes_a_probe_outcome(name):
     grid = [float(e) for e in np.linspace(0.05, 0.95, 7)]
     grid += [th + d for d in (-1e-5, -2e-6, 2e-6, 1e-5)]
     for eps in grid:
-        converged, _, _ = engine.run(eps, max_iters=max_iters)
+        converged = engine.run(eps, max_iters=max_iters).outcome == "converged"
         assert converged == stall_only_run(engine.step, n_e, eps, max_iters=max_iters)[0], eps
 
 
@@ -487,23 +495,23 @@ def _check_stability_limited_search(engine, max_iters):
     of the plain bisection and every grid point further away must agree
     with the oracle, which decides each of them within max_iters."""
     runs = []
-    probe = engine._run
+    probe = engine.run
 
     def recording_probe(eps, *args):
         runs.append(eps)
         return probe(eps, *args)
 
-    # threshold's runs, through the run that makes no array
-    engine._run = recording_probe
+    # threshold's runs
+    engine.run = recording_probe
     (lo, hi), counts = engine.threshold(tol_eps=1e-5, max_iters=max_iters)
-    del engine._run
+    del engine.run
     assert lo < 0.5 < hi and hi - lo <= 2e-5
     # the run at the top cell's lower end converges and decides all 15 steps
     assert counts == {"converged": 15, "stuck": 0, "undecided": 0} and len(runs) == 1
     bracket, plain_counts, plain_probes = plain_threshold(engine, tol_eps=1e-5, max_iters=max_iters)
     assert (bracket, plain_counts) == ((lo, hi), counts)
     grid = [p.epsilon for p in plain_probes] + [float(e) for e in np.linspace(0.05, 0.95, 7)]
-    probes = [(eps, engine.run(eps, max_iters=max_iters)[2]) for eps in grid + [0.499, 0.501]]
+    probes = [(eps, engine.run(eps, max_iters=max_iters)) for eps in grid + [0.499, 0.501]]
     far = [(eps, outcome) for eps, outcome in probes if abs(eps - 0.5) >= 1e-3]
     assert {outcome.reason for _, outcome in far} >= {"basin", "unstable"}
     for eps, outcome in far:
@@ -523,7 +531,7 @@ def test_basin_and_cap_agree_with_deciding_oracle_on_random_specs():
     for spec in specs:
         engine = ExitEngine(spec)
         for eps in np.linspace(0.05, 0.95, 10):
-            _, _, outcome = engine.run(float(eps), max_iters=5000)
+            outcome = engine.run(float(eps), max_iters=5000)
             converged, iters = stall_only_run(engine.step, spec.n_edge_types, float(eps), max_iters=5000)
             if iters < 5000:
                 assert (outcome.outcome == "converged") == converged, (spec, eps)
@@ -554,7 +562,7 @@ def test_every_state_in_a_certified_basin_converges():
             built += 1
             x = np.array(lines)
             for _ in range(5000):
-                x = engine.step(x, float(eps))
+                x = np.array(engine.step(x, float(eps)))
                 if x.min() >= 1.0 - 1e-10:
                     break
             assert x.min() >= 1.0 - 1e-10, (spec, eps)
@@ -592,11 +600,13 @@ def test_basin_ray_is_positive_and_contracted_by_the_linear_step(monkeypatch):
 
 def test_recorded_runs_take_no_early_exit():
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
-    assert engine.run(0.75)[2].reason == "unstable"
-    _, trajectory, outcome = engine.run(0.75, record=True)
+    assert engine.run(0.75).reason == "unstable"
+    trajectory = []
+    outcome = engine.run(0.75, record=trajectory.extend)
     assert outcome.reason == "stall" and len(trajectory) == outcome.iteration + 1
-    assert engine.run(0.499, max_iters=100)[2].reason == "basin"
-    _, trajectory, outcome = engine.run(0.499, max_iters=100, record=True)
+    assert engine.run(0.499, max_iters=100).reason == "basin"
+    trajectory = []
+    outcome = engine.run(0.499, max_iters=100, record=trajectory.extend)
     assert outcome == ProbeOutcome(0.499, "max_iters", 100)
     assert len(trajectory) == 101
 
@@ -616,7 +626,7 @@ def test_probe_outcome_is_an_immutable_value():
 def test_marginal_point_is_left_to_the_run():
     # at the bound itself neither early decision applies
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
-    assert engine.run(0.5, max_iters=50)[2] == ProbeOutcome(0.5, "max_iters", 50)
+    assert engine.run(0.5, max_iters=50) == ProbeOutcome(0.5, "max_iters", 50)
 
 
 def test_probes_next_to_the_bound_end_in_the_basin():
@@ -624,7 +634,7 @@ def test_probes_next_to_the_bound_end_in_the_basin():
     # of 1 here, and the iterates alone would crawl past any cap
     engine = ExitEngine(example1_spec(spc_gen(3), spc_gen(3)))
     for eps in (0.5 - 2**-53, 0.5 - 1e-13):
-        assert engine.run(eps)[2].reason == "basin"
+        assert engine.run(eps).reason == "basin"
 
 
 @pytest.mark.parametrize(
@@ -644,7 +654,7 @@ def test_stable_probe_with_float_sigma_at_one_ends_in_the_basin(spec, eps):
     assert stability_verdict(sm, eps) == "stable" and lapack_sigma(sm, eps) >= 1.0
     engine = ExitEngine(spec)
     start = time.perf_counter()
-    assert engine.run(eps, max_iters=2000)[2] == ProbeOutcome(eps, "basin", 0)
+    assert engine.run(eps, max_iters=2000) == ProbeOutcome(eps, "basin", 0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -749,15 +759,15 @@ def test_threshold_equals_the_plain_bisection(name):
     # undecided step, which only its own run decides)
     engine = ExitEngine(_SEARCH_SPECS[name]())
     runs = []
-    probe = engine._run
+    probe = engine.run
 
     def counted(eps, *args):
         runs.append(eps)
         return probe(eps, *args)
 
-    engine._run = counted
+    engine.run = counted
     got = engine.threshold()
-    del engine._run
+    del engine.run
     bracket, counts, probes = plain_threshold(engine)
     assert got == (bracket, counts)
     assert len(set(runs)) == len(runs) <= len(probes) + 2
@@ -788,18 +798,19 @@ def test_run_matches_a_stepwise_loop(numpy_side, monkeypatch):
         around = (near - 0.01, near - 1e-4, near + 1e-4, near + 0.01)
         for eps in (0.0, 0.2, *(e for e in around if 0.0 < e < 1.0), 0.7, 1.0):
             for record, max_iters in runs:
-                got = engine.run(eps, max_iters=max_iters, record=record)
-                want = stepwise_run(engine, eps, max_iters=max_iters, record=record)
-                assert got[0] == want[0] and got[2] == want[2], (spec, eps, record)
-                assert got[1].shape == want[1].shape
-                assert got[1].tobytes() == want[1].tobytes(), (spec, eps, record)
-                reasons.add(got[2].reason)
+                rows = []
+                got = engine.run(eps, max_iters=max_iters, record=rows.extend if record else None)
+                want, want_rows = stepwise_run(engine, eps, max_iters=max_iters, record=record)
+                assert got == want, (spec, eps, record)
+                assert np.array(rows).shape == np.array(want_rows).shape
+                assert np.array(rows).tobytes() == np.array(want_rows).tobytes(), (spec, eps, record)
+                reasons.add(got.reason)
     assert reasons == set(_OUTCOME_OF)
 
 
 def test_loop_inlines_generated_halves_and_calls_a_numpy_half():
     # a generated half is written into the loop, a wide one is called as its
-    # kernel; either way the recorded rows are those of a stepwise loop
+    # numpy contraction; either way the recorded rows are those of a stepwise loop
     from metdg.exitchart import _advance_source
 
     for spec, called in ((example1_spec(spc_gen(3), spc_gen(3)), set()), (wide_spec(), {"cn"})):
@@ -814,9 +825,10 @@ def test_loop_inlines_generated_halves_and_calls_a_numpy_half():
         assert "eps" not in loop.replace("eps, line", "")
         assert "vn_w" in head
         for eps, max_iters in ((0.05, 200), (0.3, 60)):
-            got = engine.run(eps, max_iters=max_iters, record=True)
-            want = stepwise_run(engine, eps, max_iters=max_iters, record=True)
-            assert got[2] == want[2] and got[1].tobytes() == want[1].tobytes(), (spec, eps)
+            rows = []
+            got = engine.run(eps, max_iters=max_iters, record=rows.extend)
+            want, want_rows = stepwise_run(engine, eps, max_iters=max_iters, record=True)
+            assert got == want and np.array(rows).tobytes() == np.array(want_rows).tobytes(), (spec, eps)
 
 
 def test_integer_basin_proof_matches_fractions(monkeypatch):
@@ -843,13 +855,14 @@ def test_certificate_stops_a_stuck_dgldpc_run_early():
     engine = ExitEngine(dgldpc_spec())
     (lo, hi), _ = engine.threshold()
     eps = 0.5 * (lo + hi) + 1e-4
-    converged, _, outcome = engine.run(eps)
+    outcome = engine.run(eps)
     oracle_converged, oracle_iters = stall_only_run(engine.step, 2, eps)
-    assert not converged and not oracle_converged
+    assert outcome.outcome != "converged" and not oracle_converged
     assert outcome.reason == "super-solution"
     assert outcome.iteration < oracle_iters
     # a recorded run never takes the certificate's exit
-    _, trajectory, _ = engine.run(eps, record=True)
+    trajectory = []
+    engine.run(eps, record=trajectory.extend)
     assert len(trajectory) == oracle_iters + 1
 
 
@@ -867,6 +880,23 @@ def _entries(half) -> int:
     return sum(len(arr) for parts in half.parts for _, _, _, arr, _ in parts)
 
 
+def _kernel(half):
+    """A half as a function of (state tuple, eps) that returns a tuple of
+    floats, as the DE loop evaluates it: its _kernel_source compiled alone
+    for a generated half, else its numpy contraction."""
+    from metdg.exitchart import _checked, _names
+
+    if not half.generated():
+        return half.contraction()
+    setup, body = half._kernel_source("x", "o", "")
+    n_e = half.n_edge_types
+    lines = [f"{_names('x', n_e)}= x", *setup, *body, f"return ({_names('o', n_e)})"]
+    source = "def kernel(x, eps):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"_checked": _checked}
+    exec(compile(source, "<exit kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def test_compiled_halves_match_the_numpy_contraction():
     from metdg.exitchart import _KERNEL_MAX_ENTRIES
 
@@ -878,7 +908,7 @@ def test_compiled_halves_match_the_numpy_contraction():
     for spec in specs:
         engine = ExitEngine(spec)
         for half, eps in ((engine._cn, None), (engine._vn, 0.0)):
-            kernel = half.kernel()
+            kernel = _kernel(half)
             generated = kernel.__code__.co_filename == "<exit kernel>"
             assert generated == (_entries(half) <= _KERNEL_MAX_ENTRIES)
             sizes[generated] = max(sizes.get(generated, 0), _entries(half))
@@ -888,7 +918,8 @@ def test_compiled_halves_match_the_numpy_contraction():
                     eps = float(rng.random())
                 got = kernel(tuple(x.tolist()), eps)
                 assert type(got) is tuple and all(type(v) is float for v in got)
-                assert np.max(np.abs(np.array(got) - half.contraction()(x, eps))) <= 1e-15, spec
+                want = np.array(half.contraction()(x, eps))
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-15, spec
     # the SPC(12) CN over 4 edge types is generated, the SPC(16) one is not
     assert _entries(ExitEngine(below)._cn) <= _KERNEL_MAX_ENTRIES < _entries(ExitEngine(above)._cn)
     assert sizes[True] > 700 and sizes[False] > _KERNEL_MAX_ENTRIES
@@ -901,11 +932,15 @@ def test_corrupted_coefficient_still_raises(numpy_side, monkeypatch):
     if numpy_side:
         monkeypatch.setattr("metdg.exitchart._KERNEL_MAX_ENTRIES", -1)
     engine = ExitEngine(ldpc_spec(3, 6))
-    assert engine._cn.kernel()((0.0,), None) == (0.0,)
+    assert _kernel(engine._cn)((0.0,), None) == (0.0,)
     arr = engine._cn.parts[0][0][3]
     arr[:] = [3 * c for c in arr]
     with pytest.raises(InternalError, match="left \\[0,1\\]"):
-        engine._cn.kernel()((0.0,), None)
+        _kernel(engine._cn)((0.0,), None)
+    # the engine's loop, compiled on its first step, inlines or binds the
+    # corrupted half too
+    with pytest.raises(InternalError, match="left \\[0,1\\]"):
+        engine.step((0.0,), 0.3)
 
 
 def test_type_names_stay_out_of_the_generated_code():
@@ -923,14 +958,14 @@ def test_type_names_stay_out_of_the_generated_code():
         [VnType(n, vn.generator, vn.puncture, vn.socket_types, vn.count) for n, vn in zip(names[2:], two.vn_types)],
         [CnType(names[4], cn.generator, cn.socket_types, cn.count) for cn in two.cn_types],
     )
-    assert ExitEngine(renamed).run(0.6)[2] == ExitEngine(two).run(0.6)[2]
+    assert ExitEngine(renamed).run(0.6) == ExitEngine(two).run(0.6)
 
 
 def _probe_log(engine, certified):
     """The threshold search's probes, each with the number of exact basin
     proofs its run made (the length of certified grows by one per proof)."""
     log = []
-    probe = engine._run
+    probe = engine.run
 
     def recording_probe(eps, *args):
         before = len(certified)
@@ -938,7 +973,7 @@ def _probe_log(engine, certified):
         log.append((outcome, len(certified) - before))
         return outcome
 
-    engine._run = recording_probe
+    engine.run = recording_probe
     engine.threshold()
     return log
 

@@ -1,8 +1,9 @@
 """The analyses need neither numpy nor the simulator: importing metdg,
-building the EXIT engines of the benchmark specs and the analysis
-subcommands below leave both out of sys.modules, while `from metdg import
-sweep` still reaches the simulator.  Nor do they load `dataclasses` or the
-`inspect` it imports: the record types are NamedTuples."""
+building the EXIT engines of the benchmark specs, running and stepping
+them, and the analysis subcommands below leave both out of sys.modules,
+while `from metdg import sweep` still reaches the simulator.  Nor do they
+load `dataclasses` or the `inspect` it imports: the record types are
+NamedTuples."""
 
 import os
 import subprocess
@@ -44,10 +45,16 @@ def test_analysis_calls_import_no_numpy(call, tmp_path):
     if call == "import":
         script = "import metdg\n"
     elif call == "engines":
+        # a probe, a recorded run and a single step on each engine
         script = (
             "from metdg import ExitEngine, load_spec\n"
             "for name in ('ldpc36', 'ex1_spc3', 'ex2_rep3', 'dgldpc'):\n"
-            f"    ExitEngine(load_spec({str(SPECS)!r} + '/' + name + '.json'))\n"
+            f"    engine = ExitEngine(load_spec({str(SPECS)!r} + '/' + name + '.json'))\n"
+            "    engine.run(0.3)\n"
+            "    rows = []\n"
+            "    engine.run(0.3, record=rows.extend)\n"
+            "    assert rows and len(rows[0]) == engine.n_edge_types\n"
+            "    engine.step((0.5,) * engine.n_edge_types, 0.3)\n"
         )
     else:
         subcommand, spec, *rest = call.split()

@@ -645,7 +645,9 @@ def test_empirical_exit_trajectory_matches_analysis():
     mean = trajs.mean(axis=0)
     se = trajs.std(axis=0, ddof=1) / np.sqrt(trajs.shape[0])
     engine = ExitEngine(spec)
-    _, de_traj, _ = engine.run(0.40, max_iters=iters, record=True)
+    rows = []
+    engine.run(0.40, max_iters=iters, record=rows.extend)
+    de_traj = np.array(rows)
     for it in range(iters + 1):
         for l0 in range(spec.n_edge_types):
             budget = 3 * max(se[it, l0], 1e-4)

@@ -18,4 +18,6 @@ def test_readme_python_api_block_runs(tmp_path):
     namespace: dict = {}
     exec(compile(code.replace('"spec.json"', repr(str(spec_file))), "README.md", "exec"), namespace)
     assert 0.0 < namespace["eps_star"] < 1.0
-    assert namespace["trajectory"].shape == (namespace["outcome"].iteration + 1, 1)
+    trajectory = namespace["trajectory"]
+    assert len(trajectory) == namespace["outcome"].iteration + 1
+    assert all(len(row) == 1 for row in trajectory)
