@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
     check_epsilon,
     check_run_limits,
+    check_tol_eps,
 )
 from .infofuncs import cn_table, vn_table
 
@@ -192,6 +193,8 @@ def _cmd_threshold(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
 
 
 def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
+    # --tol-eps is checked whether or not --bound uses it
+    check_tol_eps(args.tol_eps)
     sm = stability.build_matrices(spec)
     results: dict = {
         "c": [[float(v) for v in row] for row in sm.c],

@@ -713,7 +713,7 @@ def sweep(
     do not depend on scheduling or on the number of workers, which is at
     most jobs and the CPUs this process may use (see usable_cpus).  The
     key holds at most MAX_GRID_POINTS grid points and MAX_TRIALS trials per
-    point.
+    point.  A failed allocation, here or in a worker, is a CapacityError.
     """
     _check_scale(spec, scale)
     _check_count(trials, "trials", 1)
@@ -746,13 +746,17 @@ def sweep(
     size = -(-total // (n * rounds))
     n = min(n, -(-total // size))
     run = (spec, scale, seed, eps_grid, trials)
-    if n == 1:
-        parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters)]
-    else:
-        # Worker w runs blocks w, w + n, ... in one call: it fills its own
-        # local maps on first use and keeps them for all of its blocks.
-        parts = _fork_shares([(*run, range(w * size, total, n * size), size, record_exit_iters)
-                              for w in range(n)])
+    try:
+        if n == 1:
+            parts = [_run_trials(*run, range(0, total, size), size, record_exit_iters)]
+        else:
+            # Worker w runs blocks w, w + n, ... in one call: it fills its own
+            # local maps on first use and keeps them for all of its blocks.
+            parts = _fork_shares([(*run, range(w * size, total, n * size), size, record_exit_iters)
+                                  for w in range(n)])
+    except MemoryError as e:  # a worker's is raised again by _fork_shares
+        raise CapacityError(f"at scale {scale}, the simulation needs more memory than is available: "
+                            f"{e}") from None
     failures, residuals = np.sum([part[:2] for part in parts], axis=0)
     if record_exit_iters > 0:
         traj = np.empty((total, record_exit_iters + 1, spec.n_edge_types))

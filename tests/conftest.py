@@ -1,6 +1,11 @@
-"""Shared ensemble builders for the test suite."""
+"""Shared ensemble builders and helpers for the test suite."""
 
+import contextlib
 import math
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -166,7 +171,7 @@ def irregular_ldpc_spec(lambda2: float) -> tuple[EnsembleSpec, Fraction, Fractio
 
 
 def wide_spec() -> EnsembleSpec:
-    """CI's spec above the kernel cut-off: an 18-socket SPC CN spread over 6
+    """A spec above the kernel cut-off: an 18-socket SPC CN spread over 6
     edge types, 3 sockets each, and a repetition-2 VN per edge type.  Its CN
     half holds 18,432 coefficient entries, so it keeps the numpy contraction."""
     n_e, per = 6, 3
@@ -248,6 +253,37 @@ def close_eigenvalues_doc() -> dict:
             node("c2", pairs, [2, 1, 3, 3], 40),
         ],
     }
+
+
+def fresh_env() -> dict:
+    """The environment with this interpreter's import path as PYTHONPATH, so
+    that a fresh interpreter imports the same metdg and conftest."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def fresh(*args: str, timeout: float = 120, check: bool = True, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on args (what follows `python` on a command
+    line) with fresh_env(), its output captured; kwargs go to subprocess.run.
+    For checks of process-wide state, or of the CLI as a process."""
+    return subprocess.run([sys.executable, *args], capture_output=True, check=check, env=fresh_env(),
+                          timeout=timeout, **kwargs)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in a call still running after `seconds`, so that a
+    hang fails the test instead of blocking the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 _CODE_POOL = None

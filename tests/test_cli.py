@@ -12,6 +12,7 @@ from metdg.cli import _parse_eps_grid, main
 
 from conftest import (
     close_eigenvalues_doc,
+    deadline,
     example1_spec,
     fig1_doc,
     ldpc_spec,
@@ -430,7 +431,7 @@ _GOLDEN_SIMULATE = {
 @pytest.mark.parametrize("spec", sorted(_GOLDEN_SIMULATE))
 def test_simulate_golden_digests(spec, jobs, tmp_path):
     args, digest = _GOLDEN_SIMULATE[spec]
-    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
+    path = SPECS / f"{spec}.json"
     out = tmp_path / "sim.csv"
     assert main(["simulate", str(path), *args, "--jobs", jobs, "--out", str(out)]) == 0
     body = "\n".join(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
@@ -453,12 +454,18 @@ _GOLDEN_EXIT_CHART = {
 }
 
 
+def test_threshold_golden_results_cover_every_bench_spec():
+    assert sorted(_GOLDEN_THRESHOLD) == sorted(path.stem for path in SPECS.glob("*.json"))
+
+
 @pytest.mark.parametrize("spec", sorted(_GOLDEN_THRESHOLD))
 def test_threshold_golden_results(spec, tmp_path):
+    # the one search at the CLI defaults per bench spec: it finishes in
+    # bounded time and decides every probe
     lo, hi, probes = _GOLDEN_THRESHOLD[spec]
-    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
     out = tmp_path / "threshold.json"
-    assert main(["threshold", str(path), "--out", str(out)]) == 0
+    with deadline(120):
+        assert main(["threshold", str(SPECS / f"{spec}.json"), "--out", str(out)]) == 0
     assert _read_json(out)["results"] == {
         "bracket": [lo, hi],
         "iterations": probes,
@@ -470,7 +477,7 @@ def test_threshold_golden_results(spec, tmp_path):
 
 @pytest.mark.parametrize("spec, eps", sorted(_GOLDEN_EXIT_CHART))
 def test_exit_chart_golden_digests(spec, eps, tmp_path):
-    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json"
+    path = SPECS / f"{spec}.json"
     out = tmp_path / "chart.csv"
     assert main(["exit-chart", str(path), "--epsilon", eps, "--out", str(out)]) == 0
     body = "\n".join(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
@@ -557,6 +564,11 @@ def test_eps_step_that_cannot_move_eps(ldpc_path, capsys):
         ["exit-chart", "--epsilon", "nan"],
         ["exit-chart", "--epsilon", "1.5"],
         ["threshold", "--max-iters", "-5"],
+        # checked whether or not --bound uses it
+        ["stability", "--tol-eps", "nan"],
+        ["stability", "--tol-eps", "-1"],
+        ["stability", "--tol-eps", "0"],
+        ["stability", "--epsilon", "0.3", "--tol-eps", "nan"],
     ],
 )
 def test_analysis_rejects_bad_inputs(ex1_path, args, capsys):

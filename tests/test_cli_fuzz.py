@@ -5,7 +5,6 @@ time, and never with an exception or an internal error."""
 import contextlib
 import io
 import json
-import signal
 import tempfile
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from metdg import CnType, VnType
 from metdg.cli import main
 from metdg.gf2 import WALK_BUDGET
 
-from conftest import fig1_doc, random_code, random_eligible_spec, spec_around
+from conftest import deadline, fig1_doc, random_code, random_eligible_spec, spec_around
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,29 +26,12 @@ _SETTINGS = hypothesis.settings(max_examples=20, deadline=None, derandomize=True
 _EPS = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
 
 
-@contextlib.contextmanager
-def _deadline(seconds: float):
-    """Raise TimeoutError in a call still running after `seconds`, so that a
-    hang fails the test instead of blocking the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _run(args: list[str], out: Path) -> int:
     """One CLI call: a documented exit code, in bounded time, and no
     internal error."""
     err = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stderr(err), _deadline(10.0):
+    with contextlib.redirect_stderr(err), deadline(10.0):
         code = main(args + ["--out", str(out)])
     assert time.perf_counter() - start < 5.0, args
     assert code in (0, 1, 2, 3), (args, err.getvalue())

@@ -5,23 +5,13 @@ while `from metdg import sweep` still reaches the simulator.  Nor do they
 load `dataclasses` or the `inspect` it imports: the record types are
 NamedTuples."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import fresh
+
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
-
-
-def _fresh(script: str) -> str:
-    """Run script in a fresh interpreter with this one's import path; its
-    stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, check=True, env=env, text=True, timeout=120
-    ).stdout
 
 
 _CLI = [
@@ -62,7 +52,7 @@ def test_analysis_calls_import_no_numpy(call, tmp_path):
         script = f"from metdg.cli import main\nassert main({args!r}) == 0\n"
     unwanted = {"numpy", "metdg.peeling", "dataclasses", "inspect"}
     script += f"import sys\nprint(sorted({unwanted!r} & set(sys.modules)))\n"
-    assert _fresh(script).strip() == "[]"
+    assert fresh("-c", script, text=True).stdout.strip() == "[]"
 
 
 def test_peeling_names_load_on_first_use():
@@ -72,4 +62,4 @@ def test_peeling_names_load_on_first_use():
         "from metdg import sweep\n"
         "print(before, sweep is sys.modules['metdg.peeling'].sweep, 'numpy' in sys.modules)\n"
     )
-    assert _fresh(script).split() == ["False", "True", "True"]
+    assert fresh("-c", script, text=True).stdout.split() == ["False", "True", "True"]

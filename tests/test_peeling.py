@@ -3,9 +3,8 @@ import json
 import os
 import pickle
 import platform
-import subprocess
-import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from conftest import (
     dgldpc_spec,
     example2_spec,
     fig1_spec,
+    fresh,
     ldpc_spec,
     random_component_code,
     random_eligible_spec,
@@ -274,10 +274,7 @@ def test_a_share_in_a_fresh_interpreter_equals_the_forked_part(monkeypatch, fork
     [(shares, parts)] = forked
     script = ("import pickle, sys; from metdg import peeling; "
               "sys.stdout.buffer.write(pickle.dumps(peeling._run_trials(*pickle.load(sys.stdin.buffer))))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    fresh = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(shares[1]),
-                           capture_output=True, check=True, env=env)
-    failures, residuals, trajectories = pickle.loads(fresh.stdout)
+    failures, residuals, trajectories = pickle.loads(fresh("-c", script, input=pickle.dumps(shares[1])).stdout)
     assert (failures, residuals) == parts[1][:2]
     assert list(trajectories) == list(parts[1][2]) != []
     for start, block in trajectories.items():
@@ -357,6 +354,20 @@ def test_a_failed_fork_is_a_capacity_error(monkeypatch, two_cpus, tmp_path, caps
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_allocation_too_large_is_a_capacity_error(jobs, two_cpus, capsys):
+    # a block of one trial with 4e15 VNs asks numpy for an 85 PiB array,
+    # more than any 64-bit address space holds, so nothing is allocated; at
+    # --jobs 2 each worker's MemoryError is raised again in the parent
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs" / "ldpc36.json"
+    args = ["simulate", str(path), "--scale", str(10**15), "--eps", "0.4", "--trials", "2", "--jobs", jobs]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at scale 1000000000000000, the simulation needs more memory than is available")
+    assert err.count("\n") == 1
+    _assert_no_child_left()
+
+
 def test_sweep_runs_in_one_process_without_fork(monkeypatch, forked):
     monkeypatch.delattr(os, "fork")
     kwargs = dict(scale=1, eps_grid=[0.3, 0.42], trials=10, seed=5)
@@ -413,9 +424,7 @@ def test_glibc_accepts_every_worker_setting():
     # in a fresh interpreter: the settings would change this process's allocator
     script = ("from metdg import peeling; mallopt = peeling._libc_mallopt(); "
               "print([mallopt(*setting) for setting in peeling._WORKER_MALLOPT])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, env=env, text=True)
-    assert out.stdout.strip() == str([1] * len(peeling._WORKER_MALLOPT))
+    assert fresh("-c", script, text=True).stdout.strip() == str([1] * len(peeling._WORKER_MALLOPT))
 
 
 @pytest.mark.parametrize(

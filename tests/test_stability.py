@@ -256,7 +256,7 @@ def test_refusal_on_distance1_spec():
 
 def test_jacobian_identity_on_random_eligible_specs():
     # criterion 2's exact identity on more specs: the D-GLDPC one, whose
-    # distance-3 codes make both sides vanish, CI's wide spec, an 18-socket
+    # distance-3 codes make both sides vanish, the wide spec, an 18-socket
     # CN over six edge types, and random ones
     rng = np.random.default_rng(77)
     specs = [dgldpc_spec(), wide_spec()] + [random_eligible_spec(rng) for _ in range(5)]
