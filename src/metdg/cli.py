@@ -44,6 +44,21 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exact(results: dict, key: str, value) -> None:
+    """Write value, Fractions in nested tuples and dicts, to results[key]
+    as floats and to results[key + "_exact"] as "n/d"."""
+
+    def each(f, v):
+        if isinstance(v, dict):
+            return {k: each(f, x) for k, x in v.items()}
+        if isinstance(v, tuple):
+            return [each(f, x) for x in v]
+        return f(v)
+
+    results[key] = each(float, value)
+    results[key + "_exact"] = each(_frac_str, value)
+
+
 def _report(subcommand: str, digest: str, parameters: dict, results: dict, t0: float) -> dict:
     return {
         "tool": "metdg",
@@ -100,30 +115,19 @@ def _cmd_validate(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
         "dimension": spec.dimension,
         "rate": {"value": float(spec.rate), "ratio": _frac_str(spec.rate)},
         "edge_counts": list(spec.edge_counts),
-        "lambda": {
-            vn.name: [float(f) for f in spec.vn_edge_fractions[i]]
-            for i, vn in enumerate(spec.vn_types)
-        },
-        "lambda_exact": {
-            vn.name: [_frac_str(f) for f in spec.vn_edge_fractions[i]]
-            for i, vn in enumerate(spec.vn_types)
-        },
-        "rho": {
-            cn.name: [float(f) for f in spec.cn_edge_fractions[i]]
-            for i, cn in enumerate(spec.cn_types)
-        },
-        "rho_exact": {
-            cn.name: [_frac_str(f) for f in spec.cn_edge_fractions[i]]
-            for i, cn in enumerate(spec.cn_types)
-        },
-        "vn_min_distance": {vn.name: d for vn, d in zip(spec.vn_types, spec.vn_min_distance)},
-        "cn_min_distance": {cn.name: d for cn, d in zip(spec.cn_types, spec.cn_min_distance)},
         "flags": {
             "unpunctured": spec.unpunctured,
             "min_distance_at_least_2": spec.min_distance_at_least_2,
             "stability_eligible": spec.stability_eligible,
         },
     }
+    for kind, weights, nodes, fractions, distances in (
+        ("vn", "lambda", spec.vn_types, spec.vn_edge_fractions, spec.vn_min_distance),
+        ("cn", "rho", spec.cn_types, spec.cn_edge_fractions, spec.cn_min_distance),
+    ):
+        names = [t.name for t in nodes]
+        _exact(results, weights, dict(zip(names, fractions)))
+        results[f"{kind}_min_distance"] = dict(zip(names, distances))
     _emit_json(_report("validate", digest, {}, results, t0), args.out)
     return 0
 
@@ -196,13 +200,9 @@ def _cmd_stability(spec: EnsembleSpec, args, digest: str, t0: float) -> int:
     # --tol-eps is checked whether or not --bound uses it
     check_tol_eps(args.tol_eps)
     sm = stability.build_matrices(spec)
-    results: dict = {
-        "c": [[float(v) for v in row] for row in sm.c],
-        "c_exact": [[_frac_str(v) for v in row] for row in sm.c],
-        "p_coeffs": [[[float(v) for v in cell] for cell in row] for row in sm.p_coeffs],
-        "p_coeffs_exact": [[[_frac_str(v) for v in cell] for cell in row] for row in sm.p_coeffs],
-        "always_stable_by_disjoint_supports": sm.vanishes(),
-    }
+    results: dict = {"always_stable_by_disjoint_supports": sm.vanishes()}
+    _exact(results, "c", sm.c)
+    _exact(results, "p_coeffs", sm.p_coeffs)
     params: dict = {}
     if args.epsilon is not None:
         params["epsilon"] = args.epsilon
@@ -287,29 +287,30 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-# Each subcommand's arguments after the spec and --out, as (flag, keywords).
-# Only exit-chart and simulate have a CSV form; it is their default.
+# Each subcommand, in the order -h lists them: its handler, and its arguments
+# after the spec and --out as (flag, keywords).  Only exit-chart and simulate
+# have a CSV form; it is their default.
 _FORMAT = ("--format", {"choices": ("json", "csv"), "default": "csv"})
-_ARGUMENTS = {
-    "validate": [],
-    "inffunc": [("--type", {"required": True, "help": "VN or CN type name to dump"})],
-    "exit-chart": [
+_COMMANDS = {
+    "validate": (_cmd_validate, []),
+    "inffunc": (_cmd_inffunc, [("--type", {"required": True, "help": "VN or CN type name to dump"})]),
+    "exit-chart": (_cmd_exit_chart, [
         _FORMAT,
         ("--epsilon", {"type": float, "required": True}),
         ("--max-iters", {"type": int, "default": 20000}),
         ("--tol", {"type": float, "default": 1e-10}),
-    ],
-    "threshold": [
+    ]),
+    "threshold": (_cmd_threshold, [
         ("--tol-eps", {"type": float, "default": 1e-6}),
         ("--max-iters", {"type": int, "default": 20000}),
         ("--tol-fp", {"type": float, "default": 1e-10}),
-    ],
-    "stability": [
+    ]),
+    "stability": (_cmd_stability, [
         ("--epsilon", {"type": float, "default": None}),
         ("--bound", {"action": "store_true"}),
         ("--tol-eps", {"type": float, "default": 1e-6}),
-    ],
-    "simulate": [
+    ]),
+    "simulate": (_cmd_simulate, [
         _FORMAT,
         ("--scale", {"type": int, "required": True}),
         ("--eps", {"required": True, "help": "grid as a:b:step or comma-separated values"}),
@@ -317,7 +318,7 @@ _ARGUMENTS = {
         ("--seed", {"type": int, "default": 0}),
         # default: every CPU this process may use, counted when a simulation starts
         ("--jobs", {"type": int, "default": None}),
-    ],
+    ]),
 }
 
 
@@ -330,7 +331,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"metdg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((a for a in argv if not a.startswith("-")), None)
-    for name, arguments in _ARGUMENTS.items():
+    for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=name == named)
         if name == named:
             p.add_argument("spec", help="path to the ensemble spec JSON file")
@@ -340,16 +341,6 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "inffunc": _cmd_inffunc,
-    "exit-chart": _cmd_exit_chart,
-    "threshold": _cmd_threshold,
-    "stability": _cmd_stability,
-    "simulate": _cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
@@ -357,7 +348,8 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         spec = load_spec(args.spec)
         digest = _digest(spec)
-        return _HANDLERS[args.command](spec, args, digest, t0)
+        handler, _ = _COMMANDS[args.command]
+        return handler(spec, args, digest, t0)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -370,6 +362,10 @@ def main(argv=None) -> int:
     except MetdgError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # raised again, so the process still dies by SIGINT, reported in one line
+        sys.tracebacklimit = 0
+        raise
 
 
 if __name__ == "__main__":

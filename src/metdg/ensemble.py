@@ -69,7 +69,10 @@ class CnType(NamedTuple):
     """A check-node type: component code, socket labels, count.
 
     The code may be given by a generator or a parity-check matrix; a
-    full-row-rank generator is always derived and used internally.
+    full-row-rank generator is always derived and used internally.  A CN
+    is a VN that transmits none of its bits: its n_transmitted and
+    transmitted_positions are class constants, not fields, so code that
+    reads them takes both kinds of node alike.
     """
 
     name: str
@@ -79,6 +82,8 @@ class CnType(NamedTuple):
 
     n_sockets = _n_sockets
     sockets_of_type = _sockets_of_type
+    n_transmitted = 0
+    transmitted_positions = ()
 
     @property
     def dimension(self) -> int:

@@ -122,8 +122,9 @@ class _Mixture:
     A part (one node type, one output edge type) is its coefficient array
     contracted against one weight vector per axis: (1-x_l)^t x_l^(n-t),
     t = 0..n, for an axis of n sockets of edge type l, and eps^z
-    (1-eps)^(b-z), z = 0..b, for the b transmitted bits of a VN.  Axes of
-    length one carry the weight 1 and are dropped when the part is built.
+    (1-eps)^(b-z), z = 0..b, for the b bits the node transmits, none for a
+    CN.  Axes of length one carry the weight 1 and are dropped when the
+    part is built.
     The coefficient arrays are flat lists of ints, which the generated
     code inlines and the exact polynomials read as they are; only the
     numpy contraction of a wide half turns them into float arrays.
@@ -131,8 +132,8 @@ class _Mixture:
 
     def __init__(self, n_edge_types: int, terms):
         """terms: (info table flat in C order, its shape, per-edge-type
-        socket counts, transmitted bits or None for a CN, output edge type
-        e0, exact mixture weight) per part."""
+        socket counts, transmitted bits, output edge type e0, exact mixture
+        weight) per part."""
         self.n_edge_types = n_edge_types
         self.parts: list[list] = [[] for _ in range(n_edge_types)]
         # (value index, n) -> position in the list of weight vectors; value
@@ -141,8 +142,7 @@ class _Mixture:
         for table, shape, counts, n_transmitted, e0, weight in terms:
             arr = _exit_coefficients(table, shape, e0)
             axes = [(l0, counts[l0] - (1 if l0 == e0 else 0)) for l0 in range(n_edge_types)]
-            if n_transmitted is not None:
-                axes.append((n_edge_types, n_transmitted))
+            axes.append((n_edge_types, n_transmitted))
             kept = tuple(keys.setdefault(ax, len(keys)) for ax in axes if ax[1] > 0)
             self.parts[e0].append((float(weight), weight, counts[e0], arr, kept))
         self._axes = sorted(keys, key=keys.get)
@@ -370,25 +370,23 @@ class ExitEngine:
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
         self.n_edge_types = n_e = spec.n_edge_types
-        cn_terms, vn_terms = [], []
-        # VN tables first: only a VN walk can exceed the walk budget on a
+        halves = []
+        # The VN half first: only a VN walk can exceed the walk budget on a
         # valid spec, and it then fails before any table is built.
-        for vi, vn in enumerate(spec.vn_types):
-            (table, shape), counts = vn_table(vn, n_e), spec.vn_socket_counts[vi]
-            vn_terms += [
-                (table, shape, counts, vn.n_transmitted, e0, spec.vn_edge_fractions[vi][e0])
-                for e0 in range(n_e)
-                if counts[e0] > 0
-            ]
-        for ci, cn in enumerate(spec.cn_types):
-            (table, shape), counts = cn_table(cn, n_e), spec.cn_socket_counts[ci]
-            cn_terms += [
-                (table, shape, counts, None, e0, spec.cn_edge_fractions[ci][e0])
-                for e0 in range(n_e)
-                if counts[e0] > 0
-            ]
-        self._cn = _Mixture(n_e, cn_terms)
-        self._vn = _Mixture(n_e, vn_terms)
+        for table, nodes, socket_counts, edge_fractions in (
+            (vn_table, spec.vn_types, spec.vn_socket_counts, spec.vn_edge_fractions),
+            (cn_table, spec.cn_types, spec.cn_socket_counts, spec.cn_edge_fractions),
+        ):
+            terms = []
+            for node, counts, fractions in zip(nodes, socket_counts, edge_fractions):
+                values, shape = table(node, n_e)
+                terms += [
+                    (values, shape, counts, node.n_transmitted, e0, fractions[e0])
+                    for e0 in range(n_e)
+                    if counts[e0] > 0
+                ]
+            halves.append(_Mixture(n_e, terms))
+        self._vn, self._cn = halves
 
     def step(self, i_ev, epsilon: float) -> tuple[float, ...]:
         """One application of the recursion: CN pass, then VN pass, as a

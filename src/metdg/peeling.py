@@ -165,7 +165,7 @@ def _new_block(spec: EnsembleSpec, scale: int, trials: int, maps, wiring=None) -
         cn_counts=tuple(map(len, cn_edges)),
         vn_edges=vn_edges,
         cn_edges=cn_edges,
-        n_transmitted=trials * scale * sum(t.count * t.n_transmitted for t in spec.vn_types),
+        n_transmitted=trials * scale * spec.codeword_length,
         maps=maps,
         owners=(vn_owner, (np.empty_like(cn_slots), cn_bits)),
         cn_slots=cn_slots,
@@ -304,12 +304,10 @@ class _LocalMaps:
 
 def _local_maps(spec: EnsembleSpec) -> tuple[list[_LocalMaps], list[_LocalMaps]]:
     """Fresh, unfilled local maps for the VN types and for the CN types."""
-    vn_maps = [
-        _LocalMaps(vn.generator.column_bits(), vn.n_info_bits, vn.transmitted_positions)
-        for vn in spec.vn_types
-    ]
-    cn_maps = [_LocalMaps(cn.generator.column_bits(), cn.dimension, ()) for cn in spec.cn_types]
-    return vn_maps, cn_maps
+    return tuple(
+        [_LocalMaps(t.generator.column_bits(), t.generator.n_rows, t.transmitted_positions) for t in types]
+        for types in (spec.vn_types, spec.cn_types)
+    )
 
 
 class DecodeResult(NamedTuple):
@@ -737,7 +735,7 @@ def sweep(
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     result = SweepResult(rows=[], rng_name=_RNG_NAME, seed=seed,
                          stability_prediction=spec.stability_eligible, trajectories={})
-    n_bits = scale * sum(vn.count * vn.n_transmitted for vn in spec.vn_types)
+    n_bits = scale * spec.codeword_length
     total = len(eps_grid) * trials
     # Blocks hold at most _BLOCK_EDGES edges (a larger code is a block of
     # one), and each worker gets the same number of blocks, at least one.

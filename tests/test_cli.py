@@ -15,6 +15,7 @@ from conftest import (
     deadline,
     example1_spec,
     fig1_doc,
+    fig1_spec,
     ldpc_spec,
     ones_doc,
     set_at,
@@ -484,6 +485,78 @@ def test_exit_chart_golden_digests(spec, eps, tmp_path):
     assert hashlib.sha256(body.encode()).hexdigest() == _GOLDEN_EXIT_CHART[spec, eps]
 
 
+# SHA-256 of the `metdg validate`, `stability --epsilon 0.3 --bound` and
+# `inffunc --type T` reports, less their "duration_s" line, for every bench
+# spec and fig1_spec() and every type in them, pinned before CN types carried
+# their empty channel and the reports took one exact-number writer.  fig1
+# punctures a bit, so its stability report is a refusal, pinned below.
+_GOLDEN_REPORTS = {
+    ("dgldpc", "inffunc --type ham15"): "24adc15462b22e642933789a955b5b3eec4efd0b80740d8c9b992f9b3e870b80",
+    ("dgldpc", "inffunc --type ham74"): "311848c34f9e1d022fedbd2ef986dbacb989a937b8561cf49a7cec6d8e462d95",
+    ("dgldpc", "inffunc --type rep3"): "7d5032001fb23de3017963b96f1c58f96a31b565364689c415c1994bd48ebace",
+    ("dgldpc", "stability --epsilon 0.3 --bound"): "399f20b6fbee72c6340aafa02c42c29f41acb9c8db8d9fa4102c59aba965e4bb",
+    ("dgldpc", "validate"): "0d2ae69238217b19315971b67d4adbbee7241927efaca0f9193a4b409d9c2dc9",
+    ("ex1_spc3", "inffunc --type bank1"): "cf672e7fcbcef765ce7be1234ba6d4586fd6170b6b4fab57d44c5ca1cb2d70a3",
+    ("ex1_spc3", "inffunc --type bank2"): "1e867b8cd8ce9097f70f0e7f8728b00dd482fe185628409f14fa7d75ce52f0f9",
+    ("ex1_spc3", "inffunc --type bridge"): "49f838055e1d414c4c64902f86d9ced06faa72ec529931b862bd0991aec441b3",
+    ("ex1_spc3", "stability --epsilon 0.3 --bound"): "42568ce6041d1f73c678d7fddf7daadcced64a3b4f16b4393863a56667777b1d",
+    ("ex1_spc3", "validate"): "68cf931be509010afc06053687eb051a948fdf9f314d72dfd94a5567da0bd40d",
+    ("ex2_rep3", "inffunc --type acc"): "e57f7a4deaf32f3d2f9682714d7e596b76c2934a213303920c8aee86a9bf9c3a",
+    ("ex2_rep3", "inffunc --type inner"): "c0a2cfbb56219eea10a0d366784883eb8ae3bac045e7e2996f2d9cf2301ed22c",
+    ("ex2_rep3", "inffunc --type outer"): "ec03447dd580f0a50df8e5cbbf9c5bf282892e5c41ebf7ae2183bcaa9d708eaf",
+    ("ex2_rep3", "stability --epsilon 0.3 --bound"): "e322eddc23979c77ec89fefc74dddc3abd815b78aff58ac717f5972516ae98da",
+    ("ex2_rep3", "validate"): "89a0f81f2ec59b569d3ee2a91f1932560f6cd522afd7462a50ef1218afc88196",
+    ("fig1", "inffunc --type deg2"): "08c9dbfb5c33aae01b7850fc023251159fb8b0a67788380222a8fbb86ec9babb",
+    ("fig1", "inffunc --type dual"): "13773e3da04ec88f7150ed606c5d833c9e9d7d30eb1f4bcc2e3ffc36c875a270",
+    ("fig1", "inffunc --type single"): "b4f2319ab5d4ebc69a5041483662f7bf3cf5b370ac028c50da1eae6ad087a26a",
+    ("fig1", "inffunc --type spc32"): "bcb02ea2f98024e72494e9ac79e879e1a8cc26af4713126d927168e7e79942da",
+    ("fig1", "inffunc --type state"): "7eaf449b124805fba7bbb6e9385aa22748d1f90a67bea2a0d9dd50fde7cb11bf",
+    ("fig1", "validate"): "e62e9f606eef78c0ecd1929f1b3396c3fca0dc1540a14800f4d192b3c3b2bc5f",
+    ("ldpc36", "inffunc --type rep"): "033764e213a97b0c9792424d540216f89f23324e7c83ed97416a3690bc5fd2a7",
+    ("ldpc36", "inffunc --type spc"): "d601ccf60c9e8581362bad7da292710a6e9ad5ac217b879fcbce6659f1f13c14",
+    ("ldpc36", "stability --epsilon 0.3 --bound"): "4ffacf8c5d8e7d15b3bd7151627979d1527b296f7c9cfcad9ef5cad55dae9b62",
+    ("ldpc36", "validate"): "3d8f126158cb4b64f4927820ca735534abd6223f8bcfdd843cf0105d9493aa50",
+}
+_REPORT_SPECS = [*sorted(path.stem for path in SPECS.glob("*.json")), "fig1"]
+
+
+def _report_spec_path(name, tmp_path):
+    if name != "fig1":
+        return str(SPECS / f"{name}.json")
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(fig1_spec().to_dict()))
+    return str(path)
+
+
+def test_report_goldens_cover_every_spec_and_type(tmp_path):
+    want = set()
+    for name in _REPORT_SPECS:
+        spec = load_spec(_report_spec_path(name, tmp_path))
+        want |= {(name, "validate"), (name, "stability --epsilon 0.3 --bound")}
+        want |= {(name, f"inffunc --type {t.name}") for t in spec.vn_types + spec.cn_types}
+    assert set(_GOLDEN_REPORTS) == want - {("fig1", "stability --epsilon 0.3 --bound")}
+
+
+@pytest.mark.parametrize("spec, args", sorted(_GOLDEN_REPORTS))
+def test_report_golden_digests(spec, args, tmp_path):
+    command, *rest = args.split()
+    out = tmp_path / "report.json"
+    assert main([command, _report_spec_path(spec, tmp_path), *rest, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    body = "".join(ln for ln in lines if not ln.lstrip().startswith('"duration_s"'))
+    assert hashlib.sha256(body.encode()).hexdigest() == _GOLDEN_REPORTS[spec, args]
+
+
+def test_fig1_stability_report_is_one_refusal(tmp_path, capsys):
+    path = _report_spec_path("fig1", tmp_path)
+    assert main(["stability", path, "--epsilon", "0.3", "--bound"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "refused: the stability analysis assumes no punctured bits, "
+        "but VN type 'state' punctures some\n",
+    )
+
+
 def test_json_reports_identical_modulo_duration(ex1_path, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -595,7 +668,7 @@ def test_usage_errors_exit_1(ex1_path, args, capsys):
     assert err.startswith("error: ") and "usage:" not in err
 
 
-# What argparse writes for four argument lists, 80 columns wide, pinned when
+# What argparse writes for these argument lists, 80 columns wide, pinned when
 # every subparser still had its arguments: a parser that builds only the
 # named subcommand's arguments must write the same.
 _PARSER_TEXTS = {
@@ -633,6 +706,76 @@ _PARSER_TEXTS = {
         "  --tol-eps TOL_EPS\n"
         "  --max-iters MAX_ITERS\n"
         "  --tol-fp TOL_FP\n"
+    ), ""),
+    "validate-help": (["validate", "-h"], 0, (
+        "usage: metdg validate [-h] [--out OUT] spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec        path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT   write output to a file instead of stdout\n"
+    ), ""),
+    "inffunc-help": (["inffunc", "-h"], 0, (
+        "usage: metdg inffunc [-h] [--out OUT] --type TYPE spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec         path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write output to a file instead of stdout\n"
+        "  --type TYPE  VN or CN type name to dump\n"
+    ), ""),
+    "exit-chart-help": (["exit-chart", "-h"], 0, (
+        "usage: metdg exit-chart [-h] [--out OUT] [--format {json,csv}] --epsilon\n"
+        "                        EPSILON [--max-iters MAX_ITERS] [--tol TOL]\n"
+        "                        spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec                  path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --out OUT             write output to a file instead of stdout\n"
+        "  --format {json,csv}\n"
+        "  --epsilon EPSILON\n"
+        "  --max-iters MAX_ITERS\n"
+        "  --tol TOL\n"
+    ), ""),
+    "stability-help": (["stability", "-h"], 0, (
+        "usage: metdg stability [-h] [--out OUT] [--epsilon EPSILON] [--bound]\n"
+        "                       [--tol-eps TOL_EPS]\n"
+        "                       spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec               path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --out OUT          write output to a file instead of stdout\n"
+        "  --epsilon EPSILON\n"
+        "  --bound\n"
+        "  --tol-eps TOL_EPS\n"
+    ), ""),
+    "simulate-help": (["simulate", "-h"], 0, (
+        "usage: metdg simulate [-h] [--out OUT] [--format {json,csv}] --scale SCALE\n"
+        "                      --eps EPS --trials TRIALS [--seed SEED] [--jobs JOBS]\n"
+        "                      spec\n"
+        "\n"
+        "positional arguments:\n"
+        "  spec                 path to the ensemble spec JSON file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --out OUT            write output to a file instead of stdout\n"
+        "  --format {json,csv}\n"
+        "  --scale SCALE\n"
+        "  --eps EPS            grid as a:b:step or comma-separated values\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"
+        "  --jobs JOBS\n"
     ), ""),
     "invalid-subcommand": (["bogus", "x.json"], 1, "", (
         "error: argument command: invalid choice: 'bogus' (choose from 'validate', 'inffunc', "

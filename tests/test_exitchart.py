@@ -925,6 +925,28 @@ def test_compiled_halves_match_the_numpy_contraction():
     assert sizes[True] > 700 and sizes[False] > _KERNEL_MAX_ENTRIES
 
 
+def test_an_all_punctured_vn_and_a_cn_of_its_code_make_the_same_parts():
+    # A VN differs from a CN only by its transmitted bits: with every bit
+    # punctured (as fig1's "state" VN is), its table's channel axis has
+    # length one and its parts are those of a CN of the same code.  The
+    # Hamming(7,4) tables over 2 edge types have shapes (5, 4, 1) and (5, 4).
+    ham74 = GF2Matrix.from_rows(
+        [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+    )
+    sockets = (1, 2, 1, 1, 2, 1, 2)
+    vns = [VnType("punctured", ham74, (0,) * 4, sockets, 3)]
+    vns += [VnType(f"v{l}", rep_gen(2), (1,), (l, l), 1) for l in (1, 2)]
+    cns = [CnType("check", ham74, sockets, 3)]
+    cns += [CnType(f"c{l}", rep_gen(2), (l, l), 1) for l in (1, 2)]
+    engine = ExitEngine(build_spec(2, vns, cns))
+    for e0 in range(2):
+        (_, _, vn_sockets, vn_arr, vn_kept), *_ = engine._vn.parts[e0]
+        (_, _, cn_sockets, cn_arr, cn_kept), *_ = engine._cn.parts[e0]
+        assert (vn_sockets, vn_arr) == (cn_sockets, cn_arr)
+        assert [engine._vn._axes[k] for k in vn_kept] == [engine._cn._axes[k] for k in cn_kept]
+        assert len(vn_kept) == 2
+
+
 @pytest.mark.parametrize("numpy_side", [False, True], ids=["generated", "numpy"])
 def test_corrupted_coefficient_still_raises(numpy_side, monkeypatch):
     # a coefficient tripled pushes the CN output of the all-unknown state

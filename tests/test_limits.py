@@ -183,20 +183,25 @@ def test_an_interrupted_simulation_leaves_no_process_behind():
     # Workers are children forked by sweep; SIGINT to the parent alone must
     # end the run and leave no worker behind.  The CLI leads a new process
     # group, which its workers join, and the run takes several seconds, so
-    # the signal lands mid-sweep.
+    # the signal lands mid-sweep.  The interrupt is reported in one line.
     argv = [sys.executable, "-c", _MAIN_WITH_SIGINT, "simulate", str(SPECS / "ldpc36.json"),
             "--scale", "5000", "--eps", "0.3:0.5:0.01", "--trials", "60", "--seed", "3", "--jobs", "2"]
-    child = subprocess.Popen(argv, env=fresh_env(), start_new_session=True, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(argv, env=fresh_env(), start_new_session=True, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True)
     try:
         time.sleep(1)
         child.send_signal(signal.SIGINT)
         assert child.wait(timeout=10) == -signal.SIGINT
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
+        # no process is left to hold the pipe open
+        err = child.stderr.read()
+        assert "Traceback" not in err and len(err.splitlines()) <= 1, err
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(child.pid, signal.SIGKILL)
         child.wait()
+        child.stderr.close()
 
 
 def test_a_two_job_sweep_imports_no_multiprocessing():
